@@ -33,7 +33,9 @@ from .coeffalg import (
     Rational,
     SymWord,
     bilinear,
+    convolve_through,
     evaluate,
+    format_basis,
     format_lincomb,
     is_exponential,
     is_logarithmic,

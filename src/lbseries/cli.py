@@ -9,17 +9,19 @@ default; ``--format json`` emits machine-readable structures.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
 
-from .coeffalg import CharacterMap, LinComb, SymWord
+from .coeffalg import CharacterMap, LinComb, format_basis, format_lincomb
 from .laws import REGISTRY, law_names, run_law
-from .postlie import LiePoly, bracket, delta_n, delta_shuffle, gl_product, left_graft, shuffle
+from .postlie import LiePoly, delta_n, delta_shuffle, gl_product, left_graft, shuffle
 from .prelie import delta_ck, delta_h, graft_comb
 from .seriesmorph import compose_lb, substitute_lb
-from .subst import SymLieWord, compose_postlie_operad, delta_w, tree_expr
+from .subst import Bracket, compose_postlie_operad, delta_w, expr_labels, tree_expr
 from .trees import (
+    LEAF,
     ForestParseError,
     canonicalize,
     enumerate_nonplanar_trees,
@@ -35,40 +37,16 @@ class CliError(Exception):
     pass
 
 
-def _leg_text(leg) -> str:
-    if isinstance(leg, (SymWord, SymLieWord)):
-        return leg.serialize()
-    text = leg.serialize()
-    return text if text else "1"
-
-
 def _comb_payload(comb: LinComb):
     terms = []
     for basis, c in comb.sorted_items():
         if isinstance(basis, tuple) and len(basis) == 2:
             terms.append(
-                {"coeff": str(c), "left": _leg_text(basis[0]), "right": _leg_text(basis[1])}
+                {"coeff": str(c), "left": format_basis(basis[0]), "right": format_basis(basis[1])}
             )
         else:
-            terms.append({"coeff": str(c), "word": _leg_text(basis)})
+            terms.append({"coeff": str(c), "word": format_basis(basis)})
     return {"terms": terms}
-
-
-def _comb_text(comb: LinComb) -> str:
-    if comb.is_zero():
-        return "0"
-    chunks = []
-    for basis, c in comb.sorted_items():
-        if isinstance(basis, tuple) and len(basis) == 2:
-            body = f"{_leg_text(basis[0])} (x) {_leg_text(basis[1])}"
-        else:
-            body = _leg_text(basis)
-        if not chunks:
-            prefix = "-" if c < 0 else ""
-        else:
-            prefix = " - " if c < 0 else " + "
-        chunks.append(f"{prefix}{abs(c)} * {body}")
-    return "".join(chunks)
 
 
 def _emit(args, payload, text: str) -> None:
@@ -78,32 +56,45 @@ def _emit(args, payload, text: str) -> None:
         print(text)
 
 
-def _parse_lie_monomial(text: str) -> LiePoly:
-    """Parse ``{x, y}`` bracket syntax over single planar trees."""
+def _parse_bracket(text: str, labels):
+    """Parse ``{x, y}`` bracket syntax over planar trees into a bracket/graft
+    expression whose vertices take the next labels, left to right."""
     text = text.strip()
-    if text.startswith("{"):
-        if not text.endswith("}"):
-            raise CliError(f"unbalanced braces in {text!r}")
-        inner = text[1:-1]
-        depth = 0
-        for i, ch in enumerate(inner):
-            if ch in "{[":
-                depth += 1
-            elif ch in "}]":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                return bracket(
-                    _parse_lie_monomial(inner[:i]), _parse_lie_monomial(inner[i + 1 :])
-                )
-        raise CliError(f"expected a comma in bracket {text!r}")
-    return LiePoly.from_tree(parse_tree(text))
+    if not text.startswith("{"):
+        tree = parse_tree(text)
+        return tree_expr(tree, [next(labels) for _ in range(tree.vertex_count)])
+    if not text.endswith("}"):
+        raise CliError(f"unbalanced braces in {text!r}")
+    inner = text[1:-1]
+    depth = 0
+    for i, ch in enumerate(inner):
+        if ch in "{[":
+            depth += 1
+        elif ch in "}]":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            left = _parse_bracket(inner[:i], labels)
+            return Bracket(left, _parse_bracket(inner[i + 1 :], labels))
+    raise CliError(f"expected a comma in bracket {text!r}")
+
+
+def _lie_poly(text: str) -> LiePoly:
+    """The Lie polynomial written in bracket syntax: its expression evaluated
+    with a single vertex at every label."""
+    expr = _parse_bracket(text, itertools.count())
+    vertices = [LiePoly.from_tree(LEAF)] * len(expr_labels(expr))
+    return compose_postlie_operad(vertices, expr)
+
+
+def _read(kind: str, path: str, load):
+    try:
+        return load(path)
+    except (OSError, ValueError, KeyError) as exc:
+        raise CliError(f"cannot read {kind} file {path}: {exc}") from exc
 
 
 def _load_character(path: str, planar: bool) -> CharacterMap:
-    try:
-        return CharacterMap.load(path, planar=planar)
-    except (OSError, ValueError, KeyError) as exc:
-        raise CliError(f"cannot read character file {path}: {exc}") from exc
+    return _read("character", path, lambda p: CharacterMap.load(p, planar=planar))
 
 
 def cmd_parse(args) -> int:
@@ -143,7 +134,7 @@ def cmd_graft(args) -> int:
         f1 = parse_forest(args.left)
         f2 = parse_forest(args.right)
         result = left_graft(LinComb.of(f1), LinComb.of(f2))
-    _emit(args, _comb_payload(result), _comb_text(result))
+    _emit(args, _comb_payload(result), format_lincomb(result))
     return 0
 
 
@@ -158,7 +149,7 @@ def cmd_product(args) -> int:
         result = gl_product(f1, f2)
     else:
         raise CliError(f"unknown product {args.op!r}")
-    _emit(args, _comb_payload(result), _comb_text(result))
+    _emit(args, _comb_payload(result), format_lincomb(result))
     return 0
 
 
@@ -174,7 +165,7 @@ def cmd_coproduct(args) -> int:
         result = delta_w(parse_forest(args.input))
     else:
         raise CliError(f"unknown coproduct {args.op!r}")
-    _emit(args, _comb_payload(result), _comb_text(result))
+    _emit(args, _comb_payload(result), format_lincomb(result))
     return 0
 
 
@@ -189,13 +180,10 @@ def cmd_operad(args) -> int:
             [int(x) for x in args.assign.split(",")] if args.assign else None
         )
         result = compose_prelie_operad(trees, base, assignment)
-        _emit(args, _comb_payload(result), _comb_text(result))
+        _emit(args, _comb_payload(result), format_lincomb(result))
     else:
-        base_mono = _parse_lie_monomial(args.base)
-        first = next(iter(base_mono.expansion.items()))[0]
-        n = first.vertex_count
-        expr = _lie_monomial_expr(args.base, iter(range(n)))
-        polys = [_parse_lie_monomial(c) for c in inputs]
+        expr = _parse_bracket(args.base, itertools.count())
+        polys = [_lie_poly(c) for c in inputs]
         assignment = (
             [int(x) for x in args.assign.split(",")] if args.assign else None
         )
@@ -203,30 +191,9 @@ def cmd_operad(args) -> int:
         _emit(
             args,
             _comb_payload(result.expansion),
-            _comb_text(result.expansion),
+            format_lincomb(result.expansion),
         )
     return 0
-
-
-def _lie_monomial_expr(text: str, labels):
-    from .subst import Bracket as BracketExpr
-
-    text = text.strip()
-    if text.startswith("{"):
-        inner = text[1:-1]
-        depth = 0
-        for i, ch in enumerate(inner):
-            if ch in "{[":
-                depth += 1
-            elif ch in "}]":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                left = _lie_monomial_expr(inner[:i], labels)
-                right = _lie_monomial_expr(inner[i + 1 :], labels)
-                return BracketExpr(left, right)
-        raise CliError(f"expected a comma in bracket {text!r}")
-    tree = parse_tree(text)
-    return tree_expr(tree, [next(labels) for _ in range(tree.vertex_count)])
 
 
 def cmd_substitute(args) -> int:
@@ -268,8 +235,7 @@ def _character_text(char: CharacterMap) -> str:
 def cmd_bseries(args) -> int:
     from .numericdemo import PolyVectorField, bseries_eval, verify_bseries_substitution
 
-    with open(args.field) as fh:
-        field = PolyVectorField.from_json(json.load(fh))
+    field = _read("field", args.field, PolyVectorField.load)
     y0 = [Fraction(x) for x in args.y0.split(",")]
     if args.action == "eval":
         alpha = _load_character(args.alpha, planar=False)

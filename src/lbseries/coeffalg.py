@@ -18,13 +18,13 @@ Rational = Fraction
 
 
 def _as_fraction(c) -> Fraction:
+    """Exact rational from a Fraction, an int or a ``"p/q"`` string; a float
+    (such as a JSON number with a fraction part) is rejected."""
     if isinstance(c, Fraction):
         return c
-    if isinstance(c, int):
+    if isinstance(c, (int, str)):
         return Fraction(c)
-    if isinstance(c, str):
-        return Fraction(c)
-    raise TypeError(f"not an exact rational: {c!r}")
+    raise ValueError(f"not an exact rational: {c!r}")
 
 
 class LinComb:
@@ -123,13 +123,6 @@ class LinComb:
         """Push forward along ``f``; colliding images accumulate."""
         return LinComb((f(b), c) for b, c in self._terms.items())
 
-    def bind(self, f: Callable[..., "LinComb"]) -> "LinComb":
-        """Linear extension of a basis-to-LinComb map."""
-        out = LinComb()
-        for b, c in self._terms.items():
-            out = out + f(b).scale(c)
-        return out
-
     def sorted_items(self, key=None):
         if key is None:
             key = _default_term_key
@@ -159,27 +152,21 @@ def bilinear(x: LinComb, y: LinComb, f: Callable) -> LinComb:
 
     ``f`` may return a basis element or a :class:`LinComb`.
     """
-    out = LinComb()
     terms = []
     for bx, cx in x.items():
         for by, cy in y.items():
             val = f(bx, by)
             if isinstance(val, LinComb):
-                out = out + val.scale(cx * cy)
+                c = cx * cy
+                terms.extend((b, v * c) for b, v in val.items())
             else:
                 terms.append((val, cx * cy))
-    if terms:
-        out = out + LinComb(terms)
-    return out
+    return LinComb(terms)
 
 
 def tensor(x: LinComb, y: LinComb) -> LinComb:
     """Rank-two tensor of two linear combinations, keyed by (left, right)."""
     return bilinear(x, y, lambda a, b: (a, b))
-
-
-def tensor_of(left, right, coeff=1) -> LinComb:
-    return LinComb.of((left, right), coeff)
 
 
 def pairing(x: LinComb, basis) -> Fraction:
@@ -305,9 +292,14 @@ class CharacterMap:
 
     @staticmethod
     def from_json(data: dict, planar: bool = True) -> "CharacterMap":
+        """Read ``{"order": n, "empty": c, "values": {forest: c}}``; every
+        value is a ``"p/q"`` string or an integer."""
         parse = parse_forest if planar else parse_nonplanar_forest
-        values = [(parse(k), Fraction(v)) for k, v in data.get("values", {}).items()]
-        return CharacterMap(data["order"], Fraction(data.get("empty", 0)), values)
+        values = data.get("values", {}) if isinstance(data, dict) else None
+        if not isinstance(values, dict):
+            raise ValueError('a character is an object with a "values" object')
+        values = [(parse(k), v) for k, v in values.items()]
+        return CharacterMap(data["order"], data.get("empty", 0), values)
 
     @staticmethod
     def load(path, planar: bool = True) -> "CharacterMap":
@@ -330,19 +322,15 @@ def is_primitive_shuffle(x: LinComb, order: int) -> bool:
     from .postlie import delta_shuffle
     from .trees import EMPTY_FOREST
 
-    by_degree: dict[int, LinComb] = {}
+    by_degree: dict[int, list] = {}
     for forest, c in x.items():
         if forest.vertex_count <= order:
-            by_degree.setdefault(forest.vertex_count, LinComb())
-        else:
-            continue
-        by_degree[forest.vertex_count] = by_degree[forest.vertex_count] + LinComb.of(
-            forest, c
+            by_degree.setdefault(forest.vertex_count, []).append((forest, c))
+    for terms in by_degree.values():
+        comp = LinComb(terms)
+        lhs = LinComb(
+            (pair, c * cp) for forest, c in terms for pair, cp in delta_shuffle(forest).items()
         )
-    for comp in by_degree.values():
-        lhs = LinComb()
-        for forest, c in comp.items():
-            lhs = lhs + delta_shuffle(forest).scale(c)
         rhs = tensor(LinComb.of(EMPTY_FOREST), comp) + tensor(
             comp, LinComb.of(EMPTY_FOREST)
         )
@@ -385,13 +373,40 @@ def is_exponential(alpha: CharacterMap) -> bool:
     return True
 
 
+def convolve_through(
+    delta: Callable, left: Callable, right: Callable, forests: Callable, order: int
+) -> CharacterMap:
+    """The character ``w -> sum c * left(l) * right(r)`` over the terms
+    ``c * (l, r)`` of ``delta(w)``, for every ``w`` in ``forests(0..order)``.
+
+    This is the one product of characters: composition and substitution of
+    series are convolutions through a coproduct or a coaction.
+    """
+    values = []
+    for size in range(order + 1):
+        for forest in forests(size):
+            total = Fraction(0)
+            for (l, r), c in delta(forest).items():
+                total += c * left(l) * right(r)
+            values.append((forest, total))
+    return CharacterMap(order, 0, values)
+
+
+def format_basis(basis) -> str:
+    """Text of a basis element; the empty forest and the unit word print as
+    ``1`` and a pair as ``left (x) right``."""
+    if isinstance(basis, tuple) and len(basis) == 2:
+        return f"{format_basis(basis[0])} (x) {format_basis(basis[1])}"
+    return _serialize_basis(basis) or "1"
+
+
 def format_lincomb(x: LinComb) -> str:
-    """Render ``c1 * <word> + c2 * <word>``; the empty word prints as ``1``."""
+    """Render ``c1 * <word> + c2 * <word>`` with words as in :func:`format_basis`."""
     if x.is_zero():
         return "0"
     chunks = []
     for basis, c in x.sorted_items():
-        word = _serialize_basis(basis) or "1"
+        word = format_basis(basis)
         if not chunks:
             prefix = "-" if c < 0 else ""
         else:
@@ -430,7 +445,7 @@ def _split_terms(text: str):
             depth += 1
         elif ch == "]":
             depth -= 1
-        if depth == 0 and ch in "+-" and current and not _inside_number(current):
+        if depth == 0 and ch in "+-" and current:
             yield sign, "".join(current)
             sign = 1 if ch == "+" else -1
             current = []
@@ -442,9 +457,3 @@ def _split_terms(text: str):
         yield sign, "".join(current)
     elif sign != 1:
         raise ValueError("dangling sign in linear combination")
-
-
-def _inside_number(current) -> bool:
-    # A '-' directly after '/' or 'e' style exponents never occurs with
-    # Fraction literals; only guard against empty accumulators.
-    return False

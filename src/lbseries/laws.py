@@ -8,6 +8,7 @@ registry; the test suite drives the same functions.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +18,9 @@ from .coeffalg import (
     CharacterMap,
     LinComb,
     SymWord,
+    convolve_through,
     is_exponential,
+    is_primitive_shuffle,
     tensor,
 )
 from .postlie import (
@@ -49,10 +52,10 @@ from .subst import (
 )
 from .trees import (
     EMPTY_FOREST,
-    EMPTY_NP_FOREST,
     Forest,
     NonPlanarTree,
     OrderedForest,
+    _ForestIndex,
     enumerate_forests,
     enumerate_nonplanar_trees,
     enumerate_ordered_forests,
@@ -111,39 +114,35 @@ def random_logarithmic_character(
     words are primitive for the unshuffling coproduct.
     """
     limit = min(order, support if support is not None else order)
-    element = LinComb()
+    terms = []
     for lp in _lie_monomials(limit):
-        element = element + lp.expansion.scale(_random_fraction(rng))
-    values = [(f, c) for f, c in element.items()]
-    return CharacterMap(order, 0, values)
+        c = _random_fraction(rng)
+        terms.extend((w, a * c) for w, a in lp.expansion.items())
+    return CharacterMap(order, 0, LinComb(terms).items())
+
+
+def _deconcat(forest: OrderedForest) -> LinComb:
+    """Deconcatenation coproduct: every split of the tree sequence in two."""
+    trees = forest.trees
+    return LinComb(
+        ((OrderedForest(trees[:cut]), OrderedForest(trees[cut:])), 1)
+        for cut in range(len(trees) + 1)
+    )
 
 
 def _deconcat_convolve(a: CharacterMap, b: CharacterMap) -> CharacterMap:
-    order = min(a.order, b.order)
-    values = []
-    for size in range(1, order + 1):
-        for forest in enumerate_ordered_forests(size):
-            total = Fraction(0)
-            for cut in range(len(forest.trees) + 1):
-                left = OrderedForest(forest.trees[:cut])
-                right = OrderedForest(forest.trees[cut:])
-                total += a(left) * b(right)
-            values.append((forest, total))
-    return CharacterMap(order, a.empty_value * b.empty_value, values)
+    return convolve_through(_deconcat, a, b, enumerate_ordered_forests, min(a.order, b.order))
 
 
 def random_exponential_character(order: int, rng: random.Random) -> CharacterMap:
     """Convolution exponential of a random logarithmic functional."""
     log = random_logarithmic_character(order, rng)
-    acc: dict = {}
+    terms = []
     power = CharacterMap(order, 1)
-    k_fact = 1
     for k in range(1, order + 1):
         power = _deconcat_convolve(power, log)
-        k_fact *= k
-        for f, c in power.values.items():
-            acc[f] = acc.get(f, Fraction(0)) + c / k_fact
-    return CharacterMap(order, 1, acc)
+        terms.extend((f, c / math.factorial(k)) for f, c in power.values.items())
+    return CharacterMap(order, 1, LinComb(terms).items())
 
 
 def random_tree_character(order: int, rng: random.Random, empty=0) -> CharacterMap:
@@ -215,10 +214,6 @@ def law_postlie_jacobi(order: int = 3, guard: int | None = None, seed: int = 0) 
     return LawResult("postlie-jacobi", True, order)
 
 
-def _small_lie_polys(order: int) -> list[LiePoly]:
-    return _lie_monomials(order)
-
-
 def law_dalgebra_axioms(order: int = 3, guard: int | None = None, seed: int = 0) -> LawResult:
     forests = [
         f for n in range(0, order + 1) for f in enumerate_ordered_forests(n)
@@ -227,7 +222,7 @@ def law_dalgebra_axioms(order: int = 3, guard: int | None = None, seed: int = 0)
     for a in forests:
         if left_graft(unit, LinComb.of(a)) != LinComb.of(a):
             return LawResult("dalgebra-axioms", False, order, f"1 -> {a.serialize()}")
-    lies = _small_lie_polys(order)
+    lies = _lie_monomials(order)
     small = [f for f in forests if f.vertex_count <= 2]
     for a in forests:
         for x in lies:
@@ -254,23 +249,26 @@ def law_dalgebra_axioms(order: int = 3, guard: int | None = None, seed: int = 0)
     return LawResult("dalgebra-axioms", True, order)
 
 
-def _coassoc_check(delta: Callable, basis_iter, counit: Callable, unit_label: str):
+def _coassociator(delta: Callable, dx: LinComb) -> tuple[LinComb, LinComb]:
+    """``(delta (x) id)`` and ``(id (x) delta)`` applied to the tensor ``dx``."""
+    lhs = LinComb(
+        ((a1, a2, b), c * c1) for (a, b), c in dx.items() for (a1, a2), c1 in delta(a).items()
+    )
+    rhs = LinComb(
+        ((a, b1, b2), c * c2) for (a, b), c in dx.items() for (b1, b2), c2 in delta(b).items()
+    )
+    return lhs, rhs
+
+
+def _coassoc_check(delta: Callable, basis_iter, counit: Callable):
     """Generic coassociativity + counit check; returns a counterexample or None."""
     for x in basis_iter:
         dx = delta(x)
-        lhs = LinComb()
-        for (a, b), c in dx.items():
-            lhs = lhs + delta(a).map_basis(lambda p, b=b: (p[0], p[1], b)).scale(c)
-        rhs = LinComb()
-        for (a, b), c in dx.items():
-            rhs = rhs + delta(b).map_basis(lambda p, a=a: (a, p[0], p[1])).scale(c)
+        lhs, rhs = _coassociator(delta, dx)
         if lhs != rhs:
             return f"coassociativity at {x.serialize()}"
-        left_counit = LinComb()
-        right_counit = LinComb()
-        for (a, b), c in dx.items():
-            left_counit = left_counit + LinComb.of(b, c * counit(a))
-            right_counit = right_counit + LinComb.of(a, c * counit(b))
+        left_counit = LinComb((b, c * counit(a)) for (a, b), c in dx.items())
+        right_counit = LinComb((a, c * counit(b)) for (a, b), c in dx.items())
         if left_counit != LinComb.of(x) or right_counit != LinComb.of(x):
             return f"counit at {x.serialize()}"
     return None
@@ -278,9 +276,7 @@ def _coassoc_check(delta: Callable, basis_iter, counit: Callable, unit_label: st
 
 def law_ck_coassoc(order: int = 5, guard: int | None = None, seed: int = 0) -> LawResult:
     basis = [f for n in range(0, order + 1) for f in enumerate_forests(n)]
-    ce = _coassoc_check(
-        delta_ck, basis, lambda f: Fraction(1 if f.is_empty else 0), "empty"
-    )
+    ce = _coassoc_check(delta_ck, basis, lambda f: Fraction(1 if f.is_empty else 0))
     return LawResult("ck-coassoc", ce is None, order, ce)
 
 
@@ -290,7 +286,7 @@ def _h_counit(f: Forest) -> Fraction:
 
 def law_h_coassoc(order: int = 5, guard: int | None = None, seed: int = 0) -> LawResult:
     basis = [f for n in range(0, order + 1) for f in enumerate_forests(n)]
-    ce = _coassoc_check(delta_h, basis, _h_counit, "singletons")
+    ce = _coassoc_check(delta_h, basis, _h_counit)
     if ce is None:
         half = min(4, order)
         pieces = [f for n in range(0, half + 1) for f in enumerate_forests(n)]
@@ -298,10 +294,11 @@ def law_h_coassoc(order: int = 5, guard: int | None = None, seed: int = 0) -> La
             for g in pieces:
                 prod = f.mul(g)
                 lhs = delta_h(prod)
-                rhs = LinComb()
-                for (a, b), c in delta_h(f).items():
-                    for (a2, b2), c2 in delta_h(g).items():
-                        rhs = rhs + LinComb.of((a.mul(a2), b.mul(b2)), c * c2)
+                rhs = LinComb(
+                    ((a.mul(a2), b.mul(b2)), c * c2)
+                    for (a, b), c in delta_h(f).items()
+                    for (a2, b2), c2 in delta_h(g).items()
+                )
                 if lhs != rhs:
                     ce = f"multiplicativity at {f.serialize()} | {g.serialize()}"
                     break
@@ -312,24 +309,21 @@ def law_h_coassoc(order: int = 5, guard: int | None = None, seed: int = 0) -> La
 
 def law_n_coassoc(order: int = 5, guard: int | None = None, seed: int = 0) -> LawResult:
     basis = [f for n in range(0, order + 1) for f in enumerate_ordered_forests(n)]
-    ce = _coassoc_check(
-        delta_n, basis, lambda f: Fraction(1 if f.is_empty else 0), "empty"
-    )
+    ce = _coassoc_check(delta_n, basis, lambda f: Fraction(1 if f.is_empty else 0))
     return LawResult("n-coassoc", ce is None, order, ce)
 
 
 def _delta_w_on_symword(word: SymWord) -> LinComb:
     out = LinComb.of((SymWord.unit(), SymWord.unit()))
     for part in word.parts:
-        comp = LinComb()
-        for (w, q), c in delta_w(part).items():
-            right = SymWord.unit() if q.is_empty else SymWord.of(q)
-            comp = comp + LinComb.of((w, right), c)
-        out2 = LinComb()
-        for (a, b), c in out.items():
-            for (a2, b2), c2 in comp.items():
-                out2 = out2 + LinComb.of((a * a2, b * b2), c * c2)
-        out = out2
+        comp = delta_w(part).map_basis(
+            lambda wq: (wq[0], SymWord.unit() if wq[1].is_empty else SymWord.of(wq[1]))
+        )
+        out = LinComb(
+            ((a * a2, b * b2), c * c2)
+            for (a, b), c in out.items()
+            for (a2, b2), c2 in comp.items()
+        )
     return out
 
 
@@ -355,12 +349,9 @@ def law_w_coassoc(order: int = 4, guard: int | None = None, seed: int = 0) -> La
     counterexample = None
     for n in range(1, order + 1):
         for forest in enumerate_ordered_forests(n):
-            counit_side = LinComb()
-            empty_side = LinComb()
-            for (a, b), c in delta_w(forest).items():
-                counit_side = counit_side + LinComb.of(b, c * _w_counit(a))
-                if b.is_empty:
-                    empty_side = empty_side + LinComb.of(a, c)
+            dw = delta_w(forest).items()
+            counit_side = LinComb((b, c * _w_counit(a)) for (a, b), c in dw)
+            empty_side = LinComb((a, c) for (a, b), c in dw if b.is_empty)
             if counit_side != LinComb.of(forest):
                 return LawResult(
                     "w-coassoc", False, order, f"counit at {forest.serialize()}"
@@ -371,17 +362,8 @@ def law_w_coassoc(order: int = 4, guard: int | None = None, seed: int = 0) -> La
                 )
             if counterexample is not None:
                 continue
-            word = SymWord.of(forest)
-            dx = _delta_w_on_symword(word)
-            lhs = LinComb()
-            rhs = LinComb()
-            for (a, b), c in dx.items():
-                lhs = lhs + _delta_w_on_symword(a).map_basis(
-                    lambda p, b=b: (p[0], p[1], b)
-                ).scale(c)
-                rhs = rhs + _delta_w_on_symword(b).map_basis(
-                    lambda p, a=a: (a, p[0], p[1])
-                ).scale(c)
+            dx = _delta_w_on_symword(SymWord.of(forest))
+            lhs, rhs = _coassociator(_delta_w_on_symword, dx)
             if lhs != rhs:
                 counterexample = f"coassociativity at {forest.serialize()}"
     if counterexample is not None:
@@ -401,12 +383,11 @@ def law_shuffle_bialgebra(order: int = 3, guard: int | None = None, seed: int = 
         for b in pieces:
             # unshuffling is multiplicative over concatenation
             lhs = delta_shuffle(a.concat(b))
-            rhs = LinComb()
-            for (a1, a2), c1 in delta_shuffle(a).items():
-                for (b1, b2), c2 in delta_shuffle(b).items():
-                    rhs = rhs + LinComb.of(
-                        (a1.concat(b1), a2.concat(b2)), c1 * c2
-                    )
+            rhs = LinComb(
+                ((a1.concat(b1), a2.concat(b2)), c1 * c2)
+                for (a1, a2), c1 in delta_shuffle(a).items()
+                for (b1, b2), c2 in delta_shuffle(b).items()
+            )
             if lhs != rhs:
                 return LawResult(
                     "shuffle-bialgebra",
@@ -415,15 +396,17 @@ def law_shuffle_bialgebra(order: int = 3, guard: int | None = None, seed: int = 
                     f"concat morphism at {a.serialize()} | {b.serialize()}",
                 )
             # the left-cut coproduct is multiplicative over shuffles
-            lhs = LinComb()
-            for w, c in shuffle(a, b).items():
-                lhs = lhs + delta_n(w).scale(c)
-            rhs = LinComb()
-            for (a1, a2), c1 in delta_n(a).items():
-                for (b1, b2), c2 in delta_n(b).items():
-                    rhs = rhs + tensor(shuffle(a1, b1), shuffle(a2, b2)).scale(
-                        c1 * c2
-                    )
+            lhs = LinComb(
+                (pair, c * cp)
+                for w, c in shuffle(a, b).items()
+                for pair, cp in delta_n(w).items()
+            )
+            rhs = LinComb(
+                (pair, c1 * c2 * cp)
+                for (a1, a2), c1 in delta_n(a).items()
+                for (b1, b2), c2 in delta_n(b).items()
+                for pair, cp in tensor(shuffle(a1, b1), shuffle(a2, b2)).items()
+            )
             if lhs != rhs:
                 return LawResult(
                     "shuffle-bialgebra",
@@ -437,21 +420,17 @@ def law_shuffle_bialgebra(order: int = 3, guard: int | None = None, seed: int = 
         basis = list(enumerate_ordered_forests(n))
         pos = {w: i for i, w in enumerate(basis)}
         pair_index: dict = {}
-        rows = []
-        for w in basis:
-            row: dict = {}
-            for (u, v), c in delta_shuffle(w).items():
-                if u.is_empty or v.is_empty:
-                    continue
-                key = pair_index.setdefault((u, v), len(pair_index))
-                row[key] = row.get(key, Fraction(0)) + c
-            rows.append(row)
+        rows = [
+            LinComb(
+                (pair_index.setdefault((u, v), len(pair_index)), c)
+                for (u, v), c in delta_shuffle(w).items()
+                if not (u.is_empty or v.is_empty)
+            )
+            for w in basis
+        ]
         width = len(pair_index)
         # primitive space = kernel of the reduced coproduct on degree n
-        columns = [
-            [rows[i].get(j, Fraction(0)) for i in range(len(basis))]
-            for j in range(width)
-        ]
+        columns = [[row.coeff(j) for row in rows] for j in range(width)]
         rank = matrix_rank(columns) if width else 0
         primitive_dim = len(basis) - rank
         monos = [
@@ -462,15 +441,9 @@ def law_shuffle_bialgebra(order: int = 3, guard: int | None = None, seed: int = 
         vecs = []
         for lp in monos:
             vec = [Fraction(0)] * len(basis)
-            reduced: dict = {}
             for w, c in lp.expansion.items():
                 vec[pos[w]] = c
-                for (u, v), cc in delta_shuffle(w).items():
-                    if u.is_empty or v.is_empty:
-                        continue
-                    key = (u, v)
-                    reduced[key] = reduced.get(key, Fraction(0)) + c * cc
-            if any(reduced.values()):
+            if not is_primitive_shuffle(lp.expansion, n):
                 return LawResult(
                     "shuffle-bialgebra",
                     False,
@@ -491,16 +464,15 @@ def law_shuffle_bialgebra(order: int = 3, guard: int | None = None, seed: int = 
 
 def law_gl_duality(order: int = 5, guard: int | None = None, seed: int = 0) -> LawResult:
     for n in range(0, order + 1):
-        expected: dict[OrderedForest, LinComb] = {}
+        expected: dict[OrderedForest, list] = {}
         for a_size in range(0, n + 1):
             for f1 in enumerate_ordered_forests(a_size):
                 for f2 in enumerate_ordered_forests(n - a_size):
                     for w, c in gl_product(f1, f2).items():
-                        acc = expected.setdefault(w, LinComb())
-                        expected[w] = acc + LinComb.of((f1, f2), c)
+                        expected.setdefault(w, []).append(((f1, f2), c))
         for forest in enumerate_ordered_forests(n):
             lhs = delta_n(forest)
-            rhs = expected.get(forest, LinComb())
+            rhs = LinComb(expected.get(forest, ()))
             if lhs != rhs:
                 return LawResult("gl-duality", False, order, forest.serialize())
     return LawResult("gl-duality", True, order)
@@ -541,21 +513,6 @@ def _labeled_compose(inputs: list[dict], base: dict) -> list[dict]:
     return out
 
 
-def _pmap_of_nonplanar(tree: NonPlanarTree, offset: int = 0) -> dict:
-    pmap: dict = {}
-
-    def rec(node, parent, next_id):
-        my = next_id
-        pmap[my] = parent
-        next_id += 1
-        for c in node.children:
-            next_id = rec(c, my, next_id)
-        return next_id
-
-    rec(tree.rep, None, offset)
-    return pmap
-
-
 def _substitute_expr(expr, mapping: dict):
     if isinstance(expr, Leaf):
         return mapping[expr.label]
@@ -589,16 +546,16 @@ def law_operad_assoc(order: int = 6, guard: int | None = None, seed: int = 0) ->
             leaves.append(group)
 
         offset = 0
-        base_map = _pmap_of_nonplanar(base, 1000)
+        base_map = _ForestIndex((base.rep,)).parent_map(1000)
         mid_maps = []
         for m in mids:
-            mid_maps.append(_pmap_of_nonplanar(m, offset))
+            mid_maps.append(_ForestIndex((m.rep,)).parent_map(offset))
             offset += 100
         leaf_maps = []
         for group in leaves:
             maps = []
             for leaf_tree in group:
-                maps.append(_pmap_of_nonplanar(leaf_tree, offset))
+                maps.append(_ForestIndex((leaf_tree.rep,)).parent_map(offset))
                 offset += 10
             leaf_maps.append(maps)
 
@@ -745,14 +702,13 @@ def law_substitution_theorem(order: int = 4, guard: int | None = None, seed: int
         alpha = random_logarithmic_character(order, rng, support=3)
         beta = random_character(order, rng)
         substituted = series_of(substitute_lb(alpha, beta))
-        rebuilt = LinComb.of(EMPTY_FOREST, beta.empty_value)
+        terms = [(EMPTY_FOREST, beta.empty_value)]
         for f in forests:
-            if f.is_empty:
-                continue
-            rebuilt = rebuilt + a_alpha(alpha, f).element.scale(beta(f))
+            if not f.is_empty:
+                terms.extend((w, c * beta(f)) for w, c in a_alpha(alpha, f).element.items())
         from .seriesmorph import TruncatedSeries
 
-        if TruncatedSeries(order, rebuilt) != substituted:
+        if TruncatedSeries(order, LinComb(terms)) != substituted:
             return LawResult(
                 "substitution-theorem", False, order, f"freeness, trial {trial}"
             )

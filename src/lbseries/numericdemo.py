@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 from typing import Sequence
 
-from .coeffalg import CharacterMap
+from .coeffalg import CharacterMap, _as_fraction
 from .prelie import convolve
 from .trees import Forest, NonPlanarTree, PlanarTree, enumerate_nonplanar_trees, symmetry_factor
 
@@ -154,6 +154,8 @@ class PolyVectorField:
 
     @staticmethod
     def from_json(data: dict) -> "PolyVectorField":
+        """Read ``{"dim": d, "components": [{"monomials": [...]}]}``; every
+        ``coeff`` is a ``"p/q"`` string or an integer."""
         dim = data["dim"]
         comps = []
         for comp in data["components"]:
@@ -161,9 +163,14 @@ class PolyVectorField:
             for mono in comp.get("monomials", []):
                 powers = tuple(mono.get("powers", [0] * dim))
                 hpow = mono.get("hpower", 0)
-                terms.append(((hpow, powers), Fraction(mono["coeff"])))
+                terms.append(((hpow, powers), _as_fraction(mono["coeff"])))
             comps.append(Poly(dim, terms))
         return PolyVectorField(comps)
+
+    @staticmethod
+    def load(path) -> "PolyVectorField":
+        with open(path) as fh:
+            return PolyVectorField.from_json(json.load(fh))
 
     def to_json(self) -> dict:
         comps = []

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .coeffalg import LinComb, bilinear
-from .trees import EMPTY_FOREST, LEAF, OrderedForest, PlanarTree
+from .trees import EMPTY_FOREST, OrderedForest, PlanarTree
 
 
 def _tree_onto_tree(t1: PlanarTree, t2: PlanarTree) -> LinComb:
@@ -125,12 +125,11 @@ def delta_n(forest: OrderedForest) -> LinComb:
     then shuffled into linear combinations of forests.  The coproduct of a
     forest is computed through ``b_plus``/``b_minus``.
     """
-    out = LinComb()
+    terms = []
     for pieces, remainder in _cuts(b_plus(forest)):
-        left = shuffle_many(pieces)
         right = b_minus(remainder)
-        out = out + left.map_basis(lambda w, right=right: (w, right))
-    return out
+        terms.extend(((w, right), c) for w, c in shuffle_many(pieces).items())
+    return LinComb(terms)
 
 
 def _cuts(tree: PlanarTree):
@@ -187,10 +186,6 @@ class LiePoly:
     @staticmethod
     def from_tree(tree: PlanarTree) -> "LiePoly":
         return LiePoly(LinComb.of(OrderedForest((tree,))), tree.serialize())
-
-    @staticmethod
-    def single_vertex() -> "LiePoly":
-        return LiePoly.from_tree(LEAF)
 
     def is_zero(self) -> bool:
         return self.expansion.is_zero()
@@ -250,11 +245,3 @@ def bracket(x: LiePoly, y: LiePoly) -> LiePoly:
 def lie_graft(x: LiePoly, y: LiePoly) -> LiePoly:
     """Left grafting of Lie polynomials (agrees with the word-level grafting)."""
     return LiePoly(left_graft(x.expansion, y.expansion))
-
-
-def tensor_delta(delta, x: LinComb) -> LinComb:
-    """Apply a basis coproduct linearly to a combination."""
-    out = LinComb()
-    for basis, c in x.items():
-        out = out + delta(basis).scale(c)
-    return out

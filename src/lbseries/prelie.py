@@ -6,15 +6,17 @@ coproducts that govern composition (admissible edge cuts) and substitution
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
-from .coeffalg import CharacterMap, LinComb, bilinear, tensor
+from .coeffalg import CharacterMap, LinComb, bilinear, convolve_through
 from .trees import (
     EMPTY_NP_FOREST,
     Forest,
     NonPlanarTree,
     PlanarTree,
+    _ForestIndex,
     canonicalize,
     enumerate_forests,
 )
@@ -45,22 +47,6 @@ def check_prelie_identity(t1: NonPlanarTree, t2: NonPlanarTree, t3: NonPlanarTre
     return lhs.is_zero()
 
 
-def _attach_many(host: PlanarTree, extras: dict[int, list[PlanarTree]]) -> PlanarTree:
-    """Rebuild ``host`` appending the listed subtrees below each preorder vertex."""
-
-    def rec(node: PlanarTree, next_id: int):
-        my = next_id
-        next_id += 1
-        children = []
-        for c in node.children:
-            built, next_id = rec(c, next_id)
-            children.append(built)
-        children.extend(extras.get(my, ()))
-        return PlanarTree(tuple(children)), next_id
-
-    return rec(host, 0)[0]
-
-
 def compose_prelie_operad(
     inputs: Sequence[NonPlanarTree],
     base: NonPlanarTree,
@@ -82,28 +68,23 @@ def compose_prelie_operad(
     if sorted(assignment) != list(range(n)):
         raise ValueError("assignment must be a bijection onto the inputs")
 
-    counter = itertools.count()
+    base_index = _ForestIndex((base.rep,))
 
-    def build(node: PlanarTree) -> LinComb:
-        vertex = next(counter)
-        slot = inputs[assignment[vertex]].rep
-        child_results = [build(c) for c in node.children]
-        m = slot.vertex_count
-        out = LinComb()
+    def build(vertex: int) -> LinComb:
+        slot = _ForestIndex((inputs[assignment[vertex]].rep,))
+        child_results = [build(c) for c in base_index.children[vertex]]
+        terms = []
         for picks in itertools.product(*(list(c.items()) for c in child_results)):
-            coeff = Fraction(1)
-            for _, c in picks:
-                coeff *= c
+            coeff = math.prod(c for _, c in picks)
             subtrees = [t for t, _ in picks]
-            for targets in itertools.product(range(m), repeat=len(subtrees)):
+            for targets in itertools.product(range(slot.n), repeat=len(subtrees)):
                 extras: dict[int, list[PlanarTree]] = {}
                 for sub, tgt in zip(subtrees, targets):
                     extras.setdefault(tgt, []).append(sub)
-                out = out + LinComb.of(_attach_many(slot, extras), coeff)
-        return out
+                terms.append((slot.grafted_tree(extras), coeff))
+        return LinComb(terms)
 
-    raw = build(base.rep)
-    return raw.map_basis(canonicalize)
+    return build(0).map_basis(canonicalize)
 
 
 def _edge_antichains(tree: PlanarTree):
@@ -154,53 +135,35 @@ def _vertex_partitions(tree: PlanarTree):
     components of the kept edges and the contraction collapses each part to
     one vertex.
     """
-    edges = []
-
-    def walk(node: PlanarTree, my_id: int, next_id: int) -> int:
-        for c in node.children:
-            edges.append((my_id, next_id, c))
-            child_id = next_id
-            next_id = walk(c, child_id, next_id + 1)
-        return next_id
-
-    nodes = list(tree.preorder())
-    walk(tree, 0, 1)
-    n = len(nodes)
-    for mask in range(1 << len(edges)):
-        parent = list(range(n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        kept = [bool(mask & (1 << j)) for j in range(len(edges))]
-        for j, (a, b, _) in enumerate(edges):
-            if kept[j]:
-                parent[find(a)] = find(b)
+    index = _ForestIndex((tree,))
+    n = index.n
+    # bit v - 1 of the mask keeps the edge from vertex v to its parent; a
+    # parent precedes its children in preorder, so one pass finds the root
+    # of every vertex's part
+    for mask in range(1 << (n - 1)):
+        top = list(range(n))
+        for v in range(1, n):
+            if mask >> (v - 1) & 1:
+                top[v] = top[index.parent[v]]
         groups: dict[int, list[int]] = {}
-        for i in range(n):
-            groups.setdefault(find(i), []).append(i)
-        part_children: dict[int, list[int]] = {i: [] for i in range(n)}
-        cut_children: dict[int, list[int]] = {i: [] for i in range(n)}
-        for j, (a, b, _) in enumerate(edges):
-            (part_children if kept[j] else cut_children)[a].append(b)
-
-        def build_part(i: int) -> PlanarTree:
-            return PlanarTree(tuple(build_part(c) for c in part_children[i]))
-
+        for v in range(n):
+            groups.setdefault(top[v], []).append(v)
         parts = Forest(
-            tuple(canonicalize(build_part(min(g))) for g in groups.values())
+            tuple(
+                canonicalize(index.induced_tree(root, frozenset(members)))
+                for root, members in groups.items()
+            )
         )
 
-        def build_quotient(i: int) -> PlanarTree:
-            root = find(i)
-            children = []
-            for member in groups[root]:
-                for c in cut_children[member]:
-                    children.append(build_quotient(c))
-            return PlanarTree(tuple(children))
+        def build_quotient(root: int) -> PlanarTree:
+            return PlanarTree(
+                tuple(
+                    build_quotient(c)
+                    for member in groups[root]
+                    for c in index.children[member]
+                    if top[c] == c
+                )
+            )
 
         yield parts, canonicalize(build_quotient(0))
 
@@ -292,31 +255,21 @@ def check_h_operad_duality(tree: NonPlanarTree) -> bool:
     contains the fixed labeled tree contributes its block shapes tensor the
     pattern shape, weighted by 1/n!.
     """
-    target: dict[int, int | None] = {}
-
-    def index_tree(node: PlanarTree, parent: int | None, next_id: int) -> int:
-        my = next_id
-        target[my] = parent
-        next_id += 1
-        for c in node.children:
-            next_id = index_tree(c, my, next_id)
-        return next_id
-
-    index_tree(tree.rep, None, 0)
+    target = _ForestIndex((tree.rep,)).parent_map()
     labels = tuple(sorted(target))
 
-    total = LinComb()
+    terms = []
     for blocks in _ordered_set_partitions(labels):
         n = len(blocks)
-        weight = Fraction(1, _factorial(n))
+        weight = Fraction(1, math.factorial(n))
         block_trees = [list(_labeled_trees_on(b)) for b in blocks]
         for pattern in _labeled_trees_on(tuple(range(n))):
             for combo in itertools.product(*block_trees):
                 if _composition_contains(combo, pattern, blocks, target):
                     left = Forest(tuple(_parent_map_shape(m) for m in combo))
                     right = Forest((_parent_map_shape(pattern),))
-                    total = total + LinComb.of((left, right), weight)
-    return total == delta_h(Forest((tree,)))
+                    terms.append(((left, right), weight))
+    return LinComb(terms) == delta_h(Forest((tree,)))
 
 
 def _composition_contains(combo, pattern, blocks, target) -> bool:
@@ -339,13 +292,6 @@ def _composition_contains(combo, pattern, blocks, target) -> bool:
     return False
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def convolve(a: CharacterMap, b: CharacterMap, coproduct: str) -> CharacterMap:
     """Convolution of functionals through ``delta_ck`` or ``delta_h``.
 
@@ -358,12 +304,4 @@ def convolve(a: CharacterMap, b: CharacterMap, coproduct: str) -> CharacterMap:
     if a.order != b.order:
         raise ValueError("truncation orders differ")
     delta = delta_ck if coproduct == "ck" else delta_h
-    order = a.order
-    values = []
-    for size in range(0, order + 1):
-        for forest in enumerate_forests(size):
-            total = Fraction(0)
-            for (left, right), c in delta(forest).items():
-                total += c * a.eval_multiplicative(left) * b(right)
-            values.append((forest, total))
-    return CharacterMap(order, 0, values)
+    return convolve_through(delta, a.eval_multiplicative, b, enumerate_forests, a.order)

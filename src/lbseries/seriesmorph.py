@@ -6,9 +6,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffalg import CharacterMap, LinComb, is_logarithmic
+from .coeffalg import CharacterMap, LinComb, convolve_through, is_logarithmic
 from .postlie import b_minus, concat, delta_n, left_graft
-from .subst import delta_w, star_w
+from .subst import _word_value, delta_w, star_w
 from .trees import EMPTY_FOREST, OrderedForest, enumerate_ordered_forests
 
 
@@ -96,16 +96,10 @@ def a_alpha_dagger(alpha: CharacterMap, forest: OrderedForest) -> LinComb:
     partition coaction with ``alpha`` multiplicative over parts."""
     if not is_logarithmic(alpha):
         raise ValueError("character is not logarithmic")
-    out = LinComb()
-    for (word, quotient), c in delta_w(forest).items():
-        factor = c
-        for part in word.parts:
-            factor *= alpha(part)
-            if not factor:
-                break
-        if factor:
-            out = out + LinComb.of(quotient, factor)
-    return out
+    return LinComb(
+        (quotient, c * _word_value(alpha, word))
+        for (word, quotient), c in delta_w(forest).items()
+    )
 
 
 def check_adjoint(alpha: CharacterMap, order: int) -> bool:
@@ -126,16 +120,7 @@ def compose_lb(beta: CharacterMap, alpha: CharacterMap) -> CharacterMap:
     """Composition convolution of characters through the left-cut coproduct."""
     if beta.order != alpha.order:
         raise ValueError("truncation orders differ")
-    order = beta.order
-    values = []
-    empty = beta.empty_value * alpha.empty_value
-    for size in range(1, order + 1):
-        for forest in enumerate_ordered_forests(size):
-            total = Fraction(0)
-            for (left, right), c in delta_n(forest).items():
-                total += c * beta(left) * alpha(right)
-            values.append((forest, total))
-    return CharacterMap(order, empty, values)
+    return convolve_through(delta_n, beta, alpha, enumerate_ordered_forests, beta.order)
 
 
 def substitute_lb(alpha: CharacterMap, beta: CharacterMap) -> CharacterMap:

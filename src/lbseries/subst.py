@@ -11,18 +11,20 @@ characters, and the cointeraction / projection checks.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .coeffalg import CharacterMap, LinComb, SymWord, is_logarithmic
-from .postlie import LiePoly, bracket, concat, delta_n, left_graft, shuffle_comb
+from .coeffalg import CharacterMap, LinComb, SymWord, convolve_through, is_logarithmic
+from .postlie import LiePoly, bracket, concat, delta_n, left_graft, shuffle
 from .trees import (
     EMPTY_FOREST,
     Forest,
     OrderedForest,
     PlanarTree,
+    _ForestIndex,
     enumerate_ordered_forests,
     forget_planarity,
 )
@@ -173,55 +175,6 @@ def compose_module(
 
 
 # ---------------------------------------------------------------------------
-# Indexed view of an ordered forest.
-
-
-class _ForestIndex:
-    """Preorder-indexed vertices of an ordered forest with planar data."""
-
-    def __init__(self, forest: OrderedForest):
-        self.forest = forest
-        self.parent: list[int | None] = []
-        self.children: list[list[int]] = []
-        self.subtree: list[PlanarTree] = []
-        self.roots: list[int] = []
-
-        def walk(node: PlanarTree, parent: int | None) -> int:
-            my = len(self.parent)
-            self.parent.append(parent)
-            self.children.append([])
-            self.subtree.append(node)
-            if parent is not None:
-                self.children[parent].append(my)
-            for c in node.children:
-                walk(c, my)
-            return my
-
-        for t in forest.trees:
-            self.roots.append(walk(t, None))
-        self.n = len(self.parent)
-        # position of a vertex within its parent's stored child list,
-        # or within the forest's top-level list for roots
-        self.position: list[int] = [0] * self.n
-        for v in range(self.n):
-            sibs = self.children[v]
-            for i, c in enumerate(sibs):
-                self.position[c] = i
-        for i, r in enumerate(self.roots):
-            self.position[r] = i
-
-    def induced_tree(self, vertex: int, members: frozenset[int]) -> PlanarTree:
-        """Subtree at ``vertex`` keeping only ``members``, stored order kept."""
-
-        def rec(v: int) -> PlanarTree:
-            return PlanarTree(
-                tuple(rec(c) for c in self.children[v] if c in members)
-            )
-
-        return rec(vertex)
-
-
-# ---------------------------------------------------------------------------
 # Admissible partitions and contraction.
 
 
@@ -338,7 +291,7 @@ def admissible_partitions(forest: OrderedForest) -> list[AdmissiblePartition]:
 
 @lru_cache(maxsize=None)
 def _admissible_partitions(forest: OrderedForest) -> tuple[AdmissiblePartition, ...]:
-    index = _ForestIndex(forest)
+    index = _ForestIndex(forest.trees)
     out = []
     for raw in _set_partitions(list(range(index.n))):
         blocks = tuple(frozenset(b) for b in raw)
@@ -403,7 +356,7 @@ def contract(forest: OrderedForest, partition: AdmissiblePartition) -> LinComb:
     """
     if partition.host != forest:
         raise ValueError("partition does not belong to this forest")
-    index = _ForestIndex(forest)
+    index = _ForestIndex(forest.trees)
     block_of: dict[int, int] = {}
     for bi, block in enumerate(partition.blocks):
         for v in block:
@@ -441,15 +394,14 @@ def contract(forest: OrderedForest, partition: AdmissiblePartition) -> LinComb:
         list(_merge_orders(groups)) for groups in grouped
     ]
 
-    out = LinComb()
-    for combo in itertools.product(*choices):
-        def build(bi: int) -> PlanarTree:
-            planar_children = [build(cb) for cb in combo[bi]]
-            return PlanarTree(tuple(reversed(planar_children)))
+    def build(combo, bi: int) -> PlanarTree:
+        planar_children = [build(combo, cb) for cb in combo[bi]]
+        return PlanarTree(tuple(reversed(planar_children)))
 
-        quotient = OrderedForest(tuple(build(bi) for bi in top_parts))
-        out = out + LinComb.of(quotient)
-    return out
+    return LinComb(
+        (OrderedForest(tuple(build(combo, bi) for bi in top_parts)), 1)
+        for combo in itertools.product(*choices)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -457,13 +409,11 @@ def delta_w(forest: OrderedForest) -> LinComb:
     """Partition coaction: symmetric words of parts tensor contractions."""
     if forest.is_empty:
         return LinComb.of((SymWord.unit(), EMPTY_FOREST))
-    out = LinComb()
+    terms = []
     for partition in admissible_partitions(forest):
         word = SymWord(partition.parts)
-        out = out + contract(forest, partition).map_basis(
-            lambda q, word=word: (word, q)
-        )
-    return out
+        terms.extend(((word, q), c) for q, c in contract(forest, partition).items())
+    return LinComb(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +474,7 @@ def rho_oracle(forest: OrderedForest, max_size_guard: int = 4) -> LinComb:
         )
     if forest.is_empty:
         return LinComb.of((SymLieWord.unit(), EMPTY_FOREST))
-    out = LinComb()
+    terms = []
     for partition in admissible_partitions(forest):
         per_part = [_nonzero_bracketings(part) for part in partition.parts]
         if not all(per_part):
@@ -538,8 +488,8 @@ def rho_oracle(forest: OrderedForest, max_size_guard: int = 4) -> LinComb:
                 sign *= s
                 factors.append(canonical)
             word = SymLieWord(factors)
-            out = out + quotient.map_basis(lambda q, word=word: (word, q)).scale(sign)
-    return out
+            terms.extend(((word, q), sign * c) for q, c in quotient.items())
+    return LinComb(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +501,21 @@ def _require_logarithmic(alpha: CharacterMap) -> None:
         raise ValueError("character is not logarithmic")
 
 
+def _word_value(alpha: CharacterMap, word: SymWord) -> Fraction:
+    """``alpha`` extended multiplicatively over the parts of a word (1 on the
+    unit word).  The product starts from the first part's value, so a word
+    of k parts costs k - 1 multiplications."""
+    parts = word.parts
+    if not parts:
+        return Fraction(1)
+    value = alpha(parts[0])
+    for part in parts[1:]:
+        if not value:
+            break
+        value *= alpha(part)
+    return value
+
+
 def star_w(alpha: CharacterMap, beta: CharacterMap) -> CharacterMap:
     """Substitution product on characters through the partition coaction.
 
@@ -558,56 +523,34 @@ def star_w(alpha: CharacterMap, beta: CharacterMap) -> CharacterMap:
     commutative word of parts.
     """
     _require_logarithmic(alpha)
-    order = min(alpha.order, beta.order)
-    values = []
-    for size in range(0, order + 1):
-        for forest in enumerate_ordered_forests(size):
-            total = Fraction(0)
-            for (word, quotient), c in delta_w(forest).items():
-                factor = c
-                for part in word.parts:
-                    factor *= alpha(part)
-                    if not factor:
-                        break
-                total += factor * beta(quotient)
-            values.append((forest, total))
-    return CharacterMap(order, beta.empty_value, values)
+    return convolve_through(
+        delta_w,
+        partial(_word_value, alpha),
+        beta,
+        enumerate_ordered_forests,
+        min(alpha.order, beta.order),
+    )
 
 
 def _lie_factor_value(alpha: CharacterMap, lp: LiePoly) -> Fraction:
     """Evaluate a character on a bracket monomial through its word expansion,
     normalized by the symmetrization factor of its letter count."""
-    total = Fraction(0)
-    letters = None
-    for word, c in lp.expansion.items():
-        if letters is None:
-            letters = len(word.trees)
-        total += c * alpha(word)
-    if letters is None:
+    if lp.is_zero():
         return Fraction(0)
-    k_fact = 1
-    for k in range(2, letters + 1):
-        k_fact *= k
-    return total / k_fact
+    letters = len(next(iter(lp.expansion.support())).trees)
+    return alpha.on_comb(lp.expansion) / math.factorial(letters)
 
 
 def star_rho(alpha: CharacterMap, beta: CharacterMap, max_size_guard: int = 4) -> CharacterMap:
     """Oracle-scale substitution product through the bracket coaction."""
     _require_logarithmic(alpha)
-    order = min(alpha.order, beta.order, max_size_guard)
-    values = []
-    for size in range(0, order + 1):
-        for forest in enumerate_ordered_forests(size):
-            total = Fraction(0)
-            for (word, quotient), c in rho_oracle(forest, max_size_guard).items():
-                factor = c
-                for lp in word.factors:
-                    factor *= _lie_factor_value(alpha, lp)
-                    if not factor:
-                        break
-                total += factor * beta(quotient)
-            values.append((forest, total))
-    return CharacterMap(order, beta.empty_value, values)
+    return convolve_through(
+        partial(rho_oracle, max_size_guard=max_size_guard),
+        lambda word: math.prod(_lie_factor_value(alpha, lp) for lp in word.factors),
+        beta,
+        enumerate_ordered_forests,
+        min(alpha.order, beta.order, max_size_guard),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -616,13 +559,12 @@ def star_rho(alpha: CharacterMap, beta: CharacterMap, max_size_guard: int = 4) -
 
 def _rho_pair_product(x: LinComb, y: LinComb) -> LinComb:
     """Product on (word, forest) tensors: words multiply, forests shuffle."""
-    out = LinComb()
-    for (wx, fx), cx in x.items():
-        for (wy, fy), cy in y.items():
-            word = wx * wy
-            for f, cs in shuffle_comb(LinComb.of(fx), LinComb.of(fy)).items():
-                out = out + LinComb.of((word, f), cx * cy * cs)
-    return out
+    return LinComb(
+        ((wx * wy, f), cx * cy * cs)
+        for (wx, fx), cx in x.items()
+        for (wy, fy), cy in y.items()
+        for f, cs in shuffle(fx, fy).items()
+    )
 
 
 def check_cointeraction(order: int, guard: int = 3, seed: int = 7) -> dict[str, bool]:
@@ -642,11 +584,11 @@ def check_cointeraction(order: int, guard: int = 3, seed: int = 7) -> dict[str, 
         for a_size in range(1, total):
             for fa in enumerate_ordered_forests(a_size):
                 for fb in enumerate_ordered_forests(total - a_size):
-                    lhs = LinComb()
-                    for w, c in shuffle_comb(
-                        LinComb.of(fa), LinComb.of(fb)
-                    ).items():
-                        lhs = lhs + rho_oracle(w, guard).scale(c)
+                    lhs = LinComb(
+                        (term, c * ct)
+                        for w, c in shuffle(fa, fb).items()
+                        for term, ct in rho_oracle(w, guard).items()
+                    )
                     rhs = _rho_pair_product(
                         rho_oracle(fa, guard), rho_oracle(fb, guard)
                     )
@@ -657,10 +599,11 @@ def check_cointeraction(order: int, guard: int = 3, seed: int = 7) -> dict[str, 
     ok = True
     for size in range(0, guard + 1):
         for forest in enumerate_ordered_forests(size):
-            counit_side = LinComb()
-            for (word, quotient), c in rho_oracle(forest, guard).items():
-                if quotient.is_empty:
-                    counit_side = counit_side + LinComb.of(word, c)
+            counit_side = LinComb(
+                (word, c)
+                for (word, quotient), c in rho_oracle(forest, guard).items()
+                if quotient.is_empty
+            )
             expected = (
                 LinComb.of(SymLieWord.unit()) if forest.is_empty else LinComb()
             )
@@ -671,15 +614,17 @@ def check_cointeraction(order: int, guard: int = 3, seed: int = 7) -> dict[str, 
     ok = True
     for size in range(0, guard + 1):
         for forest in enumerate_ordered_forests(size):
-            lhs = LinComb()
-            for (word, quotient), c in rho_oracle(forest, guard).items():
-                for (q1, q2), c2 in delta_n(quotient).items():
-                    lhs = lhs + LinComb.of((word, q1, q2), c * c2)
-            rhs = LinComb()
-            for (q1, q2), c in delta_n(forest).items():
-                for (w1, r1), c1 in rho_oracle(q1, guard).items():
-                    for (w2, r2), c2 in rho_oracle(q2, guard).items():
-                        rhs = rhs + LinComb.of((w1 * w2, r1, r2), c * c1 * c2)
+            lhs = LinComb(
+                ((word, q1, q2), c * c2)
+                for (word, quotient), c in rho_oracle(forest, guard).items()
+                for (q1, q2), c2 in delta_n(quotient).items()
+            )
+            rhs = LinComb(
+                ((w1 * w2, r1, r2), c * c1 * c2)
+                for (q1, q2), c in delta_n(forest).items()
+                for (w1, r1), c1 in rho_oracle(q1, guard).items()
+                for (w2, r2), c2 in rho_oracle(q2, guard).items()
+            )
             if lhs != rhs:
                 ok = False
     report["coaction-compat"] = ok
@@ -710,12 +655,9 @@ def check_pi_morphism(tree: PlanarTree) -> bool:
     from .prelie import delta_h
 
     forest = OrderedForest((tree,))
-    projected = LinComb()
+    terms = []
     for (word, quotient), c in delta_w(forest).items():
-        if any(len(part.trees) != 1 for part in word.parts):
-            continue
-        left = Forest(
-            tuple(forget_planarity(part).trees[0] for part in word.parts)
-        )
-        projected = projected + LinComb.of((left, forget_planarity(quotient)), c)
-    return projected == delta_h(forget_planarity(forest))
+        if all(len(part.trees) == 1 for part in word.parts):
+            left = Forest(tuple(forget_planarity(part).trees[0] for part in word.parts))
+            terms.append(((left, forget_planarity(quotient)), c))
+    return LinComb(terms) == delta_h(forget_planarity(forest))

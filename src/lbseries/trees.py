@@ -22,7 +22,7 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
 class ForestParseError(ValueError):
@@ -57,12 +57,6 @@ class PlanarTree:
 
     def serialize(self) -> str:
         return "[" + "".join(c.serialize() for c in self.children) + "]"
-
-    def preorder(self) -> Iterator["PlanarTree"]:
-        """Yield all subtrees, root first, children in stored order."""
-        yield self
-        for c in self.children:
-            yield from c.preorder()
 
     def attach_at(self, index: int, sub: "PlanarTree") -> "PlanarTree":
         """Return a copy with ``sub`` grafted leftmost below preorder vertex ``index``.
@@ -188,6 +182,66 @@ def parse_tree(text: str) -> PlanarTree:
             f"expected exactly one tree, found {len(forest.trees)}", 0
         )
     return forest.trees[0]
+
+
+class _ForestIndex:
+    """Preorder-indexed vertices of a sequence of planar trees (an ordered
+    forest's ``trees``) with planar data.
+
+    This is the package's one numbering of vertices: tree by tree, each
+    vertex before its children, children in stored order.
+    """
+
+    def __init__(self, trees: Sequence[PlanarTree]):
+        self.parent: list[int | None] = []
+        self.children: list[list[int]] = []
+
+        def walk(node: PlanarTree, parent: int | None) -> int:
+            my = len(self.parent)
+            self.parent.append(parent)
+            self.children.append([])
+            if parent is not None:
+                self.children[parent].append(my)
+            for c in node.children:
+                walk(c, my)
+            return my
+
+        roots = [walk(t, None) for t in trees]
+        self.n = len(self.parent)
+        # position of a vertex within its parent's stored child list,
+        # or within the forest's top-level list for roots
+        self.position: list[int] = [0] * self.n
+        for sibs in self.children + [roots]:
+            for i, c in enumerate(sibs):
+                self.position[c] = i
+
+    def induced_tree(self, vertex: int, members: frozenset[int]) -> PlanarTree:
+        """Subtree at ``vertex`` keeping only ``members``, stored order kept."""
+
+        def rec(v: int) -> PlanarTree:
+            return PlanarTree(
+                tuple(rec(c) for c in self.children[v] if c in members)
+            )
+
+        return rec(vertex)
+
+    def grafted_tree(self, extras: dict[int, list[PlanarTree]]) -> PlanarTree:
+        """The first tree with ``extras[v]`` appended to the stored children
+        of each vertex ``v``."""
+
+        def rec(v: int) -> PlanarTree:
+            return PlanarTree(
+                tuple(rec(c) for c in self.children[v]) + tuple(extras.get(v, ()))
+            )
+
+        return rec(0)
+
+    def parent_map(self, offset: int = 0) -> dict[int, int | None]:
+        """Vertex id to parent id (``None`` at roots), all ids shifted by ``offset``."""
+        return {
+            offset + v: None if p is None else offset + p
+            for v, p in enumerate(self.parent)
+        }
 
 
 def mirror_tree(t: PlanarTree) -> PlanarTree:

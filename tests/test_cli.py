@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from lbseries import CharacterMap, parse_forest
 from lbseries.cli import run, verify_registry
 
@@ -246,3 +248,46 @@ def test_deterministic_output(capsys):
     first = capsys.readouterr().out
     run(["coproduct", "--op", "n", "[[][]] [[]]"])
     assert capsys.readouterr().out == first
+
+
+def test_operad_postlie_nested_bracket(capsys):
+    # the inner bracket {[], []} is zero; the base still has four vertices
+    argv = ["operad", "--mode", "postlie", "--base", "{{[], []}, [[]]}"]
+    assert run(argv + ["--inputs", "[];[[]];[];[]"]) == 0
+    out = capsys.readouterr().out.strip()
+    assert out == "1 * [[]] [[]] [] - 2 * [[]] [] [[]] + 1 * [] [[]] [[]]"
+
+
+def test_operad_postlie_bracket_errors(capsys):
+    for base, message in (("{[], [[]]", "unbalanced braces"), ("{[] [[]]}", "expected a comma")):
+        argv = ["operad", "--mode", "postlie", "--base", base, "--inputs", "[];[];[]"]
+        assert run(argv) == 1
+        assert message in capsys.readouterr().err
+
+
+MONOMIALS = [{"monomials": [{"coeff": "1", "powers": [2], "hpower": 0}]}]
+CHARACTER = {"order": 1, "empty": "1", "values": {"[]": "1/2"}}
+
+
+@pytest.mark.parametrize(
+    "kind, doc",
+    [
+        ("character", {**CHARACTER, "values": {"[]": 0.1}}),
+        ("character", {**CHARACTER, "empty": 0.5}),
+        ("character", {**CHARACTER, "values": [["[]", "1/2"]]}),
+        ("field", {"dim": 1, "components": [{"monomials": [{"coeff": 0.5, "powers": [2]}]}]}),
+        ("field", {"components": MONOMIALS}),
+    ],
+)
+def test_inexact_or_malformed_json_is_an_input_error(tmp_path, capsys, kind, doc):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    good.write_text(json.dumps(CHARACTER))
+    if kind == "character":
+        argv = ["compose", "--alpha", str(bad), "--beta", str(good)]
+    else:
+        argv = ["bseries", "eval", "--field", str(bad), "--alpha", str(good), "--order", "1"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {kind} file")

@@ -24,6 +24,7 @@ from lbseries import (
 )
 from lbseries.laws import (
     random_character,
+    random_exponential_character,
     random_logarithmic_character,
     run_law,
 )
@@ -253,6 +254,41 @@ def test_star_w_requires_logarithmic():
     bad = CharacterMap(2, 0, [(pf("[] []"), 1)])
     with pytest.raises(ValueError):
         star_w(bad, CharacterMap(2, 1))
+
+
+def _truncated(char, order):
+    values = [(f, c) for f, c in char.values.items() if f.vertex_count <= order]
+    return CharacterMap(order, char.empty_value, values)
+
+
+def test_star_w_with_unequal_orders_truncates_to_the_smaller():
+    rng = random.Random(8)
+    alpha = random_logarithmic_character(4, rng)
+    beta = random_character(2, rng)
+    result = star_w(alpha, beta)
+    assert result.order == 2
+    assert result == star_w(_truncated(alpha, 2), beta)
+    alpha = random_logarithmic_character(2, rng)
+    beta = random_character(4, rng)
+    result = star_w(alpha, beta)
+    assert result.order == 2
+    assert result == star_w(alpha, _truncated(beta, 2))
+
+
+def test_seeded_random_characters_keep_their_draw_order():
+    # the seeded laws check the same cases only while these values hold
+    log = random_logarithmic_character(3, random.Random(0))
+    assert log.to_json() == {
+        "order": 3,
+        "empty": "0",
+        "values": {"[[]]": "-2", "[[[]]]": "1/2", "[[]] []": "-7/6", "[] [[]]": "7/6"},
+    }
+    exp = random_exponential_character(2, random.Random(1))
+    assert exp.to_json() == {
+        "order": 2,
+        "empty": "1",
+        "values": {"[]": "-4", "[[]]": "-2", "[] []": "8"},
+    }
 
 
 def test_star_rho_agrees_with_star_w():
