@@ -15,14 +15,15 @@ from typing import Callable, Iterable, Iterator
 from .trees import Forest, OrderedForest, parse_forest, parse_nonplanar_forest
 
 Rational = Fraction
+_ZERO = Fraction(0)
 
 
 def _as_fraction(c) -> Fraction:
     """Exact rational from a Fraction, an int or a ``"p/q"`` string; a float
-    (such as a JSON number with a fraction part) is rejected."""
+    (such as a JSON number with a fraction part) or a bool is rejected."""
     if isinstance(c, Fraction):
         return c
-    if isinstance(c, (int, str)):
+    if isinstance(c, (int, str)) and not isinstance(c, bool):
         return Fraction(c)
     raise ValueError(f"not an exact rational: {c!r}")
 
@@ -74,7 +75,7 @@ class LinComb:
         return not self._terms
 
     def coeff(self, basis) -> Fraction:
-        return self._terms.get(basis, Fraction(0))
+        return self._terms.get(basis, _ZERO)
 
     def support(self):
         return self._terms.keys()
@@ -84,7 +85,7 @@ class LinComb:
             return NotImplemented
         data = dict(self._terms)
         for b, c in other._terms.items():
-            total = data.get(b, Fraction(0)) + c
+            total = data.get(b, _ZERO) + c
             if total:
                 data[b] = total
             elif b in data:
@@ -240,7 +241,9 @@ class CharacterMap:
     __slots__ = ("order", "empty_value", "values")
 
     def __init__(self, order: int, empty_value=0, values=None):
-        self.order = int(order)
+        if type(order) is not int:
+            raise ValueError(f"truncation order must be an integer, not {order!r}")
+        self.order = order
         self.empty_value = _as_fraction(empty_value)
         self.values = {}
         if values:
@@ -258,7 +261,7 @@ class CharacterMap:
     def __call__(self, basis) -> Fraction:
         if basis.is_empty:
             return self.empty_value
-        return self.values.get(basis, Fraction(0))
+        return self.values.get(basis, _ZERO)
 
     def on_comb(self, x: LinComb) -> Fraction:
         return evaluate(self, x)

@@ -619,7 +619,7 @@ def law_operad_assoc(order: int = 6, guard: int | None = None, seed: int = 0) ->
     return LawResult("operad-assoc", True, order)
 
 
-def law_cointeraction(order: int = 4, guard: int | None = None, seed: int = 0) -> LawResult:
+def law_cointeraction(order: int = 6, guard: int | None = None, seed: int = 0) -> LawResult:
     report = check_cointeraction(order, guard or 3, seed)
     failing = [k for k, ok in report.items() if not ok]
     if failing:
@@ -635,7 +635,7 @@ def law_pi_morphism(order: int = 4, guard: int | None = None, seed: int = 0) -> 
     return LawResult("pi-morphism", True, order)
 
 
-def law_grading(order: int = 4, guard: int | None = None, seed: int = 0) -> LawResult:
+def law_grading(order: int = 6, guard: int | None = None, seed: int = 0) -> LawResult:
     for n in range(1, order + 1):
         for forest in enumerate_ordered_forests(n):
             for (word, quotient), _ in delta_w(forest).items():
@@ -787,9 +787,9 @@ REGISTRY: dict[str, tuple[Callable, int]] = {
     "gl-duality": (law_gl_duality, 4),
     "h-operad-duality": (law_h_operad_duality, 4),
     "operad-assoc": (law_operad_assoc, 6),
-    "cointeraction": (law_cointeraction, 4),
+    "cointeraction": (law_cointeraction, 6),
     "pi-morphism": (law_pi_morphism, 4),
-    "grading": (law_grading, 4),
+    "grading": (law_grading, 6),
     "adjoint": (law_adjoint, 4),
     "substitution-theorem": (law_substitution_theorem, 4),
     "bseries-substitution": (law_bseries_substitution, 4),

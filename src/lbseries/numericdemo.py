@@ -156,11 +156,17 @@ class PolyVectorField:
     def from_json(data: dict) -> "PolyVectorField":
         """Read ``{"dim": d, "components": [{"monomials": [...]}]}``; every
         ``coeff`` is a ``"p/q"`` string or an integer."""
+        if not isinstance(data, dict) or type(data.get("dim")) is not int:
+            raise ValueError('a field is an object with an integer "dim"')
         dim = data["dim"]
         comps = []
         for comp in data["components"]:
+            if not isinstance(comp, dict):
+                raise ValueError(f"a field component is an object, not {comp!r}")
             terms = []
             for mono in comp.get("monomials", []):
+                if not isinstance(mono, dict):
+                    raise ValueError(f"a monomial is an object, not {mono!r}")
                 powers = tuple(mono.get("powers", [0] * dim))
                 hpow = mono.get("hpower", 0)
                 terms.append(((hpow, powers), _as_fraction(mono["coeff"])))

@@ -196,34 +196,13 @@ class AdmissiblePartition:
     part_vertices: tuple[tuple[int, ...], ...]
 
 
-def _set_partitions(items: list[int]):
-    """Canonical-order set partitions (first item opens the first block)."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for sub in _set_partitions(rest):
-        for i in range(len(sub)):
-            yield sub[:i] + [[first] + sub[i]] + sub[i + 1 :]
-        yield [[first]] + sub
-
-
-def _planar_root_order(index: _ForestIndex, roots: list[int]) -> list[int]:
-    """Sort sibling roots into planar left-to-right order.
-
-    For children of a common vertex the stored order is reversed planar; for
-    top-level roots the forest order is already planar.
-    """
-    if index.parent[roots[0]] is None:
-        return sorted(roots, key=lambda v: index.position[v])
-    return sorted(roots, key=lambda v: -index.position[v])
-
-
 def _part_forest(
-    index: _ForestIndex, block: frozenset[int]
+    index: _ForestIndex, roots: list[int], block: frozenset[int]
 ) -> tuple[OrderedForest, tuple[int, ...], tuple[int, ...]]:
-    roots = [v for v in block if index.parent[v] is None or index.parent[v] not in block]
-    ordered = _planar_root_order(index, roots)
+    """A block's part, its roots planar left to right (stored order is planar
+    for top-level roots, reversed for the children of a vertex) and its
+    vertices in the part's preorder."""
+    ordered = roots if index.parent[roots[0]] is None else roots[::-1]
     visited: list[int] = []
 
     def rec(v: int) -> PlanarTree:
@@ -236,22 +215,27 @@ def _part_forest(
     return OrderedForest(trees), tuple(ordered), tuple(visited)
 
 
-def _block_admissible(index: _ForestIndex, block: frozenset[int]) -> bool:
-    roots = [v for v in block if index.parent[v] is None or index.parent[v] not in block]
-    parents = {index.parent[r] for r in roots}
-    if len(parents) != 1:
-        return False
-    (parent,) = parents
-    positions = sorted(index.position[r] for r in roots)
-    if positions != list(range(positions[0], positions[0] + len(positions))):
-        return False
-    # internal edges at any vertex must occupy a prefix of its stored child
-    # list (the planar-right block): grafted-in material sits planar-left.
-    for v in block:
-        internal = [index.position[c] for c in index.children[v] if c in block]
-        if internal and sorted(internal) != list(range(len(internal))):
-            return False
-    return True
+def _blocks_at(index: _ForestIndex, siblings: list[int], v: int):
+    """The kept blocks opened at ``v``, as (vertex bitmask, (block, part,
+    roots, part vertices)): the roots are a run of ``siblings`` starting at
+    ``v`` and every member adds a prefix of its stored children."""
+
+    def grown(frontier: list[int], members: list[int]):
+        if not frontier:
+            yield members
+            return
+        kids = index.children[frontier[0]]
+        for j in range(len(kids) + 1):
+            yield from grown(frontier[1:] + kids[:j], members + kids[:j])
+
+    start = index.position[v]
+    for end in range(start + 1, len(siblings) + 1):
+        roots = siblings[start:end]
+        for members in grown(roots, roots):
+            block = frozenset(members)
+            part, ordered, visited = _part_forest(index, roots, block)
+            if not _vanishing_part(part):
+                yield sum(1 << u for u in members), (block, part, ordered, visited)
 
 
 def _in_order_bracketings(trees: tuple[PlanarTree, ...]) -> list[LiePoly]:
@@ -275,16 +259,25 @@ def _nonzero_bracketings(part: OrderedForest) -> list[LiePoly]:
     return [lp for lp in _in_order_bracketings(part.trees) if not lp.is_zero()]
 
 
+def _vanishing_part(part: OrderedForest) -> bool:
+    """True iff the part has two or more trees, all equal: exactly the parts
+    with no nonzero in-order Lie bracketing (checked against
+    ``_nonzero_bracketings`` on every forest up to order 7)."""
+    trees = part.trees
+    return len(trees) > 1 and trees.count(trees[0]) == len(trees)
+
+
 def admissible_partitions(forest: OrderedForest) -> list[AdmissiblePartition]:
     """Vertex partitions whose parts can be grafted back into a smaller forest.
 
-    Each block's roots must be adjacent siblings below one common vertex (or
-    adjacent top-level roots); internal edges must occupy the planar-right
-    prefix of every stored child list (grafted-in material can only sit
-    planar-left of a part's own edges); and every multi-tree part must admit
-    a nonzero in-order Lie bracketing.  The last condition drops exactly the
-    blocks (all trees isomorphic) that can never be grafted as one unit:
-    keeping them breaks coassociativity of the partition coaction.
+    Blocks are built in preorder: the first unassigned vertex opens a block
+    whose roots are a run of adjacent siblings starting there (top-level
+    roots, or children of one vertex) and which takes a prefix of each
+    member's stored child list, so internal edges sit planar-right of
+    grafted-in material.  Every block so built meets these rules, and each
+    partition is built once.  Blocks whose part has two or more trees, all
+    equal, are left out: no in-order Lie bracketing of such a part is
+    nonzero, and keeping them breaks coassociativity of the coaction.
     """
     return list(_admissible_partitions(forest))
 
@@ -292,33 +285,25 @@ def admissible_partitions(forest: OrderedForest) -> list[AdmissiblePartition]:
 @lru_cache(maxsize=None)
 def _admissible_partitions(forest: OrderedForest) -> tuple[AdmissiblePartition, ...]:
     index = _ForestIndex(forest.trees)
+    top = [v for v in range(index.n) if index.parent[v] is None]
+    # each kept block, with its part, once per host: listed at its first vertex
+    blocks_at = [
+        list(_blocks_at(index, top if p is None else index.children[p], v))
+        for v, p in enumerate(index.parent)
+    ]
+    full = (1 << index.n) - 1
     out = []
-    for raw in _set_partitions(list(range(index.n))):
-        blocks = tuple(frozenset(b) for b in raw)
-        if not all(_block_admissible(index, b) for b in blocks):
-            continue
-        parts = []
-        roots = []
-        vertex_orders = []
-        ok = True
-        for b in blocks:
-            part, ordered, visited = _part_forest(index, b)
-            if len(part.trees) > 1 and not _nonzero_bracketings(part):
-                ok = False
-                break
-            parts.append(part)
-            roots.append(ordered)
-            vertex_orders.append(visited)
-        if ok:
-            out.append(
-                AdmissiblePartition(
-                    forest,
-                    blocks,
-                    tuple(parts),
-                    tuple(roots),
-                    tuple(vertex_orders),
-                )
-            )
+
+    def rec(assigned: int, picked: tuple) -> None:
+        if assigned == full:
+            columns = tuple(zip(*picked)) or ((),) * 4
+            out.append(AdmissiblePartition(forest, *columns))
+            return
+        v = (~assigned & (assigned + 1)).bit_length() - 1
+        for mask, entry in blocks_at[v]:
+            rec(assigned | mask, picked + (entry,))
+
+    rec(0, ())
     return tuple(out)
 
 
@@ -542,7 +527,12 @@ def _lie_factor_value(alpha: CharacterMap, lp: LiePoly) -> Fraction:
 
 
 def star_rho(alpha: CharacterMap, beta: CharacterMap, max_size_guard: int = 4) -> CharacterMap:
-    """Oracle-scale substitution product through the bracket coaction."""
+    """Oracle-scale substitution product through the bracket coaction.
+
+    Checked against :func:`star_w` only up to guard 4.  At guard 5 the
+    ``1/k!`` normalization of bracket factors departs from it on parts
+    with repeated trees, first on the forest ``[[]] [] [] []``.
+    """
     _require_logarithmic(alpha)
     return convolve_through(
         partial(rho_oracle, max_size_guard=max_size_guard),

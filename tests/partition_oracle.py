@@ -1,0 +1,87 @@
+"""Brute-force admissible partitions: every set partition of the vertices,
+filtered block by block.
+
+This is the enumerator the package used before it generated admissible
+partitions constructively.  It costs Bell(n) candidates for n vertices and
+is kept only to cross-check ``lbseries.subst.admissible_partitions``.
+"""
+
+from __future__ import annotations
+
+from lbseries import LinComb, SymWord, contract
+from lbseries.subst import AdmissiblePartition, _nonzero_bracketings
+from lbseries.trees import EMPTY_FOREST, OrderedForest, PlanarTree, _ForestIndex
+
+
+def set_partitions(items: list[int]):
+    """Canonical-order set partitions (first item opens the first block)."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for sub in set_partitions(rest):
+        for i in range(len(sub)):
+            yield sub[:i] + [[first] + sub[i]] + sub[i + 1 :]
+        yield [[first]] + sub
+
+
+def block_admissible(index: _ForestIndex, block: frozenset[int]) -> bool:
+    roots = [v for v in block if index.parent[v] is None or index.parent[v] not in block]
+    parents = {index.parent[r] for r in roots}
+    if len(parents) != 1:
+        return False
+    positions = sorted(index.position[r] for r in roots)
+    if positions != list(range(positions[0], positions[0] + len(positions))):
+        return False
+    # internal edges at any vertex must occupy a prefix of its stored child
+    # list (the planar-right block): grafted-in material sits planar-left.
+    for v in block:
+        internal = [index.position[c] for c in index.children[v] if c in block]
+        if internal and sorted(internal) != list(range(len(internal))):
+            return False
+    return True
+
+
+def part_forest(index: _ForestIndex, block: frozenset[int]):
+    """The block's part, its roots planar left to right, its vertices in the
+    part's preorder.  Stored order is planar for top-level roots and
+    reversed planar for the children of a common vertex."""
+    roots = [v for v in block if index.parent[v] is None or index.parent[v] not in block]
+    top = index.parent[roots[0]] is None
+    ordered = sorted(roots, key=lambda v: index.position[v] if top else -index.position[v])
+    visited: list[int] = []
+
+    def rec(v: int) -> PlanarTree:
+        visited.append(v)
+        return PlanarTree(tuple(rec(c) for c in index.children[v] if c in block))
+
+    trees = tuple(rec(r) for r in ordered)
+    return OrderedForest(trees), tuple(ordered), tuple(visited)
+
+
+def oracle_partitions(forest: OrderedForest) -> list[AdmissiblePartition]:
+    """Admissible partitions by filtering all set partitions; a multi-tree
+    part is kept iff some in-order Lie bracketing of its trees is nonzero."""
+    index = _ForestIndex(forest.trees)
+    out = []
+    for raw in set_partitions(list(range(index.n))):
+        blocks = tuple(frozenset(b) for b in raw)
+        if not all(block_admissible(index, b) for b in blocks):
+            continue
+        described = [part_forest(index, b) for b in blocks]
+        if any(len(p.trees) > 1 and not _nonzero_bracketings(p) for p, _, _ in described):
+            continue
+        parts, roots, vertices = zip(*described) if described else ((), (), ())
+        out.append(AdmissiblePartition(forest, blocks, parts, roots, vertices))
+    return out
+
+
+def oracle_delta_w(forest: OrderedForest) -> LinComb:
+    """The partition coaction over the oracle's partitions."""
+    if forest.is_empty:
+        return LinComb.of((SymWord.unit(), EMPTY_FOREST))
+    return LinComb(
+        ((SymWord(p.parts), q), c)
+        for p in oracle_partitions(forest)
+        for q, c in contract(forest, p).items()
+    )

@@ -277,6 +277,10 @@ CHARACTER = {"order": 1, "empty": "1", "values": {"[]": "1/2"}}
         ("character", {**CHARACTER, "values": [["[]", "1/2"]]}),
         ("field", {"dim": 1, "components": [{"monomials": [{"coeff": 0.5, "powers": [2]}]}]}),
         ("field", {"components": MONOMIALS}),
+        ("character", {**CHARACTER, "order": 1.5}),
+        ("character", {**CHARACTER, "values": {"[]": True}}),
+        ("field", {"dim": "1", "components": MONOMIALS}),
+        ("field", {"dim": 1, "components": [[]]}),
     ],
 )
 def test_inexact_or_malformed_json_is_an_input_error(tmp_path, capsys, kind, doc):

@@ -35,10 +35,14 @@ from lbseries.subst import (
     Graft,
     Leaf,
     OracleGuardError,
+    _nonzero_bracketings,
+    _vanishing_part,
     eval_expr,
 )
+from lbseries.seriesmorph import a_alpha
 from lbseries.trees import enumerate_ordered_forests, enumerate_planar_trees
 
+from partition_oracle import oracle_delta_w, oracle_partitions
 from worked_examples import RHO_EXAMPLE_1, RHO_EXAMPLE_2, RHO_EXAMPLE_3, W_EXAMPLE
 
 pf = parse_forest
@@ -138,6 +142,45 @@ def test_partition_counts():
     assert len(admissible_partitions(pf("[]"))) == 1
     assert len(admissible_partitions(pf("[] [[]]"))) == 3
     assert len(admissible_partitions(pf("[[[]][]]"))) == 7
+
+
+def _described(partitions):
+    """Block set -> each block's (part, roots, part vertices)."""
+    return {
+        frozenset(p.blocks): {
+            block: described
+            for block, *described in zip(
+                p.blocks, p.parts, p.part_roots, p.part_vertices
+            )
+        }
+        for p in partitions
+    }
+
+
+def test_admissible_partitions_match_the_set_partition_oracle():
+    """The constructive generator gives exactly the partitions that
+    filtering all set partitions gives, each once, with the same parts."""
+    for n in range(0, 7):
+        for forest in enumerate_ordered_forests(n):
+            got = admissible_partitions(forest)
+            described = _described(got)
+            assert len(described) == len(got)
+            assert described == _described(oracle_partitions(forest))
+
+
+def test_delta_w_matches_the_set_partition_oracle():
+    for n in range(0, 7):
+        for forest in enumerate_ordered_forests(n):
+            assert delta_w(forest) == oracle_delta_w(forest)
+
+
+def test_vanishing_parts_are_the_all_equal_forests():
+    """A forest of two or more trees has no nonzero in-order Lie bracketing
+    iff all its trees are equal."""
+    for n in range(2, 8):
+        for forest in enumerate_ordered_forests(n):
+            if len(forest.trees) > 1:
+                assert _vanishing_part(forest) == (not _nonzero_bracketings(forest))
 
 
 def test_contract_examples():
@@ -292,16 +335,61 @@ def test_seeded_random_characters_keep_their_draw_order():
 
 
 def test_star_rho_agrees_with_star_w():
+    """The bracket oracle agrees with the partition coaction up to guard 4
+    (at guard 5 it does not, see the expected failure below)."""
     rng = random.Random(12)
-    for _ in range(4):
-        alpha = random_logarithmic_character(3, rng)
-        beta = random_character(3, rng)
-        lhs = star_rho(alpha, beta, 3)
+    for guard in (3, 3, 3, 3, 4, 4, 4, 4):
+        alpha = random_logarithmic_character(guard, rng)
+        beta = random_character(guard, rng)
+        lhs = star_rho(alpha, beta, guard)
         rhs = star_w(alpha, beta)
-        for n in range(0, 4):
+        for n in range(0, guard + 1):
             for f in enumerate_ordered_forests(n):
                 assert lhs(f) == rhs(f)
     assert star_rho(alpha, beta, 3)(pf("[]")) == alpha(pf("[]")) * beta(pf("[]"))
+
+
+# At order 5 the bracket oracle departs from the partition coaction on four
+# forests.  alpha is the vertex (value 1) plus the coefficient functional of
+# [a, [a, [a, b]]] with a = [] and b = [[]]; beta is 1 on every forest.
+ORDER_5_DEPARTURES = {"[[]] [] [] []": 0, "[] [[]] [] []": 4, "[] [] [[]] []": -2, "[] [] [] [[]]": 2}
+
+
+def _order_5_characters():
+    a, b = lp("[]"), lp("[[]]")
+    values = bracket(a, bracket(a, bracket(a, b))).expansion + LinComb.of(pf("[]"))
+    alpha = CharacterMap(5, 0, values.items())
+    beta = CharacterMap(
+        5, 1, [(f, 1) for n in range(1, 6) for f in enumerate_ordered_forests(n)]
+    )
+    return alpha, beta
+
+
+def test_star_w_matches_the_grafting_route_at_order_5():
+    """On the forests where the bracket oracle departs, star_w agrees with
+    the substitution endomorphism a_alpha paired against beta.  a_alpha
+    sends the vertex to the series of alpha and, alpha being the vertex
+    plus terms of order 5, a forest of 5 vertices to itself plus terms of 9
+    or more vertices; so the pairing is beta(f) + a_alpha([])(f) beta([])."""
+    alpha, beta = _order_5_characters()
+    product = star_w(alpha, beta)
+    vertex_image = a_alpha(alpha, pf("[]"))
+    for text, value in ORDER_5_DEPARTURES.items():
+        forest = pf(text)
+        grafted = beta(forest) + vertex_image.coeff(forest) * beta(pf("[]"))
+        assert product(forest) == grafted == value
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="star_rho's 1/k! pairing of bracket factors is wrong for parts with "
+    "repeated trees: at [[]] [] [] [] it gives 1/6 where star_w and the "
+    "a_alpha route give 0 (also with random_logarithmic_character(5, Random(3)))",
+)
+def test_star_rho_agrees_with_star_w_at_order_5():
+    alpha, beta = _order_5_characters()
+    product = star_rho(alpha, beta, 5)
+    assert {text: product(pf(text)) for text in ORDER_5_DEPARTURES} == ORDER_5_DEPARTURES
 
 
 def test_cointeraction_report():
