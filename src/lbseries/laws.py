@@ -720,12 +720,12 @@ def law_bseries_substitution(order: int = 4, guard: int | None = None, seed: int
 
     rng = random.Random(seed)
     fields = []
-    f1 = PolyVectorField([Poly(1, {(0, (2,)): Fraction(1)})])
+    f1 = PolyVectorField([Poly({(0, (2,)): Fraction(1)})])
     fields.append((f1, (Fraction(1),)))
     f2 = PolyVectorField(
         [
-            Poly(2, {(0, (1, 1)): Fraction(1), (0, (0, 1)): Fraction(1, 2)}),
-            Poly(2, {(0, (1, 0)): Fraction(-1), (0, (0, 2)): Fraction(1, 3)}),
+            Poly({(0, (1, 1)): Fraction(1), (0, (0, 1)): Fraction(1, 2)}),
+            Poly({(0, (1, 0)): Fraction(-1), (0, (0, 2)): Fraction(1, 3)}),
         ]
     )
     fields.append((f2, (Fraction(1), Fraction(-2))))

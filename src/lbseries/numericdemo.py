@@ -4,131 +4,53 @@ Vector fields are tuples of multivariate polynomials over the rationals in
 variables ``y_1 .. y_d`` with an optional formal step parameter ``h``; all
 derivatives, evaluations and series expansions are exact, so the classical
 substitution identity becomes a checkable equality of ``h``-coefficients.
+A polynomial is a :class:`LinComb` keyed by monomials ``(hpow, ypows)``.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
-from .coeffalg import CharacterMap, _as_fraction
+from .coeffalg import CharacterMap, LinComb, _as_fraction, bilinear, evaluate
 from .prelie import convolve
 from .trees import Forest, NonPlanarTree, PlanarTree, enumerate_nonplanar_trees, symmetry_factor
 
+Poly = LinComb
 
-class Poly:
-    """Sparse polynomial in y_1..y_d and h: {(hpow, ypows): coefficient}."""
 
-    __slots__ = ("dim", "terms")
+def _monomial_product(a: tuple, b: tuple) -> tuple:
+    return a[0] + b[0], tuple(map(operator.add, a[1], b[1]))
 
-    def __init__(self, dim: int, terms=None):
-        self.dim = dim
-        self.terms: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-        if terms:
-            for key, c in terms.items() if isinstance(terms, dict) else terms:
-                c = Fraction(c)
-                if c:
-                    hpow, ypows = key
-                    ypows = tuple(ypows)
-                    if len(ypows) != dim:
-                        raise ValueError("wrong power-vector length")
-                    k = (hpow, ypows)
-                    total = self.terms.get(k, Fraction(0)) + c
-                    if total:
-                        self.terms[k] = total
-                    elif k in self.terms:
-                        del self.terms[k]
 
-    @staticmethod
-    def zero(dim: int) -> "Poly":
-        return Poly(dim)
+def poly_mul(p: Poly, q: Poly) -> Poly:
+    """Product of two polynomials: exponents add."""
+    return bilinear(p, q, _monomial_product)
 
-    @staticmethod
-    def constant(dim: int, c) -> "Poly":
-        return Poly(dim, {(0, (0,) * dim): Fraction(c)})
 
-    @staticmethod
-    def variable(dim: int, i: int) -> "Poly":
-        pows = [0] * dim
-        pows[i] = 1
-        return Poly(dim, {(0, tuple(pows)): Fraction(1)})
+def diff_y(p: Poly, i: int) -> Poly:
+    """Partial derivative in ``y_i`` (0-based)."""
+    return LinComb(
+        ((h, y[:i] + (y[i] - 1,) + y[i + 1:]), c * y[i]) for (h, y), c in p.items() if y[i]
+    )
 
-    def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            total = out.get(k, Fraction(0)) + c
-            if total:
-                out[k] = total
-            elif k in out:
-                del out[k]
-        p = Poly(self.dim)
-        p.terms = out
-        return p
 
-    def __neg__(self) -> "Poly":
-        p = Poly(self.dim)
-        p.terms = {k: -c for k, c in self.terms.items()}
-        return p
+def eval_y(p: Poly, point: Sequence[Fraction]) -> LinComb:
+    """Substitute y = point; return the h-polynomial, keyed by h-power."""
+    return LinComb(
+        (h, math.prod((v**e for v, e in zip(point, y) if e), start=c))
+        for (h, y), c in p.items()
+    )
 
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
 
-    def __mul__(self, other: "Poly") -> "Poly":
-        out: dict = {}
-        for (h1, y1), c1 in self.terms.items():
-            for (h2, y2), c2 in other.terms.items():
-                k = (h1 + h2, tuple(a + b for a, b in zip(y1, y2)))
-                total = out.get(k, Fraction(0)) + c1 * c2
-                if total:
-                    out[k] = total
-                elif k in out:
-                    del out[k]
-        p = Poly(self.dim)
-        p.terms = out
-        return p
-
-    def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        p = Poly(self.dim)
-        if c:
-            p.terms = {k: v * c for k, v in self.terms.items()}
-        return p
-
-    def shift_h(self, k: int) -> "Poly":
-        p = Poly(self.dim)
-        p.terms = {(h + k, y): c for (h, y), c in self.terms.items()}
-        return p
-
-    def diff_y(self, i: int) -> "Poly":
-        out: dict = {}
-        for (h, y), c in self.terms.items():
-            if y[i]:
-                ny = list(y)
-                ny[i] -= 1
-                out[(h, tuple(ny))] = out.get((h, tuple(ny)), Fraction(0)) + c * y[i]
-        p = Poly(self.dim)
-        p.terms = {k: v for k, v in out.items() if v}
-        return p
-
-    def eval_y(self, point: Sequence[Fraction]) -> dict[int, Fraction]:
-        """Substitute y = point; return the h-polynomial as {hpow: coeff}."""
-        out: dict[int, Fraction] = {}
-        for (h, y), c in self.terms.items():
-            val = c
-            for yi, e in zip(point, y):
-                if e:
-                    val *= Fraction(yi) ** e
-            if val:
-                out[h] = out.get(h, Fraction(0)) + val
-        return {h: v for h, v in out.items() if v}
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.dim == other.dim and self.terms == other.terms
-
-    def __repr__(self):
-        return f"Poly(dim={self.dim}, {len(self.terms)} terms)"
+def _exponent(e) -> int:
+    if type(e) is not int or e < 0:
+        raise ValueError(f"an exponent is a non-negative integer, not {e!r}")
+    return e
 
 
 class PolyVectorField:
@@ -138,13 +60,12 @@ class PolyVectorField:
 
     def __init__(self, components: Sequence[Poly]):
         self.components = tuple(components)
-        if not self.components:
+        self.dim = len(self.components)
+        if not self.dim:
             raise ValueError("dimension must be positive")
-        self.dim = self.components[0].dim
-        if any(p.dim != self.dim for p in self.components):
-            raise ValueError("mixed dimensions")
-        if len(self.components) != self.dim:
-            raise ValueError("need one component per coordinate")
+        for p in self.components:
+            if any(len(y) != self.dim for _, y in p.support()):
+                raise ValueError("wrong power-vector length")
 
     def __eq__(self, other):
         return (
@@ -155,22 +76,28 @@ class PolyVectorField:
     @staticmethod
     def from_json(data: dict) -> "PolyVectorField":
         """Read ``{"dim": d, "components": [{"monomials": [...]}]}``; every
-        ``coeff`` is a ``"p/q"`` string or an integer."""
+        ``coeff`` is a ``"p/q"`` string or an integer, every ``powers`` entry
+        and ``hpower`` a non-negative integer."""
         if not isinstance(data, dict) or type(data.get("dim")) is not int:
             raise ValueError('a field is an object with an integer "dim"')
         dim = data["dim"]
+        components = data["components"]
+        if not isinstance(components, list) or len(components) != dim:
+            raise ValueError("need a list of one component per coordinate")
         comps = []
-        for comp in data["components"]:
+        for comp in components:
             if not isinstance(comp, dict):
                 raise ValueError(f"a field component is an object, not {comp!r}")
             terms = []
             for mono in comp.get("monomials", []):
                 if not isinstance(mono, dict):
                     raise ValueError(f"a monomial is an object, not {mono!r}")
-                powers = tuple(mono.get("powers", [0] * dim))
-                hpow = mono.get("hpower", 0)
-                terms.append(((hpow, powers), _as_fraction(mono["coeff"])))
-            comps.append(Poly(dim, terms))
+                powers = mono.get("powers", [0] * dim)
+                if not isinstance(powers, list):
+                    raise ValueError(f'"powers" is a list, not {powers!r}')
+                key = (_exponent(mono.get("hpower", 0)), tuple(map(_exponent, powers)))
+                terms.append((key, _as_fraction(mono["coeff"])))
+            comps.append(LinComb(terms))
         return PolyVectorField(comps)
 
     @staticmethod
@@ -182,10 +109,21 @@ class PolyVectorField:
         comps = []
         for p in self.components:
             monos = []
-            for (h, y), c in sorted(p.terms.items()):
+            for (h, y), c in sorted(p.items()):
                 monos.append({"coeff": str(c), "powers": list(y), "hpower": h})
             comps.append({"monomials": monos})
         return {"dim": self.dim, "components": comps}
+
+
+def _applied(p: Poly, js: Sequence[int], child_fields: Sequence[PolyVectorField]) -> Poly:
+    """The derivative of ``p`` in ``y_j1 .. y_jk`` applied to component
+    ``j_m`` of the m-th child field."""
+    for j in js:
+        p = diff_y(p, j)
+    if p:
+        for child, j in zip(child_fields, js):
+            p = poly_mul(p, child.components[j])
+    return p
 
 
 def elementary_differential(field: PolyVectorField, tree: NonPlanarTree) -> PolyVectorField:
@@ -199,29 +137,29 @@ def elementary_differential(field: PolyVectorField, tree: NonPlanarTree) -> Poly
     if not children:
         return field
     child_fields = [elementary_differential(field, _sub(c)) for c in children]
-    dim = field.dim
-    out = []
-    for i in range(dim):
-        total = Poly.zero(dim)
-        for js in itertools.product(range(dim), repeat=len(children)):
-            deriv = field.components[i]
-            for j in js:
-                deriv = deriv.diff_y(j)
-                if not deriv.terms:
-                    break
-            if not deriv.terms:
-                continue
-            term = deriv
-            for child_field, j in zip(child_fields, js):
-                term = term * child_field.components[j]
-            total = total + term
-        out.append(total)
-    return PolyVectorField(out)
+    slots = list(itertools.product(range(field.dim), repeat=len(children)))
+    return PolyVectorField(
+        LinComb(term for js in slots for term in _applied(p, js, child_fields).items())
+        for p in field.components
+    )
 
 
 def _sub(rep: PlanarTree) -> NonPlanarTree:
     # children of a canonical representative are canonical themselves
     return NonPlanarTree(rep)
+
+
+def _weighted_differentials(field: PolyVectorField, alpha: CharacterMap, order: int) -> list:
+    """``(|t|, alpha(t)/sigma(t), F(t))`` for every tree t with a nonzero
+    weight, up to ``order`` or the character's order if that is lower (the
+    character vanishes past its own order)."""
+    out = []
+    for size in range(1, min(order, alpha.order) + 1):
+        for tree in enumerate_nonplanar_trees(size):
+            coeff = alpha(Forest((tree,))) / symmetry_factor(tree)
+            if coeff:
+                out.append((size, coeff, elementary_differential(field, tree)))
+    return out
 
 
 def bseries_eval(
@@ -235,33 +173,30 @@ def bseries_eval(
 
     With ``h=None`` the step stays formal and each component is returned as
     a map ``{h-power: coefficient}``; with a rational ``h`` the exact vector
-    is returned.  The character is read on single trees (non-planar basis).
+    is returned.  The character is read on single trees (non-planar basis);
+    trees above its order are not visited, as it vanishes there.
     """
-    dim = field.dim
     point = tuple(Fraction(v) for v in y0)
-    if len(point) != dim:
+    if len(point) != field.dim:
         raise ValueError("point dimension mismatch")
-    acc: list[dict[int, Fraction]] = [
-        {0: alpha.empty_value * point[i]} if alpha.empty_value else {}
-        for i in range(dim)
+    weighted = _weighted_differentials(field, alpha, order)
+    series = [
+        LinComb(
+            itertools.chain(
+                [(0, alpha.empty_value * x)],
+                (
+                    (hpow + size, coeff * v)
+                    for size, coeff, diff in weighted
+                    for hpow, v in eval_y(diff.components[i], point).items()
+                ),
+            )
+        )
+        for i, x in enumerate(point)
     ]
-    for size in range(1, order + 1):
-        for tree in enumerate_nonplanar_trees(size):
-            coeff = alpha(Forest((tree,))) / symmetry_factor(tree)
-            if not coeff:
-                continue
-            diff = elementary_differential(field, tree)
-            for i in range(dim):
-                for hpow, val in diff.components[i].eval_y(point).items():
-                    k = hpow + size
-                    acc[i][k] = acc[i].get(k, Fraction(0)) + coeff * val
-    acc = [{k: v for k, v in comp.items() if v} for comp in acc]
     if h is None:
-        return acc
+        return [dict(comp.items()) for comp in series]
     h = Fraction(h)
-    return tuple(
-        sum((v * h**k for k, v in comp.items()), Fraction(0)) for comp in acc
-    )
+    return tuple(evaluate(lambda k: h**k, comp) for comp in series)
 
 
 def _series_as_field(field: PolyVectorField, alpha: CharacterMap, order: int) -> PolyVectorField:
@@ -269,17 +204,15 @@ def _series_as_field(field: PolyVectorField, alpha: CharacterMap, order: int) ->
     h-polynomial coefficients.  Requires a vanishing empty-forest value."""
     if alpha.empty_value != 0:
         raise ValueError("the substituted series must vanish on the empty forest")
-    dim = field.dim
-    comps = [Poly.zero(dim) for _ in range(dim)]
-    for size in range(1, order + 1):
-        for tree in enumerate_nonplanar_trees(size):
-            coeff = alpha(Forest((tree,))) / symmetry_factor(tree)
-            if not coeff:
-                continue
-            diff = elementary_differential(field, tree)
-            for i in range(dim):
-                comps[i] = comps[i] + diff.components[i].scale(coeff).shift_h(size - 1)
-    return PolyVectorField(comps)
+    weighted = _weighted_differentials(field, alpha, order)
+    return PolyVectorField(
+        LinComb(
+            ((h + size - 1, y), coeff * c)
+            for size, coeff, diff in weighted
+            for (h, y), c in diff.components[i].items()
+        )
+        for i in range(field.dim)
+    )
 
 
 def verify_bseries_substitution(
@@ -291,7 +224,12 @@ def verify_bseries_substitution(
 ) -> bool:
     """Substituting one series as the vector field of another agrees with
     the convolution through the extraction-contraction coproduct, compared
-    exactly on h-coefficients up to ``order``."""
+    exactly on h-coefficients up to ``order``, which may not exceed either
+    character's order."""
+    if order > min(alpha.order, beta.order):
+        raise ValueError(
+            f"order {order} is above the characters' orders {alpha.order} and {beta.order}"
+        )
     modified = _series_as_field(field, alpha, order)
     lhs = bseries_eval(None, modified, beta, y0, order)
     rhs = bseries_eval(None, field, convolve(alpha, beta, "h"), y0, order)

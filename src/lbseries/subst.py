@@ -341,7 +341,11 @@ def contract(forest: OrderedForest, partition: AdmissiblePartition) -> LinComb:
     """
     if partition.host != forest:
         raise ValueError("partition does not belong to this forest")
-    index = _ForestIndex(forest.trees)
+    return _contract(_ForestIndex(forest.trees), partition)
+
+
+def _contract(index: _ForestIndex, partition: AdmissiblePartition) -> LinComb:
+    """``contract`` with the host's index built by the caller, once per host."""
     block_of: dict[int, int] = {}
     for bi, block in enumerate(partition.blocks):
         for v in block:
@@ -394,10 +398,11 @@ def delta_w(forest: OrderedForest) -> LinComb:
     """Partition coaction: symmetric words of parts tensor contractions."""
     if forest.is_empty:
         return LinComb.of((SymWord.unit(), EMPTY_FOREST))
+    index = _ForestIndex(forest.trees)
     terms = []
     for partition in admissible_partitions(forest):
         word = SymWord(partition.parts)
-        terms.extend(((word, q), c) for q, c in contract(forest, partition).items())
+        terms.extend(((word, q), c) for q, c in _contract(index, partition).items())
     return LinComb(terms)
 
 
@@ -459,12 +464,13 @@ def rho_oracle(forest: OrderedForest, max_size_guard: int = 4) -> LinComb:
         )
     if forest.is_empty:
         return LinComb.of((SymLieWord.unit(), EMPTY_FOREST))
+    index = _ForestIndex(forest.trees)
     terms = []
     for partition in admissible_partitions(forest):
         per_part = [_nonzero_bracketings(part) for part in partition.parts]
         if not all(per_part):
             continue
-        quotient = contract(forest, partition)
+        quotient = _contract(index, partition)
         for combo in itertools.product(*per_part):
             sign = 1
             factors = []

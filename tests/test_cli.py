@@ -221,6 +221,99 @@ def test_bseries_eval_and_verify(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "PASS"
 
 
+# (y1 y2 + h y2/2, -y1 + y2^2/3): a 2-D field with an h-dependent monomial
+GOLDEN_FIELD = {
+    "dim": 2,
+    "components": [
+        {
+            "monomials": [
+                {"coeff": "1", "powers": [1, 1]},
+                {"coeff": "1/2", "powers": [0, 1], "hpower": 1},
+            ]
+        },
+        {"monomials": [{"coeff": "-1", "powers": [1, 0]}, {"coeff": "1/3", "powers": [0, 2]}]},
+    ],
+}
+GOLDEN_BETA = {
+    "order": 4,
+    "empty": "1",
+    "values": {
+        "[]": "1",
+        "[[]]": "1/2",
+        "[[][]]": "1/3",
+        "[[[]]]": "1/6",
+        "[[[][]]]": "-1/5",
+        "[[[[]]]]": "1/24",
+        "[[][][]]": "3/7",
+        "[[[]][]]": "1/9",
+    },
+}
+GOLDEN_ALPHA = {
+    "order": 4,
+    "empty": "0",
+    "values": {
+        "[]": "1",
+        "[[]]": "-1/2",
+        "[[][]]": "2/3",
+        "[[[]]]": "1/4",
+        "[[[][]]]": "1/5",
+        "[[[[]]]]": "-1/6",
+        "[[][][]]": "1/7",
+        "[[[]][]]": "-2/9",
+    },
+}
+GOLDEN_FORMAL = [
+    ["1", "-2", "7/6", "-35/108", "-2173/3240", "-1409/3240", "-65/288"],
+    ["-2", "1/3", "7/9", "-5/9", "-47/2916", "839/3240", "-1/48"],
+]
+
+
+@pytest.fixture
+def golden_files(tmp_path):
+    paths = {}
+    for name, doc in (("field", GOLDEN_FIELD), ("alpha", GOLDEN_ALPHA), ("beta", GOLDEN_BETA)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    return {name: str(path) for name, path in paths.items()}
+
+
+def test_bseries_golden_output(golden_files, capsys):
+    """Pinned text and JSON output of `bseries eval`/`verify` on a 2-D field
+    with an h-dependent term."""
+    files = golden_files
+    evaluate = ["bseries", "eval", "--field", files["field"], "--alpha", files["beta"]]
+    formal = evaluate + ["--y0", "1,-2"]
+    assert run(formal) == 0
+    text = "\n".join(
+        " + ".join(f"{v} h^{k}" for k, v in enumerate(comp)) for comp in GOLDEN_FORMAL
+    )
+    assert capsys.readouterr().out == text + "\n"
+    assert run(formal + ["--format", "json"]) == 0
+    payload = [{str(k): v for k, v in enumerate(comp)} for comp in GOLDEN_FORMAL]
+    assert capsys.readouterr().out == json.dumps({"value": payload}) + "\n"
+    stepped = evaluate + ["--y0", "1/2,3", "--step", "1/3"]
+    assert run(stepped) == 0
+    assert capsys.readouterr().out == "10735/5832, 7795/1944\n"
+    assert run(stepped + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == '{"value": ["10735/5832", "7795/1944"]}\n'
+    verify = ["bseries", "verify", "--field", files["field"]]
+    verify += ["--alpha", files["alpha"], "--beta", files["beta"]]
+    assert run(verify + ["--y0", "1,-2"]) == 0
+    assert capsys.readouterr().out == "PASS\n"
+    assert run(verify + ["--y0", "1/2,3", "--format", "json"]) == 0
+    assert capsys.readouterr().out == '{"passed": true}\n'
+
+
+def test_bseries_verify_above_the_characters_order_is_an_input_error(golden_files, capsys):
+    files = golden_files
+    argv = ["bseries", "verify", "--field", files["field"], "--alpha", files["alpha"]]
+    argv += ["--beta", files["beta"], "--y0", "1,-2", "--order", "5"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: order 5 is above the characters' orders")
+
+
 def test_verify_reports_documented_defect(capsys):
     assert run(["verify", "pi-morphism", "--order", "3"]) == 2
     out = capsys.readouterr().out
@@ -281,6 +374,11 @@ CHARACTER = {"order": 1, "empty": "1", "values": {"[]": "1/2"}}
         ("character", {**CHARACTER, "values": {"[]": True}}),
         ("field", {"dim": "1", "components": MONOMIALS}),
         ("field", {"dim": 1, "components": [[]]}),
+        ("field", {"dim": 1, "components": [{"monomials": [{"coeff": "1", "powers": [0.5]}]}]}),
+        ("field", {"dim": 1, "components": [{"monomials": [{"coeff": "1", "powers": ["2"]}]}]}),
+        ("field", {"dim": 1, "components": [{"monomials": [{"coeff": "1", "hpower": "1"}]}]}),
+        ("field", {"dim": 1, "components": [{"monomials": [{"coeff": "1", "powers": [-1]}]}]}),
+        ("field", {"dim": 1, "components": [{"monomials": [{"coeff": "1", "powers": 2}]}]}),
     ],
 )
 def test_inexact_or_malformed_json_is_an_input_error(tmp_path, capsys, kind, doc):

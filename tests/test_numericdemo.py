@@ -6,6 +6,7 @@ import pytest
 from lbseries import (
     CharacterMap,
     Forest,
+    LinComb,
     Poly,
     PolyVectorField,
     bseries_eval,
@@ -15,7 +16,9 @@ from lbseries import (
     parse_tree,
     verify_bseries_substitution,
 )
+from lbseries import numericdemo
 from lbseries.laws import random_tree_character, run_law
+from lbseries.numericdemo import diff_y, poly_mul
 from lbseries.prelie import graft
 from lbseries.trees import enumerate_nonplanar_trees, symmetry_factor
 
@@ -27,7 +30,7 @@ def cn(text):
 
 
 def _field_y_squared() -> PolyVectorField:
-    return PolyVectorField([Poly(1, {(0, (2,)): Fraction(1)})])
+    return PolyVectorField([Poly({(0, (2,)): Fraction(1)})])
 
 
 def test_elementary_differential_examples():
@@ -35,15 +38,15 @@ def test_elementary_differential_examples():
     assert elementary_differential(f, cn("[]")) == f
     # f'(y) f(y) = 2y * y^2 = 2 y^3
     assert elementary_differential(f, cn("[[]]")) == PolyVectorField(
-        [Poly(1, {(0, (3,)): Fraction(2)})]
+        [Poly({(0, (3,)): Fraction(2)})]
     )
     # f''(f, f) = 2 * y^2 * y^2
     assert elementary_differential(f, cn("[[][]]")) == PolyVectorField(
-        [Poly(1, {(0, (4,)): Fraction(2)})]
+        [Poly({(0, (4,)): Fraction(2)})]
     )
     # f'(f' f) = 2y * 2y^3
     assert elementary_differential(f, cn("[[[]]]")) == PolyVectorField(
-        [Poly(1, {(0, (4,)): Fraction(4)})]
+        [Poly({(0, (4,)): Fraction(4)})]
     )
 
 
@@ -108,8 +111,8 @@ def test_prelie_morphism_property():
         _field_y_squared(),
         PolyVectorField(
             [
-                Poly(2, {(0, (1, 1)): Fraction(1), (0, (0, 1)): Fraction(1, 2)}),
-                Poly(2, {(0, (2, 0)): Fraction(1, 3), (0, (1, 0)): Fraction(-1)}),
+                Poly({(0, (1, 1)): Fraction(1), (0, (0, 1)): Fraction(1, 2)}),
+                Poly({(0, (2, 0)): Fraction(1, 3), (0, (1, 0)): Fraction(-1)}),
             ]
         ),
     ]
@@ -119,7 +122,7 @@ def test_prelie_morphism_property():
         for t1 in trees:
             for t2 in trees:
                 lhs_comb = graft(t1, t2)
-                lhs = [Poly.zero(dim) for _ in range(dim)]
+                lhs = [LinComb() for _ in range(dim)]
                 for tree, coeff in lhs_comb.items():
                     diff = elementary_differential(field, tree)
                     for i in range(dim):
@@ -128,9 +131,9 @@ def test_prelie_morphism_property():
                 f2 = elementary_differential(field, t2)
                 rhs = []
                 for i in range(dim):
-                    acc = Poly.zero(dim)
+                    acc = LinComb()
                     for j in range(dim):
-                        acc = acc + f2.components[i].diff_y(j) * f1.components[j]
+                        acc = acc + poly_mul(diff_y(f2.components[i], j), f1.components[j])
                     rhs.append(acc)
                 assert lhs == rhs
 
@@ -177,8 +180,37 @@ def test_substitution_law():
 def test_field_json_round_trip():
     field = PolyVectorField(
         [
-            Poly(2, {(1, (1, 0)): Fraction(1, 2), (0, (0, 2)): Fraction(-3)}),
-            Poly(2, {(0, (0, 0)): Fraction(7)}),
+            Poly({(1, (1, 0)): Fraction(1, 2), (0, (0, 2)): Fraction(-3)}),
+            Poly({(0, (0, 0)): Fraction(7)}),
         ]
     )
     assert PolyVectorField.from_json(field.to_json()) == field
+
+
+def test_series_stop_at_the_characters_order(monkeypatch):
+    """Past its order a character is zero, so no tree above it is enumerated
+    and a higher requested order changes nothing."""
+    f = PolyVectorField(
+        [
+            Poly({(0, (1, 1)): Fraction(1), (1, (0, 1)): Fraction(1, 2)}),
+            Poly({(0, (1, 0)): Fraction(-1), (0, (0, 2)): Fraction(1, 3)}),
+        ]
+    )
+    rng = random.Random(19)
+    alpha = random_tree_character(2, rng, empty=0)
+    beta = random_tree_character(2, rng, empty=1)
+    series = bseries_eval(None, f, beta, (1, -2), 2)
+    modified = numericdemo._series_as_field(f, alpha, 2)
+    enumerate_trees = numericdemo.enumerate_nonplanar_trees
+
+    def bounded(size):
+        if size > 2:
+            raise AssertionError(f"trees of order {size} enumerated for an order-2 character")
+        return enumerate_trees(size)
+
+    monkeypatch.setattr(numericdemo, "enumerate_nonplanar_trees", bounded)
+    for order in (5, 12):
+        assert bseries_eval(None, f, beta, (1, -2), order) == series
+        assert numericdemo._series_as_field(f, alpha, order) == modified
+    with pytest.raises(ValueError):
+        verify_bseries_substitution(alpha, beta, f, (1, -2), 3)
