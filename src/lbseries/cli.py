@@ -235,6 +235,8 @@ def _character_text(char: CharacterMap) -> str:
 def cmd_bseries(args) -> int:
     from .numericdemo import PolyVectorField, bseries_eval, verify_bseries_substitution
 
+    if args.order is not None and args.order < 1:
+        raise CliError("--order must be at least 1")
     field = _read("field", args.field, PolyVectorField.load)
     y0 = [Fraction(x) for x in args.y0.split(",")]
     if args.action == "eval":
@@ -408,6 +410,9 @@ def run(argv=None) -> int:
         return args.func(args)
     except (CliError, ForestParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
         return 1
 
 

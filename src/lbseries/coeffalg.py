@@ -235,10 +235,12 @@ class CharacterMap:
     ``order`` is the truncation: values are stored for basis forests with at
     most ``order`` vertices, missing entries are zero.  The value on the
     empty forest is kept separately.  Works over either planar
-    (:class:`OrderedForest`) or non-planar (:class:`Forest`) bases.
+    (:class:`OrderedForest`) or non-planar (:class:`Forest`) bases.  A
+    character is not changed after construction, so :func:`is_logarithmic`
+    caches its answer on it.
     """
 
-    __slots__ = ("order", "empty_value", "values")
+    __slots__ = ("order", "empty_value", "values", "_logarithmic")
 
     def __init__(self, order: int, empty_value=0, values=None):
         if type(order) is not int:
@@ -246,6 +248,7 @@ class CharacterMap:
         self.order = order
         self.empty_value = _as_fraction(empty_value)
         self.values = {}
+        self._logarithmic = None
         if values:
             for basis, c in values.items() if isinstance(values, dict) else values:
                 if basis.vertex_count > self.order:
@@ -353,7 +356,14 @@ def _shuffle_pairs(order: int):
 
 
 def is_logarithmic(alpha: CharacterMap) -> bool:
-    """Zero on the empty forest and on every proper shuffle up to the order."""
+    """Zero on the empty forest and on every proper shuffle up to the order.
+    The shuffle check runs once per character; its answer is cached."""
+    if alpha._logarithmic is None:
+        alpha._logarithmic = _vanishes_on_shuffles(alpha)
+    return alpha._logarithmic
+
+
+def _vanishes_on_shuffles(alpha: CharacterMap) -> bool:
     from .postlie import shuffle
 
     if alpha.empty_value != 0:

@@ -183,7 +183,7 @@ def matrix_rank(rows: list[list[Fraction]]) -> int:
 # Individual laws.
 
 
-def law_prelie_identity(order: int = 3, guard: int | None = None, seed: int = 0) -> LawResult:
+def law_prelie_identity(order: int, guard: int | None = None, seed: int = 0) -> LawResult:
     trees = [t for n in range(1, order + 1) for t in enumerate_nonplanar_trees(n)]
     for t1, t2, t3 in itertools.product(trees, repeat=3):
         if not check_prelie_identity(t1, t2, t3):
@@ -196,7 +196,7 @@ def _post_lie_bracket(a: LiePoly, b: LiePoly) -> LiePoly:
     return lie_graft(a, b) - lie_graft(b, a) + bracket(a, b)
 
 
-def law_postlie_jacobi(order: int = 3, guard: int | None = None, seed: int = 0) -> LawResult:
+def law_postlie_jacobi(order: int, guard: int | None = None, seed: int = 0) -> LawResult:
     gens = [
         LiePoly.from_tree(t)
         for n in range(1, order + 1)
@@ -214,7 +214,7 @@ def law_postlie_jacobi(order: int = 3, guard: int | None = None, seed: int = 0) 
     return LawResult("postlie-jacobi", True, order)
 
 
-def law_dalgebra_axioms(order: int = 3, guard: int | None = None, seed: int = 0) -> LawResult:
+def law_dalgebra_axioms(order: int, guard: int | None = None, seed: int = 0) -> LawResult:
     forests = [
         f for n in range(0, order + 1) for f in enumerate_ordered_forests(n)
     ]
@@ -274,7 +274,7 @@ def _coassoc_check(delta: Callable, basis_iter, counit: Callable):
     return None
 
 
-def law_ck_coassoc(order: int = 5, guard: int | None = None, seed: int = 0) -> LawResult:
+def law_ck_coassoc(order: int, guard: int | None = None, seed: int = 0) -> LawResult:
     basis = [f for n in range(0, order + 1) for f in enumerate_forests(n)]
     ce = _coassoc_check(delta_ck, basis, lambda f: Fraction(1 if f.is_empty else 0))
     return LawResult("ck-coassoc", ce is None, order, ce)
@@ -284,7 +284,7 @@ def _h_counit(f: Forest) -> Fraction:
     return Fraction(1 if all(t.vertex_count == 1 for t in f.trees) else 0)
 
 
-def law_h_coassoc(order: int = 5, guard: int | None = None, seed: int = 0) -> LawResult:
+def law_h_coassoc(order: int, guard: int | None = None, seed: int = 0) -> LawResult:
     basis = [f for n in range(0, order + 1) for f in enumerate_forests(n)]
     ce = _coassoc_check(delta_h, basis, _h_counit)
     if ce is None:
@@ -307,7 +307,7 @@ def law_h_coassoc(order: int = 5, guard: int | None = None, seed: int = 0) -> La
     return LawResult("h-coassoc", ce is None, order, ce)
 
 
-def law_n_coassoc(order: int = 5, guard: int | None = None, seed: int = 0) -> LawResult:
+def law_n_coassoc(order: int, guard: int | None = None, seed: int = 0) -> LawResult:
     basis = [f for n in range(0, order + 1) for f in enumerate_ordered_forests(n)]
     ce = _coassoc_check(delta_n, basis, lambda f: Fraction(1 if f.is_empty else 0))
     return LawResult("n-coassoc", ce is None, order, ce)
@@ -334,7 +334,7 @@ def _w_counit(word: SymWord) -> Fraction:
     return Fraction(1 if ok else 0)
 
 
-def law_w_coassoc(order: int = 4, guard: int | None = None, seed: int = 0) -> LawResult:
+def law_w_coassoc(order: int, guard: int | None = None, seed: int = 0) -> LawResult:
     """Two-sided coassociativity of the partition coaction on symmetric-word
     legs, plus its coaction counit laws.
 
@@ -377,7 +377,7 @@ def law_w_coassoc(order: int = 4, guard: int | None = None, seed: int = 0) -> La
     return LawResult("w-coassoc", True, order)
 
 
-def law_shuffle_bialgebra(order: int = 3, guard: int | None = None, seed: int = 0) -> LawResult:
+def law_shuffle_bialgebra(order: int, guard: int | None = None, seed: int = 0) -> LawResult:
     pieces = [f for n in range(0, order + 1) for f in enumerate_ordered_forests(n)]
     for a in pieces:
         for b in pieces:
@@ -462,7 +462,7 @@ def law_shuffle_bialgebra(order: int = 3, guard: int | None = None, seed: int = 
     return LawResult("shuffle-bialgebra", True, order)
 
 
-def law_gl_duality(order: int = 5, guard: int | None = None, seed: int = 0) -> LawResult:
+def law_gl_duality(order: int, guard: int | None = None, seed: int = 0) -> LawResult:
     for n in range(0, order + 1):
         expected: dict[OrderedForest, list] = {}
         for a_size in range(0, n + 1):
@@ -478,7 +478,7 @@ def law_gl_duality(order: int = 5, guard: int | None = None, seed: int = 0) -> L
     return LawResult("gl-duality", True, order)
 
 
-def law_h_operad_duality(order: int = 4, guard: int | None = None, seed: int = 0) -> LawResult:
+def law_h_operad_duality(order: int, guard: int | None = None, seed: int = 0) -> LawResult:
     for n in range(1, order + 1):
         for tree in enumerate_nonplanar_trees(n):
             if not check_h_operad_duality(tree):
@@ -521,7 +521,7 @@ def _substitute_expr(expr, mapping: dict):
     )
 
 
-def law_operad_assoc(order: int = 6, guard: int | None = None, seed: int = 0) -> LawResult:
+def law_operad_assoc(order: int, guard: int | None = None, seed: int = 0) -> LawResult:
     rng = random.Random(seed)
     from .prelie import _parent_map_shape
     from .subst import tree_expr
@@ -619,7 +619,7 @@ def law_operad_assoc(order: int = 6, guard: int | None = None, seed: int = 0) ->
     return LawResult("operad-assoc", True, order)
 
 
-def law_cointeraction(order: int = 6, guard: int | None = None, seed: int = 0) -> LawResult:
+def law_cointeraction(order: int, guard: int | None = None, seed: int = 0) -> LawResult:
     report = check_cointeraction(order, guard or 3, seed)
     failing = [k for k, ok in report.items() if not ok]
     if failing:
@@ -627,7 +627,7 @@ def law_cointeraction(order: int = 6, guard: int | None = None, seed: int = 0) -
     return LawResult("cointeraction", True, order)
 
 
-def law_pi_morphism(order: int = 4, guard: int | None = None, seed: int = 0) -> LawResult:
+def law_pi_morphism(order: int, guard: int | None = None, seed: int = 0) -> LawResult:
     for n in range(1, order + 1):
         for tree in enumerate_planar_trees(n):
             if not check_pi_morphism(tree):
@@ -635,7 +635,7 @@ def law_pi_morphism(order: int = 4, guard: int | None = None, seed: int = 0) -> 
     return LawResult("pi-morphism", True, order)
 
 
-def law_grading(order: int = 6, guard: int | None = None, seed: int = 0) -> LawResult:
+def law_grading(order: int, guard: int | None = None, seed: int = 0) -> LawResult:
     for n in range(1, order + 1):
         for forest in enumerate_ordered_forests(n):
             for (word, quotient), _ in delta_w(forest).items():
@@ -679,7 +679,7 @@ def law_grading(order: int = 6, guard: int | None = None, seed: int = 0) -> LawR
     return LawResult("grading", True, order)
 
 
-def law_adjoint(order: int = 4, guard: int | None = None, seed: int = 0) -> LawResult:
+def law_adjoint(order: int, guard: int | None = None, seed: int = 0) -> LawResult:
     from .seriesmorph import check_adjoint
 
     rng = random.Random(seed)
@@ -690,7 +690,7 @@ def law_adjoint(order: int = 4, guard: int | None = None, seed: int = 0) -> LawR
     return LawResult("adjoint", True, order)
 
 
-def law_substitution_theorem(order: int = 4, guard: int | None = None, seed: int = 0) -> LawResult:
+def law_substitution_theorem(order: int, guard: int | None = None, seed: int = 0) -> LawResult:
     from .seriesmorph import a_alpha, series_of, substitute_lb
 
     rng = random.Random(seed)
@@ -715,7 +715,7 @@ def law_substitution_theorem(order: int = 4, guard: int | None = None, seed: int
     return LawResult("substitution-theorem", True, order)
 
 
-def law_bseries_substitution(order: int = 4, guard: int | None = None, seed: int = 0) -> LawResult:
+def law_bseries_substitution(order: int, guard: int | None = None, seed: int = 0) -> LawResult:
     from .numericdemo import Poly, PolyVectorField, verify_bseries_substitution
 
     rng = random.Random(seed)
@@ -743,7 +743,7 @@ def law_bseries_substitution(order: int = 4, guard: int | None = None, seed: int
     return LawResult("bseries-substitution", True, order)
 
 
-def law_automorphism(order: int = 4, guard: int | None = None, seed: int = 0) -> LawResult:
+def law_automorphism(order: int, guard: int | None = None, seed: int = 0) -> LawResult:
     from .seriesmorph import compose_lb, substitute_lb
 
     rng = random.Random(seed)
@@ -784,14 +784,14 @@ REGISTRY: dict[str, tuple[Callable, int]] = {
     "n-coassoc": (law_n_coassoc, 5),
     "w-coassoc": (law_w_coassoc, 4),
     "shuffle-bialgebra": (law_shuffle_bialgebra, 3),
-    "gl-duality": (law_gl_duality, 4),
+    "gl-duality": (law_gl_duality, 6),
     "h-operad-duality": (law_h_operad_duality, 4),
     "operad-assoc": (law_operad_assoc, 6),
     "cointeraction": (law_cointeraction, 6),
     "pi-morphism": (law_pi_morphism, 4),
     "grading": (law_grading, 6),
-    "adjoint": (law_adjoint, 4),
-    "substitution-theorem": (law_substitution_theorem, 4),
+    "adjoint": (law_adjoint, 5),
+    "substitution-theorem": (law_substitution_theorem, 5),
     "bseries-substitution": (law_bseries_substitution, 4),
     "automorphism": (law_automorphism, 4),
 }

@@ -6,7 +6,8 @@ the second so that the new edge is leftmost there; with the stored child
 order of :mod:`lbseries.trees` that is an append.  It extends to ordered
 forests by the usual recursions (derivation in the right argument, the
 associator rule in the left argument) and to linear combinations
-bilinearly.
+bilinearly.  The basis-level product is memoized: ``LinComb`` has no
+in-place operation, so a cached result is safe to share.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ def _tree_onto_tree(t1: PlanarTree, t2: PlanarTree) -> LinComb:
     return LinComb(terms)
 
 
+@lru_cache(maxsize=None)
 def _graft_forests(f1: OrderedForest, f2: OrderedForest) -> LinComb:
     if f1.is_empty:
         return LinComb.of(f2)

@@ -6,9 +6,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffalg import CharacterMap, LinComb, convolve_through, is_logarithmic
+from .coeffalg import CharacterMap, LinComb, convolve_through
 from .postlie import b_minus, concat, delta_n, left_graft
-from .subst import _word_value, delta_w, star_w
+from .subst import _require_logarithmic, _word_value, delta_w, star_w
 from .trees import EMPTY_FOREST, OrderedForest, enumerate_ordered_forests
 
 
@@ -34,12 +34,10 @@ class TruncatedSeries:
         return TruncatedSeries(self.order, self.element.scale(c))
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        return TruncatedSeries(order, concat(self.element, other.element))
+        return _truncated_product(concat, self, other)
 
     def graft(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        return TruncatedSeries(order, left_graft(self.element, other.element))
+        return _truncated_product(left_graft, self, other)
 
     def __eq__(self, other):
         return (
@@ -52,6 +50,31 @@ class TruncatedSeries:
         from .coeffalg import format_lincomb
 
         return f"TruncatedSeries(order={self.order}, {format_lincomb(self.element)})"
+
+
+def _by_degree(element: LinComb) -> dict[int, LinComb]:
+    """The homogeneous components of a combination of forests."""
+    parts: dict[int, list] = {}
+    for f, c in element.items():
+        parts.setdefault(f.vertex_count, []).append((f, c))
+    return {n: LinComb(terms) for n, terms in parts.items()}
+
+
+def _truncated_product(product, x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
+    """``product(x, y)`` truncated at the smaller order.  Concatenation and
+    grafting both add vertex counts, so only the pairs of homogeneous
+    components whose degrees fit are multiplied: the terms truncation would
+    drop are never built."""
+    order = min(x.order, y.order)
+    ys = _by_degree(y.element)
+    terms = (
+        term
+        for i, xi in _by_degree(x.element).items()
+        for j, yj in ys.items()
+        if i + j <= order
+        for term in product(xi, yj).items()
+    )
+    return TruncatedSeries(order, LinComb(terms))
 
 
 def series_of(alpha: CharacterMap) -> TruncatedSeries:
@@ -70,8 +93,7 @@ def a_alpha(alpha: CharacterMap, forest: OrderedForest) -> TruncatedSeries:
     ``alpha`` must be logarithmic, so the single-vertex image is primitive
     and the map sends Lie polynomials to Lie polynomials.
     """
-    if not is_logarithmic(alpha):
-        raise ValueError("character is not logarithmic")
+    _require_logarithmic(alpha)
     order = alpha.order
     seed = series_of(alpha)
     cache: dict[OrderedForest, TruncatedSeries] = {}
@@ -94,8 +116,7 @@ def a_alpha(alpha: CharacterMap, forest: OrderedForest) -> TruncatedSeries:
 def a_alpha_dagger(alpha: CharacterMap, forest: OrderedForest) -> LinComb:
     """Adjoint of the substitution endomorphism, computed through the
     partition coaction with ``alpha`` multiplicative over parts."""
-    if not is_logarithmic(alpha):
-        raise ValueError("character is not logarithmic")
+    _require_logarithmic(alpha)
     return LinComb(
         (quotient, c * _word_value(alpha, word))
         for (word, quotient), c in delta_w(forest).items()

@@ -150,7 +150,7 @@ def test_criterion_2_partition_coaction_two_sided_coassociativity():
 def test_criterion_3_duality_theorems():
     """Cut coproduct vs product pairing, and the labeled operadic dual."""
     started = time.time()
-    _run("gl-duality", 5)
+    _run("gl-duality", 6)
     _run("h-operad-duality", 4)
     _report(3, "duality theorems", 120.0, started)
 
@@ -181,8 +181,8 @@ def test_criterion_5_substitution_theorem():
     endomorphism equals the series rebuilt from the partition-coaction
     product, and its adjoint identity holds on all pairs."""
     started = time.time()
-    _run("substitution-theorem", 4)
-    _run("adjoint", 4)
+    _run("substitution-theorem", 5)
+    _run("adjoint", 5)
     _report(5, "substitution theorem", 120.0, started)
 
 

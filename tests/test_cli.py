@@ -314,6 +314,33 @@ def test_bseries_verify_above_the_characters_order_is_an_input_error(golden_file
     assert captured.err.startswith("error: order 5 is above the characters' orders")
 
 
+@pytest.mark.parametrize("order", ["-1", "0"])
+@pytest.mark.parametrize("action", ["eval", "verify"])
+def test_bseries_order_below_one_is_an_input_error(golden_files, capsys, action, order):
+    files = golden_files
+    argv = ["bseries", action, "--field", files["field"], "--alpha", files["alpha"]]
+    argv += ["--beta", files["beta"], "--y0", "1,-2", "--order", order]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --order must be at least 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", "[" * 3000 + "]" * 3000],
+        ["operad", "--mode", "postlie", "--base", "{[], " * 3000 + "[]" + "}" * 3000, "--inputs", "[]"],
+    ],
+    ids=["parse", "operad-base"],
+)
+def test_deeply_nested_input_is_an_input_error(capsys, argv):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input is nested too deeply\n"
+
+
 def test_verify_reports_documented_defect(capsys):
     assert run(["verify", "pi-morphism", "--order", "3"]) == 2
     out = capsys.readouterr().out

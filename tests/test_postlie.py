@@ -227,3 +227,18 @@ def test_shuffle_bialgebra_law():
 def test_concat_is_associative_on_combs():
     a, b, c = one("[]"), one("[[]]"), one("[] []")
     assert concat(concat(a, b), c) == concat(a, concat(b, c))
+
+
+def test_grafting_results_are_unchanged_by_what_callers_build_from_them():
+    """The basis-level product is memoized, so a result is shared between
+    calls; building on it must not change what a repeat call returns."""
+    x = LinComb([(pf("[] [[]]"), 2), (pf("[[]]"), -1)])
+    y = LinComb([(pf("[[]] []"), 1), (pf(""), 3)])
+    f1, f2 = pf("[[]] []"), pf("[] [[]]")
+    graft, gl = left_graft(x, y), gl_product(f1, f2)
+    saved = (dict(graft.items()), dict(gl.items()))
+    for result in (graft, gl):
+        built = result + result.scale(3) - result.map_basis(lambda w: w.concat(w))
+        assert built != result
+    assert left_graft(x, y) == graft and gl_product(f1, f2) == gl
+    assert (dict(graft.items()), dict(gl.items())) == saved

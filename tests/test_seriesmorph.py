@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lbseries import (
     CharacterMap,
@@ -16,15 +18,18 @@ from lbseries import (
     is_primitive_shuffle,
     parse_forest,
     series_of,
+    star_w,
     substitute_lb,
 )
+from lbseries import coeffalg
 from lbseries.laws import (
     random_character,
     random_exponential_character,
     random_logarithmic_character,
     run_law,
 )
-from lbseries.trees import enumerate_ordered_forests
+from lbseries.postlie import concat, left_graft
+from lbseries.trees import EMPTY_FOREST, enumerate_ordered_forests
 
 pf = parse_forest
 
@@ -72,8 +77,60 @@ def test_a_alpha_chain_expansion():
 
 
 def test_a_alpha_requires_logarithmic():
-    with pytest.raises(ValueError):
-        a_alpha(CharacterMap(2, 0, [(pf("[] []"), 1)]), pf("[]"))
+    """Refused on every call: the cached answer of the shuffle check is
+    honoured when it is False."""
+    alpha = CharacterMap(2, 0, [(pf("[] []"), 1)])
+    beta = random_character(2, random.Random(3))
+    for _ in range(2):
+        assert not is_logarithmic(alpha)
+        with pytest.raises(ValueError):
+            a_alpha(alpha, pf("[]"))
+        with pytest.raises(ValueError):
+            a_alpha_dagger(alpha, pf("[]"))
+        with pytest.raises(ValueError):
+            star_w(alpha, beta)
+
+
+def test_the_shuffle_check_runs_once_per_character(monkeypatch):
+    checks = []
+    check = coeffalg._vanishes_on_shuffles
+    monkeypatch.setattr(
+        coeffalg, "_vanishes_on_shuffles", lambda alpha: checks.append(alpha) or check(alpha)
+    )
+    alpha = random_logarithmic_character(3, random.Random(5), support=2)
+    beta = random_character(3, random.Random(6))
+    for forest in (pf("[]"), pf("[[]]"), pf("[] []")):
+        a_alpha(alpha, forest)
+        a_alpha_dagger(alpha, forest)
+    star_w(alpha, beta)
+    assert checks == [alpha]
+    # an equal character built anew is checked anew
+    twin = CharacterMap(alpha.order, alpha.empty_value, alpha.values)
+    assert is_logarithmic(twin) and checks == [alpha, twin]
+
+
+_FORESTS_TO_5 = [f for n in range(6) for f in enumerate_ordered_forests(n)]
+
+
+@st.composite
+def _truncated_series(draw):
+    """A truncated series of order 0..5 with up to six terms, the empty
+    forest often among them."""
+    order = draw(st.integers(0, 5))
+    pool = [f for f in _FORESTS_TO_5 if f.vertex_count <= order]
+    coeffs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    terms = draw(st.lists(st.tuples(st.sampled_from(pool), coeffs), max_size=5))
+    if draw(st.booleans()):
+        terms.append((EMPTY_FOREST, draw(coeffs)))
+    return TruncatedSeries(order, LinComb(terms))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_truncated_series(), _truncated_series())
+def test_truncated_products_are_the_full_products_truncated(x, y):
+    order = min(x.order, y.order)
+    assert x.mul(y) == TruncatedSeries(order, concat(x.element, y.element))
+    assert x.graft(y) == TruncatedSeries(order, left_graft(x.element, y.element))
 
 
 def test_a_alpha_preserves_primitives():
