@@ -196,24 +196,15 @@ def cmd_operad(args) -> int:
     return 0
 
 
-def cmd_substitute(args) -> int:
-    alpha = _load_character(args.alpha, planar=True)
-    beta = _load_character(args.beta, planar=True)
+def cmd_series_product(args) -> int:
+    """``substitute`` (alpha *_W beta) and ``compose`` (beta * alpha): the
+    operands are read in ``args.operands`` order and multiplied in it."""
+    if args.order is not None and args.order < 1:
+        raise CliError("--order must be at least 1")
+    chars = [_load_character(getattr(args, name), planar=True) for name in args.operands]
     if args.order is not None:
-        alpha = _truncate(alpha, args.order)
-        beta = _truncate(beta, args.order)
-    result = substitute_lb(alpha, beta)
-    _emit(args, result.to_json(), _character_text(result))
-    return 0
-
-
-def cmd_compose(args) -> int:
-    beta = _load_character(args.beta, planar=True)
-    alpha = _load_character(args.alpha, planar=True)
-    if args.order is not None:
-        alpha = _truncate(alpha, args.order)
-        beta = _truncate(beta, args.order)
-    result = compose_lb(beta, alpha)
+        chars = [_truncate(char, args.order) for char in chars]
+    result = args.product(*chars)
     _emit(args, result.to_json(), _character_text(result))
     return 0
 
@@ -352,19 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=cmd_operad)
 
-    p = sub.add_parser("substitute", help="substitution product of characters")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--order", type=int)
-    add_format(p)
-    p.set_defaults(func=cmd_substitute)
-
-    p = sub.add_parser("compose", help="composition product of characters")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--order", type=int)
-    add_format(p)
-    p.set_defaults(func=cmd_compose)
+    for name, help_text, product, operands in (
+        ("substitute", "substitution product of characters", substitute_lb, ("alpha", "beta")),
+        ("compose", "composition product of characters", compose_lb, ("beta", "alpha")),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--alpha", required=True)
+        p.add_argument("--beta", required=True)
+        p.add_argument("--order", type=int)
+        add_format(p)
+        p.set_defaults(func=cmd_series_product, product=product, operands=operands)
 
     p = sub.add_parser("bseries", help="evaluate or verify tree-indexed series")
     p.add_argument("action", choices=("eval", "verify"))

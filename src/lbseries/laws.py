@@ -35,6 +35,7 @@ from .postlie import (
     shuffle,
 )
 from .prelie import (
+    _labeled_compose,
     check_h_operad_duality,
     check_prelie_identity,
     compose_prelie_operad,
@@ -487,30 +488,6 @@ def law_h_operad_duality(order: int, guard: int | None = None, seed: int = 0) ->
 
 
 # -- labeled compositions for the operad associativity laws ----------------
-
-
-def _labeled_compose(inputs: list[dict], base: dict) -> list[dict]:
-    """Compose labeled trees (parent maps): base vertices in sorted order are
-    replaced by the inputs; every edge redistribution yields one summand."""
-    base_vertices = sorted(base)
-    roots = {}
-    for i, pmap in enumerate(inputs):
-        for v, p in pmap.items():
-            if p is None:
-                roots[i] = v
-    slot_of = {v: i for i, v in enumerate(base_vertices)}
-    merged: dict = {}
-    for pmap in inputs:
-        merged.update(pmap)
-    edges = [(v, p) for v, p in base.items() if p is not None]
-    choice_sets = [sorted(inputs[slot_of[p]]) for _, p in edges]
-    out = []
-    for choice in itertools.product(*choice_sets):
-        candidate = dict(merged)
-        for (child, _), attach in zip(edges, choice):
-            candidate[roots[slot_of[child]]] = attach
-        out.append(candidate)
-    return out
 
 
 def _substitute_expr(expr, mapping: dict):

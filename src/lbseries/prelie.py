@@ -246,6 +246,30 @@ def _ordered_set_partitions(items: tuple):
             yield blocks
 
 
+def _labeled_compose(inputs: list[dict], base: dict) -> list[dict]:
+    """Compose labeled trees (parent maps): base vertices in sorted order are
+    replaced by the inputs; every edge redistribution yields one summand."""
+    base_vertices = sorted(base)
+    roots = {}
+    for i, pmap in enumerate(inputs):
+        for v, p in pmap.items():
+            if p is None:
+                roots[i] = v
+    slot_of = {v: i for i, v in enumerate(base_vertices)}
+    merged: dict = {}
+    for pmap in inputs:
+        merged.update(pmap)
+    edges = [(v, p) for v, p in base.items() if p is not None]
+    choice_sets = [sorted(inputs[slot_of[p]]) for _, p in edges]
+    out = []
+    for choice in itertools.product(*choice_sets):
+        candidate = dict(merged)
+        for (child, _), attach in zip(edges, choice):
+            candidate[roots[slot_of[child]]] = attach
+        out.append(candidate)
+    return out
+
+
 def check_h_operad_duality(tree: NonPlanarTree) -> bool:
     """Compare ``delta_h`` with the 1/n!-weighted labeled operadic dual.
 
@@ -265,31 +289,11 @@ def check_h_operad_duality(tree: NonPlanarTree) -> bool:
         block_trees = [list(_labeled_trees_on(b)) for b in blocks]
         for pattern in _labeled_trees_on(tuple(range(n))):
             for combo in itertools.product(*block_trees):
-                if _composition_contains(combo, pattern, blocks, target):
+                if target in _labeled_compose(list(combo), pattern):
                     left = Forest(tuple(_parent_map_shape(m) for m in combo))
                     right = Forest((_parent_map_shape(pattern),))
                     terms.append(((left, right), weight))
     return LinComb(terms) == delta_h(Forest((tree,)))
-
-
-def _composition_contains(combo, pattern, blocks, target) -> bool:
-    roots = {}
-    for i, pmap in enumerate(combo):
-        for v, p in pmap.items():
-            if p is None:
-                roots[i] = v
-    pattern_edges = [(v, p) for v, p in pattern.items() if p is not None]
-    choice_sets = [blocks[p] for _, p in pattern_edges]
-    base = {}
-    for pmap in combo:
-        base.update(pmap)
-    for choice in itertools.product(*choice_sets):
-        candidate = dict(base)
-        for (child_block, _), attach_vertex in zip(pattern_edges, choice):
-            candidate[roots[child_block]] = attach_vertex
-        if candidate == target:
-            return True
-    return False
 
 
 def convolve(a: CharacterMap, b: CharacterMap, coproduct: str) -> CharacterMap:

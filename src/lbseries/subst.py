@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .coeffalg import CharacterMap, LinComb, SymWord, convolve_through, is_logarithmic
-from .postlie import LiePoly, bracket, concat, delta_n, left_graft, shuffle
+from .postlie import LiePoly, b_plus, bracket, concat, delta_n, left_graft, shuffle, shuffle_comb
 from .trees import (
     EMPTY_FOREST,
     Forest,
@@ -82,7 +82,8 @@ def tree_expr(tree: PlanarTree, labels: Sequence[int] | None = None):
     """Decompose a planar tree into grafting of its root forest onto its root.
 
     Vertex labels follow preorder (root first, children in stored order);
-    custom labels may be supplied in that same order.
+    custom labels may be supplied in that same order.  The root forest
+    lists the children planar left to right, which is reversed stored order.
     """
     if labels is None:
         labels = range(tree.vertex_count)
@@ -93,7 +94,7 @@ def tree_expr(tree: PlanarTree, labels: Sequence[int] | None = None):
 
     def build(node: PlanarTree):
         my = labels[next(counter)]
-        children = [build(c) for c in node.children]
+        children = [build(c) for c in node.children][::-1]
         expr = Leaf(my)
         if children:
             forest = children[0]
@@ -285,10 +286,9 @@ def admissible_partitions(forest: OrderedForest) -> list[AdmissiblePartition]:
 @lru_cache(maxsize=None)
 def _admissible_partitions(forest: OrderedForest) -> tuple[AdmissiblePartition, ...]:
     index = _ForestIndex(forest.trees)
-    top = [v for v in range(index.n) if index.parent[v] is None]
     # each kept block, with its part, once per host: listed at its first vertex
     blocks_at = [
-        list(_blocks_at(index, top if p is None else index.children[p], v))
+        list(_blocks_at(index, index.roots if p is None else index.children[p], v))
         for v, p in enumerate(index.parent)
     ]
     full = (1 << index.n) - 1
@@ -307,37 +307,13 @@ def _admissible_partitions(forest: OrderedForest) -> tuple[AdmissiblePartition, 
     return tuple(out)
 
 
-def _merge_orders(groups: list[list[int]]):
-    """All interleavings of the groups, each group keeping its own order."""
-    if not groups:
-        yield []
-        return
-    total = sum(len(g) for g in groups)
-    if total == 0:
-        yield []
-        return
-
-    def rec(state: tuple[int, ...]):
-        if sum(state) == total:
-            yield []
-            return
-        for gi, used in enumerate(state):
-            if used < len(groups[gi]):
-                nxt = list(state)
-                nxt[gi] += 1
-                for rest in rec(tuple(nxt)):
-                    yield [groups[gi][used]] + rest
-
-    yield from rec(tuple(0 for _ in groups))
-
-
 def contract(forest: OrderedForest, partition: AdmissiblePartition) -> LinComb:
     """Collapse each part to a vertex; sum over compatible planar embeddings.
 
-    Children-parts grafted at the same host vertex keep their planar order;
-    parts grafted at different vertices of one part interleave freely, which
-    makes the coefficient of each quotient forest a count of linear
-    extensions.
+    Children-parts grafted at the same host vertex keep their planar order
+    (they concatenate); parts grafted at different vertices of one part
+    interleave freely (their forests shuffle), which makes the coefficient
+    of each quotient forest a count of linear extensions.
     """
     if partition.host != forest:
         raise ValueError("partition does not belong to this forest")
@@ -346,51 +322,41 @@ def contract(forest: OrderedForest, partition: AdmissiblePartition) -> LinComb:
 
 def _contract(index: _ForestIndex, partition: AdmissiblePartition) -> LinComb:
     """``contract`` with the host's index built by the caller, once per host."""
-    block_of: dict[int, int] = {}
-    for bi, block in enumerate(partition.blocks):
-        for v in block:
-            block_of[v] = bi
+    owner = [0] * index.n
+    for bi, vertices in enumerate(partition.part_vertices):
+        for v in vertices:
+            owner[v] = bi
 
-    n_blocks = len(partition.blocks)
-    child_groups: list[dict[int, list[int]]] = [dict() for _ in range(n_blocks)]
-    top_parts: list[int] = []
-    for bi, roots in enumerate(partition.part_roots):
-        first_root = roots[0]
-        parent = index.parent[first_root]
-        if parent is None:
-            top_parts.append(bi)
-        else:
-            child_groups[block_of[parent]].setdefault(parent, []).append(bi)
+    def forest(roots) -> tuple:
+        # the roots of one block are adjacent siblings: one run per block
+        return tuple(block(bi) for bi, _ in itertools.groupby(owner[r] for r in roots))
 
-    # Per attachment vertex order child parts planar left-to-right: smaller
-    # stored positions sit planar-right, so sort by descending position.
-    grouped: list[list[list[int]]] = []
-    for bi in range(n_blocks):
-        groups = []
-        for parent in sorted(child_groups[bi]):
-            members = child_groups[bi][parent]
-            members.sort(
-                key=lambda cb: -min(
-                    index.position[r] for r in partition.part_roots[cb]
-                )
-            )
-            groups.append(members)
-        grouped.append(groups)
+    def block(bi: int) -> tuple:
+        groups = (
+            [c for c in reversed(index.children[v]) if owner[c] != bi]
+            for v in partition.part_vertices[bi]
+        )
+        return tuple(forest(kids) for kids in groups if kids)
 
-    top_parts.sort(key=lambda cb: min(index.position[r] for r in partition.part_roots[cb]))
+    return _contract_skeleton(forest(index.roots))
 
-    choices: list[list[list[int]]] = [
-        list(_merge_orders(groups)) for groups in grouped
-    ]
 
-    def build(combo, bi: int) -> PlanarTree:
-        planar_children = [build(combo, cb) for cb in combo[bi]]
-        return PlanarTree(tuple(reversed(planar_children)))
+@lru_cache(maxsize=None)
+def _contract_skeleton(skeleton: tuple) -> LinComb:
+    """The quotient forests of a partition skeleton.
 
-    return LinComb(
-        (OrderedForest(tuple(build(combo, bi) for bi in top_parts)), 1)
-        for combo in itertools.product(*choices)
-    )
+    A skeleton lists blocks planar left to right; a block lists, per vertex
+    with child parts, the skeleton of those parts (planar left to right).
+    The parts at one vertex concatenate, the vertices' forests shuffle, and
+    ``b_plus`` closes each block into a tree.
+    """
+    out = LinComb.of(EMPTY_FOREST)
+    for groups in skeleton:
+        children = LinComb.of(EMPTY_FOREST)
+        for group in groups:
+            children = shuffle_comb(children, _contract_skeleton(group))
+        out = concat(out, children.map_basis(lambda f: OrderedForest((b_plus(f),))))
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -206,12 +206,12 @@ class _ForestIndex:
                 walk(c, my)
             return my
 
-        roots = [walk(t, None) for t in trees]
+        self.roots = [walk(t, None) for t in trees]
         self.n = len(self.parent)
         # position of a vertex within its parent's stored child list,
         # or within the forest's top-level list for roots
         self.position: list[int] = [0] * self.n
-        for sibs in self.children + [roots]:
+        for sibs in self.children + [self.roots]:
             for i, c in enumerate(sibs):
                 self.position[c] = i
 

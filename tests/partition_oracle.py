@@ -1,14 +1,21 @@
-"""Brute-force admissible partitions: every set partition of the vertices,
-filtered block by block.
+"""Brute-force admissible partitions and contraction.
 
-This is the enumerator the package used before it generated admissible
-partitions constructively.  It costs Bell(n) candidates for n vertices and
-is kept only to cross-check ``lbseries.subst.admissible_partitions``.
+Every set partition of the vertices, filtered block by block: the
+enumerator the package used before it generated admissible partitions
+constructively.  It costs Bell(n) candidates for n vertices and is kept
+only to cross-check ``lbseries.subst.admissible_partitions``.
+
+Contraction by listing every interleaving of the child parts of each part:
+the construction the package used before it evaluated partition skeletons
+with concatenation and shuffle.  It is kept only to cross-check
+``lbseries.subst.contract``.
 """
 
 from __future__ import annotations
 
-from lbseries import LinComb, SymWord, contract
+import itertools
+
+from lbseries import LinComb, SymWord
 from lbseries.subst import AdmissiblePartition, _nonzero_bracketings
 from lbseries.trees import EMPTY_FOREST, OrderedForest, PlanarTree, _ForestIndex
 
@@ -83,5 +90,75 @@ def oracle_delta_w(forest: OrderedForest) -> LinComb:
     return LinComb(
         ((SymWord(p.parts), q), c)
         for p in oracle_partitions(forest)
-        for q, c in contract(forest, p).items()
+        for q, c in oracle_contract(forest, p).items()
+    )
+
+
+def merge_orders(groups: list[list[int]]):
+    """All interleavings of the groups, each group keeping its own order."""
+    if not groups:
+        yield []
+        return
+    total = sum(len(g) for g in groups)
+    if total == 0:
+        yield []
+        return
+
+    def rec(state: tuple[int, ...]):
+        if sum(state) == total:
+            yield []
+            return
+        for gi, used in enumerate(state):
+            if used < len(groups[gi]):
+                nxt = list(state)
+                nxt[gi] += 1
+                for rest in rec(tuple(nxt)):
+                    yield [groups[gi][used]] + rest
+
+    yield from rec(tuple(0 for _ in groups))
+
+
+def oracle_contract(forest: OrderedForest, partition: AdmissiblePartition) -> LinComb:
+    """Collapse each part to a vertex, one term per planar embedding: child
+    parts at one vertex keep their planar order, child parts at different
+    vertices of a part take every interleaving."""
+    index = _ForestIndex(forest.trees)
+    block_of: dict[int, int] = {}
+    for bi, block in enumerate(partition.blocks):
+        for v in block:
+            block_of[v] = bi
+
+    n_blocks = len(partition.blocks)
+    child_groups: list[dict[int, list[int]]] = [dict() for _ in range(n_blocks)]
+    top_parts: list[int] = []
+    for bi, roots in enumerate(partition.part_roots):
+        parent = index.parent[roots[0]]
+        if parent is None:
+            top_parts.append(bi)
+        else:
+            child_groups[block_of[parent]].setdefault(parent, []).append(bi)
+
+    # Per attachment vertex order child parts planar left-to-right: smaller
+    # stored positions sit planar-right, so sort by descending position.
+    grouped: list[list[list[int]]] = []
+    for bi in range(n_blocks):
+        groups = []
+        for parent in sorted(child_groups[bi]):
+            members = child_groups[bi][parent]
+            members.sort(
+                key=lambda cb: -min(index.position[r] for r in partition.part_roots[cb])
+            )
+            groups.append(members)
+        grouped.append(groups)
+
+    top_parts.sort(key=lambda cb: min(index.position[r] for r in partition.part_roots[cb]))
+    choices = [list(merge_orders(groups)) for groups in grouped]
+
+    def build(combo, bi: int) -> PlanarTree:
+        planar_children = [build(combo, cb) for cb in combo[bi]]
+        return PlanarTree(tuple(reversed(planar_children)))
+
+    return LinComb(
+        (OrderedForest(tuple(build(combo, bi) for bi in top_parts)), 1)
+        for combo in itertools.product(*choices)
     )

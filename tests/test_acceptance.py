@@ -95,7 +95,7 @@ def _postlie_symbolic_example():
         Leaf(0),
         Bracket(
             Graft(Leaf(2), Leaf(1)),
-            Graft(Concat(Leaf(4), Leaf(5)), Leaf(3)),
+            Graft(Concat(Leaf(5), Leaf(4)), Leaf(3)),
         ),
     )
     rng = random.Random(1)

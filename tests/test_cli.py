@@ -132,6 +132,14 @@ def test_operad_postlie_bracket(capsys):
     assert "[] [[]]" in out and "[[]] []" in out
 
 
+def test_operad_postlie_reads_asymmetric_trees_planar(capsys):
+    """A tree as the only input of a single vertex comes back unchanged."""
+    for tree in ("[[][[]]]", "[[[]][]]", "[[][[]][[][]]]"):
+        argv = ["operad", "--mode", "postlie", "--base", "[]", "--inputs", tree]
+        assert run(argv) == 0
+        assert capsys.readouterr().out == f"1 * {tree}\n"
+
+
 def test_substitute_and_compose_files(tmp_path, capsys):
     alpha = CharacterMap(2, 0, [(pf("[]"), 1), (pf("[[]]"), Fraction(1, 2))])
     beta = CharacterMap(2, 1, [(pf("[]"), 1), (pf("[[]]"), Fraction(1, 3))])
@@ -162,6 +170,18 @@ def test_substitute_and_compose_files(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert "order 2" in out
+
+
+@pytest.mark.parametrize("order", ["-1", "0"])
+@pytest.mark.parametrize("command", ["substitute", "compose"])
+def test_series_product_order_below_one_is_an_input_error(tmp_path, capsys, command, order):
+    path = tmp_path / "char.json"
+    path.write_text(json.dumps(CharacterMap(2, 0, [(pf("[]"), 1)]).to_json()))
+    argv = [command, "--alpha", str(path), "--beta", str(path), "--order", order]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --order must be at least 1\n"
 
 
 def test_bseries_eval_and_verify(tmp_path, capsys):

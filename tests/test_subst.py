@@ -42,7 +42,7 @@ from lbseries.subst import (
 from lbseries.seriesmorph import a_alpha
 from lbseries.trees import enumerate_ordered_forests, enumerate_planar_trees
 
-from partition_oracle import oracle_delta_w, oracle_partitions
+from partition_oracle import oracle_contract, oracle_delta_w, oracle_partitions
 from worked_examples import RHO_EXAMPLE_1, RHO_EXAMPLE_2, RHO_EXAMPLE_3, W_EXAMPLE
 
 pf = parse_forest
@@ -68,7 +68,7 @@ def test_symbolic_substitution_display():
         Leaf(0),
         Bracket(
             Graft(Leaf(2), Leaf(1)),
-            Graft(Concat(Leaf(4), Leaf(5)), Leaf(3)),
+            Graft(Concat(Leaf(5), Leaf(4)), Leaf(3)),
         ),
     )
     rng = random.Random(9)
@@ -104,6 +104,14 @@ def test_compose_module_examples():
     assert compose_module([lp("[[]]"), lp("[]")], pf("[] []")) == LinComb.of(
         pf("[[]] []")
     )
+
+
+def test_compose_module_unit_law():
+    """Single vertices substituted into every vertex give the forest back."""
+    dot = lp("[]")
+    for n in range(1, 7):
+        for forest in enumerate_ordered_forests(n):
+            assert compose_module([dot] * n, forest) == LinComb.of(forest)
 
 
 def test_compose_module_result_is_primitive_for_tree_bases():
@@ -172,6 +180,15 @@ def test_delta_w_matches_the_set_partition_oracle():
     for n in range(0, 7):
         for forest in enumerate_ordered_forests(n):
             assert delta_w(forest) == oracle_delta_w(forest)
+
+
+def test_contract_matches_the_interleaving_oracle():
+    """Concatenating and shuffling the child parts of each skeleton gives
+    the sum over every interleaving of them, on every partition."""
+    for n in range(0, 7):
+        for forest in enumerate_ordered_forests(n):
+            for p in admissible_partitions(forest):
+                assert contract(forest, p) == oracle_contract(forest, p)
 
 
 def test_vanishing_parts_are_the_all_equal_forests():
