@@ -76,7 +76,6 @@ from .subst import (
     Leaf,
     SymLieWord,
     admissible_partitions,
-    check_cointeraction,
     check_pi_morphism,
     compose_module,
     compose_postlie_operad,
@@ -97,6 +96,7 @@ from .seriesmorph import (
     series_of,
     substitute_lb,
 )
+from .laws import check_cointeraction
 from .numericdemo import (
     Poly,
     PolyVectorField,

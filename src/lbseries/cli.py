@@ -256,6 +256,9 @@ def cmd_bseries(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag in ("order", "guard"):
+        if getattr(args, flag) is not None and getattr(args, flag) < 1:
+            raise CliError(f"--{flag} must be at least 1")
     names = law_names() if args.all else [args.law]
     if not args.all and args.law not in REGISTRY:
         raise CliError(

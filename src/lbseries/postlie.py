@@ -20,10 +20,7 @@ from .trees import EMPTY_FOREST, OrderedForest, PlanarTree
 
 
 def _tree_onto_tree(t1: PlanarTree, t2: PlanarTree) -> LinComb:
-    terms = []
-    for index in range(t2.vertex_count):
-        terms.append((OrderedForest((t2.attach_at(index, t1),)), 1))
-    return LinComb(terms)
+    return LinComb((OrderedForest((t,)), 1) for t in t2.graftings(t1))
 
 
 @lru_cache(maxsize=None)

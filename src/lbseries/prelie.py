@@ -24,11 +24,7 @@ from .trees import (
 
 def graft(t1: NonPlanarTree, t2: NonPlanarTree) -> LinComb:
     """Sum over all ways to add an edge from a vertex of ``t2`` to ``t1``'s root."""
-    rep1, rep2 = t1.rep, t2.rep
-    terms = []
-    for index in range(rep2.vertex_count):
-        terms.append((canonicalize(rep2.attach_at(index, rep1)), 1))
-    return LinComb(terms)
+    return LinComb((canonicalize(t), 1) for t in t2.rep.graftings(t1.rep))
 
 
 def graft_comb(x: LinComb, y: LinComb) -> LinComb:

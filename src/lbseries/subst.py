@@ -5,7 +5,8 @@ planar trees, the module structure of ordered forests over it, admissible
 vertex partitions with their contractions, the partition coaction (the
 production path for substitution), the bounded brute-force coaction oracle
 with Lie-bracket left legs, the induced convolution-style products on
-characters, and the cointeraction / projection checks.
+characters, and the projection check onto the extraction-contraction
+coproduct.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .coeffalg import CharacterMap, LinComb, SymWord, convolve_through, is_logarithmic
-from .postlie import LiePoly, b_plus, bracket, concat, delta_n, left_graft, shuffle, shuffle_comb
+from .postlie import LiePoly, b_plus, bracket, concat, left_graft, shuffle_comb
+from .prelie import delta_h
 from .trees import (
     EMPTY_FOREST,
     Forest,
@@ -279,12 +281,8 @@ def admissible_partitions(forest: OrderedForest) -> list[AdmissiblePartition]:
     partition is built once.  Blocks whose part has two or more trees, all
     equal, are left out: no in-order Lie bracketing of such a part is
     nonzero, and keeping them breaks coassociativity of the coaction.
+    Nothing is cached here: ``delta_w``, the heavy caller, caches per host.
     """
-    return list(_admissible_partitions(forest))
-
-
-@lru_cache(maxsize=None)
-def _admissible_partitions(forest: OrderedForest) -> tuple[AdmissiblePartition, ...]:
     index = _ForestIndex(forest.trees)
     # each kept block, with its part, once per host: listed at its first vertex
     blocks_at = [
@@ -304,7 +302,7 @@ def _admissible_partitions(forest: OrderedForest) -> tuple[AdmissiblePartition, 
             rec(assigned | mask, picked + (entry,))
 
     rec(0, ())
-    return tuple(out)
+    return out
 
 
 def contract(forest: OrderedForest, partition: AdmissiblePartition) -> LinComb:
@@ -516,106 +514,13 @@ def star_rho(alpha: CharacterMap, beta: CharacterMap, max_size_guard: int = 4) -
 
 
 # ---------------------------------------------------------------------------
-# Cointeraction and projection checks.
-
-
-def _rho_pair_product(x: LinComb, y: LinComb) -> LinComb:
-    """Product on (word, forest) tensors: words multiply, forests shuffle."""
-    return LinComb(
-        ((wx * wy, f), cx * cy * cs)
-        for (wx, fx), cx in x.items()
-        for (wy, fy), cy in y.items()
-        for f, cs in shuffle(fx, fy).items()
-    )
-
-
-def check_cointeraction(order: int, guard: int = 3, seed: int = 7) -> dict[str, bool]:
-    """Verify the coaction axioms at oracle scale and the character-level
-    compatibility with the composition convolution.
-
-    Returns a report mapping check names to pass/fail.
-    """
-    report: dict[str, bool] = {}
-
-    report["unit"] = rho_oracle(EMPTY_FOREST, guard) == LinComb.of(
-        (SymLieWord.unit(), EMPTY_FOREST)
-    )
-
-    ok = True
-    for total in range(2, guard + 1):
-        for a_size in range(1, total):
-            for fa in enumerate_ordered_forests(a_size):
-                for fb in enumerate_ordered_forests(total - a_size):
-                    lhs = LinComb(
-                        (term, c * ct)
-                        for w, c in shuffle(fa, fb).items()
-                        for term, ct in rho_oracle(w, guard).items()
-                    )
-                    rhs = _rho_pair_product(
-                        rho_oracle(fa, guard), rho_oracle(fb, guard)
-                    )
-                    if lhs != rhs:
-                        ok = False
-    report["multiplicative"] = ok
-
-    ok = True
-    for size in range(0, guard + 1):
-        for forest in enumerate_ordered_forests(size):
-            counit_side = LinComb(
-                (word, c)
-                for (word, quotient), c in rho_oracle(forest, guard).items()
-                if quotient.is_empty
-            )
-            expected = (
-                LinComb.of(SymLieWord.unit()) if forest.is_empty else LinComb()
-            )
-            if counit_side != expected:
-                ok = False
-    report["counit"] = ok
-
-    ok = True
-    for size in range(0, guard + 1):
-        for forest in enumerate_ordered_forests(size):
-            lhs = LinComb(
-                ((word, q1, q2), c * c2)
-                for (word, quotient), c in rho_oracle(forest, guard).items()
-                for (q1, q2), c2 in delta_n(quotient).items()
-            )
-            rhs = LinComb(
-                ((w1 * w2, r1, r2), c * c1 * c2)
-                for (q1, q2), c in delta_n(forest).items()
-                for (w1, r1), c1 in rho_oracle(q1, guard).items()
-                for (w2, r2), c2 in rho_oracle(q2, guard).items()
-            )
-            if lhs != rhs:
-                ok = False
-    report["coaction-compat"] = ok
-
-    from .seriesmorph import compose_lb
-    from .laws import random_logarithmic_character, random_character
-    import random
-
-    rng = random.Random(seed)
-    ok = True
-    alpha = random_logarithmic_character(order, rng)
-    a = random_character(order, rng)
-    b = random_character(order, rng)
-    lhs = star_w(alpha, compose_lb(a, b))
-    rhs = compose_lb(star_w(alpha, a), star_w(alpha, b))
-    for size in range(0, order + 1):
-        for forest in enumerate_ordered_forests(size):
-            if lhs(forest) != rhs(forest):
-                ok = False
-    report["character-identity"] = ok
-    return report
+# Projection check.
 
 
 def check_pi_morphism(tree: PlanarTree) -> bool:
     """Projecting the partition coaction onto non-planar forests (brackets
     killed, embeddings collapsed) must reproduce the extraction-contraction
     coproduct of the underlying non-planar tree."""
-    from .prelie import delta_h
-
     forest = OrderedForest((tree,))
     terms = []
     for (word, quotient), c in delta_w(forest).items():

@@ -58,27 +58,16 @@ class PlanarTree:
     def serialize(self) -> str:
         return "[" + "".join(c.serialize() for c in self.children) + "]"
 
-    def attach_at(self, index: int, sub: "PlanarTree") -> "PlanarTree":
-        """Return a copy with ``sub`` grafted leftmost below preorder vertex ``index``.
+    def graftings(self, sub: "PlanarTree"):
+        """Yield copies with ``sub`` grafted leftmost below each vertex, in preorder.
 
         "Leftmost" appends ``sub`` to the vertex's stored child tuple.
         """
-        tree, rest = self._attach(index, sub)
-        if rest is not None:
-            raise IndexError(f"vertex index {index} out of range")
-        return tree
-
-    def _attach(self, index: int, sub: "PlanarTree"):
-        if index == 0:
-            return PlanarTree(self.children + (sub,)), None
-        index -= 1
-        new_children = list(self.children)
-        for i, c in enumerate(self.children):
-            if index < c.vertex_count:
-                new_children[i], _ = c._attach(index, sub)
-                return PlanarTree(new_children), None
-            index -= c.vertex_count
-        return self, index
+        children = self.children
+        yield PlanarTree(children + (sub,))
+        for i, child in enumerate(children):
+            for grafted in child.graftings(sub):
+                yield PlanarTree(children[:i] + (grafted,) + children[i + 1 :])
 
     def to_json(self):
         return [c.to_json() for c in self.children]

@@ -383,6 +383,33 @@ def test_unknown_law_is_usage_error(capsys):
     assert "unknown law" in capsys.readouterr().err
 
 
+def test_verify_all_json_golden_at_order_3(capsys):
+    """All 18 records, in registry order, with the two documented
+    counterexamples."""
+    counterexamples = {"w-coassoc": "coassociativity at [[]] []", "pi-morphism": "[[][]]"}
+    expected = [
+        {
+            "counterexample": counterexamples.get(name),
+            "law": name,
+            "order": 3,
+            "passed": name not in counterexamples,
+        }
+        for name in EXPECTED_LAWS
+    ]
+    assert run(["verify", "--all", "--order", "3", "--format", "json"]) == 2
+    assert capsys.readouterr().out == json.dumps(expected, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+@pytest.mark.parametrize("flag", ["--order", "--guard"])
+@pytest.mark.parametrize("target", [["--all"], ["cointeraction"]], ids=["all", "one"])
+def test_verify_order_or_guard_below_one_is_an_input_error(capsys, target, flag, value):
+    assert run(["verify", *target, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be at least 1\n"
+
+
 def test_deterministic_output(capsys):
     run(["coproduct", "--op", "n", "[[][]] [[]]"])
     first = capsys.readouterr().out

@@ -1,0 +1,95 @@
+"""The law layer: one result shape, its failure path, and its place above
+the kernel."""
+
+import ast
+from pathlib import Path
+
+import lbseries
+from lbseries import laws
+from lbseries.coeffalg import LinComb
+from lbseries.laws import run_law
+from lbseries.trees import EMPTY_FOREST, parse_forest
+
+SOURCES = sorted(Path(lbseries.__file__).parent.glob("*.py"))
+
+
+def test_run_law_reports_a_wrong_coproduct(monkeypatch):
+    """A left-cut coproduct that loses its (1, f) term breaks the counit law
+    at the single vertex."""
+    right = laws.delta_n
+
+    def wrong_delta_n(forest):
+        if forest.is_empty:
+            return right(forest)
+        return right(forest) - LinComb.of((EMPTY_FOREST, forest))
+
+    monkeypatch.setattr(laws, "delta_n", wrong_delta_n)
+    result = run_law("n-coassoc", 3)
+    assert (result.name, result.passed, result.order) == ("n-coassoc", False, 3)
+    assert result.counterexample == "counit at []"
+
+
+def test_run_law_reports_a_wrong_product(monkeypatch):
+    """With the Grossman-Larson product's arguments swapped, duality with the
+    left-cut coproduct first fails at the cherry."""
+    right = laws.gl_product
+    monkeypatch.setattr(laws, "gl_product", lambda f1, f2: right(f2, f1))
+    result = run_law("gl-duality", 4)
+    assert (result.name, result.passed, result.order) == ("gl-duality", False, 4)
+    assert parse_forest(result.counterexample).serialize() == "[[][]]"
+
+
+def test_cointeraction_law_passes_its_guard_and_names_failing_checks(monkeypatch):
+    calls = []
+
+    def report(order, guard, seed):
+        calls.append((order, guard, seed))
+        return {"unit": False, "multiplicative": True, "counit": False}
+
+    monkeypatch.setattr(laws, "check_cointeraction", report)
+    result = run_law("cointeraction", 2, 0, seed=5)
+    assert not result.passed and result.counterexample == "unit, counit"
+    run_law("cointeraction", 2)
+    assert calls == [(2, 0, 5), (2, 3, 0)]
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """Sibling modules named by the relative or ``lbseries.`` imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module is None:
+                names.update(alias.name for alias in node.names)
+            elif node.level == 1 or (node.module or "").startswith("lbseries."):
+                names.add(node.module.split(".")[-1])
+        elif isinstance(node, ast.Import):
+            names.update(
+                alias.name.split(".")[-1] for alias in node.names if alias.name.startswith("lbseries.")
+            )
+    return names
+
+
+def test_only_the_law_and_cli_layers_import_them():
+    """No kernel module imports ``laws`` or ``cli``; ``laws`` imports only at
+    module top and builds ``LawResult`` only in ``run_law``."""
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        if path.stem not in ("laws", "cli", "__init__"):
+            assert not _imported_modules(tree) & {"laws", "cli"}, path.name
+        if path.stem != "laws":
+            continue
+        top = set(map(id, tree.body))
+        nested = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+        ]
+        assert nested == [], f"laws.py imports inside a function at lines {nested}"
+        builders = [
+            func.name
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef)
+            for call in ast.walk(func)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "LawResult"
+        ]
+        assert builders == ["run_law"]

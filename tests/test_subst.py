@@ -282,8 +282,8 @@ def test_w_coassoc_law_documents_the_defect():
     counterexample (see the w-coassoc law docstring)."""
     result = run_law("w-coassoc", 4)
     assert not result.passed
+    # a counit failure anywhere up to order 4 would be reported instead
     assert result.counterexample == "coassociativity at [[]] []"
-    assert "counit laws pass" in (result.detail or "")
     assert run_law("w-coassoc", 2).passed  # no degenerate quotient below three vertices
 
 
