@@ -79,7 +79,6 @@ from .subst import (
     check_pi_morphism,
     compose_module,
     compose_postlie_operad,
-    contract,
     delta_w,
     forest_expr,
     rho_oracle,

@@ -12,10 +12,9 @@ import argparse
 import itertools
 import json
 import sys
-from fractions import Fraction
 
-from .coeffalg import CharacterMap, LinComb, format_basis, format_lincomb
-from .laws import REGISTRY, law_names, run_law
+from .coeffalg import CharacterMap, LinComb, _as_fraction, format_basis, format_lincomb
+from .laws import REGISTRY, law_names, reads_guard, run_law
 from .postlie import LiePoly, delta_n, delta_shuffle, gl_product, left_graft, shuffle
 from .prelie import delta_ck, delta_h, graft_comb
 from .seriesmorph import compose_lb, substitute_lb
@@ -229,10 +228,10 @@ def cmd_bseries(args) -> int:
     if args.order is not None and args.order < 1:
         raise CliError("--order must be at least 1")
     field = _read("field", args.field, PolyVectorField.load)
-    y0 = [Fraction(x) for x in args.y0.split(",")]
+    y0 = [_as_fraction(x) for x in args.y0.split(",")]
     if args.action == "eval":
         alpha = _load_character(args.alpha, planar=False)
-        h = Fraction(args.step) if args.step is not None else None
+        h = _as_fraction(args.step) if args.step is not None else None
         result = bseries_eval(h, field, alpha, y0, args.order or alpha.order)
         if h is None:
             payload = [
@@ -264,6 +263,9 @@ def cmd_verify(args) -> int:
         raise CliError(
             f"unknown law {args.law!r}; known: {', '.join(law_names())}"
         )
+    if args.guard is not None and not any(map(reads_guard, names)):
+        readers = ", ".join(filter(reads_guard, law_names()))
+        raise CliError(f"--guard is read only by {readers}")
     results = []
     for name in names:
         result = run_law(name, args.order, args.guard, args.seed)

@@ -20,11 +20,15 @@ _ZERO = Fraction(0)
 
 def _as_fraction(c) -> Fraction:
     """Exact rational from a Fraction, an int or a ``"p/q"`` string; a float
-    (such as a JSON number with a fraction part) or a bool is rejected."""
+    (such as a JSON number with a fraction part), a bool or a zero
+    denominator is rejected."""
     if isinstance(c, Fraction):
         return c
     if isinstance(c, (int, str)) and not isinstance(c, bool):
-        return Fraction(c)
+        try:
+            return Fraction(c)
+        except ZeroDivisionError:
+            pass
     raise ValueError(f"not an exact rational: {c!r}")
 
 
@@ -440,7 +444,7 @@ def parse_lincomb(text: str, word_parser: Callable = parse_forest) -> LinComb:
             raise ValueError("empty term in linear combination")
         if "*" in chunk:
             coeff_text, _, word_text = chunk.partition("*")
-            coeff = Fraction(coeff_text.strip())
+            coeff = _as_fraction(coeff_text.strip())
         else:
             coeff, word_text = Fraction(1), chunk
         word_text = word_text.strip()

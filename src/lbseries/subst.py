@@ -2,11 +2,11 @@
 
 This module houses the vertex-replacement operad on Lie polynomials of
 planar trees, the module structure of ordered forests over it, admissible
-vertex partitions with their contractions, the partition coaction (the
-production path for substitution), the bounded brute-force coaction oracle
-with Lie-bracket left legs, the induced convolution-style products on
-characters, and the projection check onto the extraction-contraction
-coproduct.
+vertex partitions, the partition coaction (the production path for
+substitution, a recursion on the block of a forest's first vertex), the
+bounded coaction oracle with Lie-bracket left legs, the induced
+convolution-style products on characters, and the projection check onto
+the extraction-contraction coproduct.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .coeffalg import CharacterMap, LinComb, SymWord, convolve_through, is_logarithmic
-from .postlie import LiePoly, b_plus, bracket, concat, left_graft, shuffle_comb
+from .postlie import LiePoly, b_plus, bracket, concat, left_graft, shuffle
 from .prelie import delta_h
 from .trees import (
     EMPTY_FOREST,
@@ -178,7 +178,7 @@ def compose_module(
 
 
 # ---------------------------------------------------------------------------
-# Admissible partitions and contraction.
+# Admissible partitions and the partition coaction.
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,6 @@ class AdmissiblePartition:
     own preorder.
     """
 
-    host: OrderedForest
     blocks: tuple[frozenset[int], ...]
     parts: tuple[OrderedForest, ...]
     part_roots: tuple[tuple[int, ...], ...]
@@ -281,7 +280,8 @@ def admissible_partitions(forest: OrderedForest) -> list[AdmissiblePartition]:
     partition is built once.  Blocks whose part has two or more trees, all
     equal, are left out: no in-order Lie bracketing of such a part is
     nonzero, and keeping them breaks coassociativity of the coaction.
-    Nothing is cached here: ``delta_w``, the heavy caller, caches per host.
+    Nothing is cached here; the coaction does not list partitions, it
+    walks only the blocks at a forest's first vertex (``_coaction``).
     """
     index = _ForestIndex(forest.trees)
     # each kept block, with its part, once per host: listed at its first vertex
@@ -295,7 +295,7 @@ def admissible_partitions(forest: OrderedForest) -> list[AdmissiblePartition]:
     def rec(assigned: int, picked: tuple) -> None:
         if assigned == full:
             columns = tuple(zip(*picked)) or ((),) * 4
-            out.append(AdmissiblePartition(forest, *columns))
+            out.append(AdmissiblePartition(*columns))
             return
         v = (~assigned & (assigned + 1)).bit_length() - 1
         for mask, entry in blocks_at[v]:
@@ -305,56 +305,47 @@ def admissible_partitions(forest: OrderedForest) -> list[AdmissiblePartition]:
     return out
 
 
-def contract(forest: OrderedForest, partition: AdmissiblePartition) -> LinComb:
-    """Collapse each part to a vertex; sum over compatible planar embeddings.
+def _pair_product(x: LinComb, y: LinComb) -> LinComb:
+    """Product on (word, forest) tensors: words multiply, forests shuffle."""
+    return LinComb(
+        ((wx * wy, f), cx * cy * cs)
+        for (wx, fx), cx in x.items()
+        for (wy, fy), cy in y.items()
+        for f, cs in shuffle(fx, fy).items()
+    )
 
-    Children-parts grafted at the same host vertex keep their planar order
-    (they concatenate); parts grafted at different vertices of one part
-    interleave freely (their forests shuffle), which makes the coefficient
-    of each quotient forest a count of linear extensions.
+
+def _coaction(forest: OrderedForest, leg, coaction) -> LinComb:
+    """The partition coaction of a non-empty forest, by recursion on the
+    block that holds its first vertex.
+
+    Once that block is chosen, every other block lies in one of the
+    smaller forests it leaves: below each block vertex, the children it
+    does not take (planar left to right), and after it, the top-level trees
+    past its roots.  Their coactions (``coaction``) multiply in: words
+    multiply, the forests hanging below the block shuffle and ``b_plus``
+    closes them under the collapsed block, and the rest concatenates.
+    ``leg`` maps a part to its left legs, as (word, coefficient) pairs.
     """
-    if partition.host != forest:
-        raise ValueError("partition does not belong to this forest")
-    return _contract(_ForestIndex(forest.trees), partition)
-
-
-def _contract(index: _ForestIndex, partition: AdmissiblePartition) -> LinComb:
-    """``contract`` with the host's index built by the caller, once per host."""
-    owner = [0] * index.n
-    for bi, vertices in enumerate(partition.part_vertices):
-        for v in vertices:
-            owner[v] = bi
-
-    def forest(roots) -> tuple:
-        # the roots of one block are adjacent siblings: one run per block
-        return tuple(block(bi) for bi, _ in itertools.groupby(owner[r] for r in roots))
-
-    def block(bi: int) -> tuple:
-        groups = (
-            [c for c in reversed(index.children[v]) if owner[c] != bi]
-            for v in partition.part_vertices[bi]
-        )
-        return tuple(forest(kids) for kids in groups if kids)
-
-    return _contract_skeleton(forest(index.roots))
-
-
-@lru_cache(maxsize=None)
-def _contract_skeleton(skeleton: tuple) -> LinComb:
-    """The quotient forests of a partition skeleton.
-
-    A skeleton lists blocks planar left to right; a block lists, per vertex
-    with child parts, the skeleton of those parts (planar left to right).
-    The parts at one vertex concatenate, the vertices' forests shuffle, and
-    ``b_plus`` closes each block into a tree.
-    """
-    out = LinComb.of(EMPTY_FOREST)
-    for groups in skeleton:
-        children = LinComb.of(EMPTY_FOREST)
-        for group in groups:
-            children = shuffle_comb(children, _contract_skeleton(group))
-        out = concat(out, children.map_basis(lambda f: OrderedForest((b_plus(f),))))
-    return out
+    index = _ForestIndex(forest.trees)
+    terms = []
+    for _, (block, part, roots, visited) in _blocks_at(index, index.roots, 0):
+        below = LinComb(((word, EMPTY_FOREST), c) for word, c in leg(part))
+        for v in visited:
+            hanging = [index.subtree[c] for c in reversed(index.children[v]) if c not in block]
+            if hanging:
+                below = _pair_product(below, coaction(OrderedForest(hanging)))
+        rest = coaction(OrderedForest(forest.trees[len(roots) :])).items()
+        for (wb, fb), cb in below.items():
+            head = (b_plus(fb),)
+            terms.extend(
+                ((wb * wr, OrderedForest(head + fr.trees)), cb * cr) for (wr, fr), cr in rest
+            )
+    # equal words and quotients of different terms share one object
+    shared: dict = {}
+    return LinComb(
+        ((shared.setdefault(w, w), shared.setdefault(q, q)), c) for (w, q), c in terms
+    )
 
 
 @lru_cache(maxsize=None)
@@ -362,16 +353,11 @@ def delta_w(forest: OrderedForest) -> LinComb:
     """Partition coaction: symmetric words of parts tensor contractions."""
     if forest.is_empty:
         return LinComb.of((SymWord.unit(), EMPTY_FOREST))
-    index = _ForestIndex(forest.trees)
-    terms = []
-    for partition in admissible_partitions(forest):
-        word = SymWord(partition.parts)
-        terms.extend(((word, q), c) for q, c in _contract(index, partition).items())
-    return LinComb(terms)
+    return _coaction(forest, lambda part: ((SymWord.of(part), 1),), delta_w)
 
 
 # ---------------------------------------------------------------------------
-# Brute-force coaction with Lie-bracket left legs.
+# Coaction with Lie-bracket left legs.
 
 
 class SymLieWord:
@@ -391,9 +377,7 @@ class SymLieWord:
         return SymLieWord(self.factors + other.factors)
 
     def __eq__(self, other):
-        return isinstance(other, SymLieWord) and all(
-            a == b for a, b in zip(self.factors, other.factors)
-        ) and len(self.factors) == len(other.factors)
+        return isinstance(other, SymLieWord) and self.factors == other.factors
 
     def __hash__(self):
         return self._hash
@@ -415,12 +399,11 @@ class OracleGuardError(ValueError):
 
 
 def rho_oracle(forest: OrderedForest, max_size_guard: int = 4) -> LinComb:
-    """Coaction with Lie-polynomial left legs, by bounded brute force.
+    """Coaction with Lie-polynomial left legs, refusing forests above the guard.
 
-    For each admissible partition every nonzero in-order bracketing of each
-    multi-tree part contributes one left factor (vanishing bracketings drop
-    the partition); the right leg is the contraction sum.  Bracket factors
-    are stored sign-normalized so that opposite orientations cancel.
+    It is ``delta_w``'s recursion with another left leg: every nonzero
+    in-order bracketing of a part is one left factor, stored sign-normalized
+    so that opposite orientations cancel.  Nothing is cached.
     """
     if forest.vertex_count > max_size_guard:
         raise OracleGuardError(
@@ -428,23 +411,16 @@ def rho_oracle(forest: OrderedForest, max_size_guard: int = 4) -> LinComb:
         )
     if forest.is_empty:
         return LinComb.of((SymLieWord.unit(), EMPTY_FOREST))
-    index = _ForestIndex(forest.trees)
-    terms = []
-    for partition in admissible_partitions(forest):
-        per_part = [_nonzero_bracketings(part) for part in partition.parts]
-        if not all(per_part):
-            continue
-        quotient = _contract(index, partition)
-        for combo in itertools.product(*per_part):
-            sign = 1
-            factors = []
-            for lp in combo:
-                s, canonical = lp.sign_normalized()
-                sign *= s
-                factors.append(canonical)
-            word = SymLieWord(factors)
-            terms.extend(((word, q), sign * c) for q, c in quotient.items())
-    return LinComb(terms)
+    return _coaction(
+        forest, _bracket_leg, partial(rho_oracle, max_size_guard=max_size_guard)
+    )
+
+
+def _bracket_leg(part: OrderedForest):
+    """The sign-normalized nonzero in-order bracketings of a part."""
+    for lp in _nonzero_bracketings(part):
+        sign, canonical = lp.sign_normalized()
+        yield SymLieWord((canonical,)), sign
 
 
 # ---------------------------------------------------------------------------

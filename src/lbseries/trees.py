@@ -178,17 +178,20 @@ class _ForestIndex:
     forest's ``trees``) with planar data.
 
     This is the package's one numbering of vertices: tree by tree, each
-    vertex before its children, children in stored order.
+    vertex before its children, children in stored order.  ``subtree``
+    holds the planar tree rooted at each vertex.
     """
 
     def __init__(self, trees: Sequence[PlanarTree]):
         self.parent: list[int | None] = []
         self.children: list[list[int]] = []
+        self.subtree: list[PlanarTree] = []
 
         def walk(node: PlanarTree, parent: int | None) -> int:
             my = len(self.parent)
             self.parent.append(parent)
             self.children.append([])
+            self.subtree.append(node)
             if parent is not None:
                 self.children[parent].append(my)
             for c in node.children:

@@ -6,9 +6,9 @@ constructively.  It costs Bell(n) candidates for n vertices and is kept
 only to cross-check ``lbseries.subst.admissible_partitions``.
 
 Contraction by listing every interleaving of the child parts of each part:
-the construction the package used before it evaluated partition skeletons
-with concatenation and shuffle.  It is kept only to cross-check
-``lbseries.subst.contract``.
+the construction the package used before it computed the coaction by
+recursion on the first block.  With the partitions above it gives
+``oracle_delta_w``, kept only to cross-check ``lbseries.subst.delta_w``.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def oracle_partitions(forest: OrderedForest) -> list[AdmissiblePartition]:
         if any(len(p.trees) > 1 and not _nonzero_bracketings(p) for p, _, _ in described):
             continue
         parts, roots, vertices = zip(*described) if described else ((), (), ())
-        out.append(AdmissiblePartition(forest, blocks, parts, roots, vertices))
+        out.append(AdmissiblePartition(blocks, parts, roots, vertices))
     return out
 
 

@@ -334,6 +334,15 @@ def test_bseries_verify_above_the_characters_order_is_an_input_error(golden_file
     assert captured.err.startswith("error: order 5 is above the characters' orders")
 
 
+@pytest.mark.parametrize("flag", ["--y0", "--step"])
+def test_zero_denominator_on_the_command_line_is_an_input_error(golden_files, capsys, flag):
+    argv = ["bseries", "eval", "--field", golden_files["field"], "--alpha", golden_files["beta"]]
+    assert run(argv + [flag, "1/0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: not an exact rational: '1/0'\n"
+
+
 @pytest.mark.parametrize("order", ["-1", "0"])
 @pytest.mark.parametrize("action", ["eval", "verify"])
 def test_bseries_order_below_one_is_an_input_error(golden_files, capsys, action, order):
@@ -410,6 +419,15 @@ def test_verify_order_or_guard_below_one_is_an_input_error(capsys, target, flag,
     assert captured.err == f"error: {flag} must be at least 1\n"
 
 
+def test_verify_guard_needs_a_law_that_reads_it(capsys):
+    assert run(["verify", "ck-coassoc", "--order", "3", "--guard", "9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --guard is read only by cointeraction\n"
+    assert run(["verify", "cointeraction", "--order", "3", "--guard", "4"]) == 0
+    assert capsys.readouterr().out == "PASS cointeraction (order 3)\n"
+
+
 def test_deterministic_output(capsys):
     run(["coproduct", "--op", "n", "[[][]] [[]]"])
     first = capsys.readouterr().out
@@ -453,6 +471,8 @@ CHARACTER = {"order": 1, "empty": "1", "values": {"[]": "1/2"}}
         ("field", {"dim": 1, "components": [{"monomials": [{"coeff": "1", "hpower": "1"}]}]}),
         ("field", {"dim": 1, "components": [{"monomials": [{"coeff": "1", "powers": [-1]}]}]}),
         ("field", {"dim": 1, "components": [{"monomials": [{"coeff": "1", "powers": 2}]}]}),
+        ("character", {**CHARACTER, "values": {"[]": "1/0"}}),
+        ("field", {"dim": 1, "components": [{"monomials": [{"coeff": "1/0", "powers": [2]}]}]}),
     ],
 )
 def test_inexact_or_malformed_json_is_an_input_error(tmp_path, capsys, kind, doc):

@@ -144,6 +144,11 @@ def test_lincomb_text_round_trip():
     )
 
 
+def test_parse_lincomb_rejects_a_zero_denominator():
+    with pytest.raises(ValueError):
+        parse_lincomb("1/0 * []")
+
+
 def test_bilinear_with_comb_values():
     x = LinComb.of(pf("[]"), 2)
     y = LinComb.of(pf("[]"), 3)

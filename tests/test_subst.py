@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -12,7 +13,6 @@ from lbseries import (
     check_pi_morphism,
     compose_module,
     compose_postlie_operad,
-    contract,
     delta_w,
     forest_expr,
     parse_forest,
@@ -42,7 +42,7 @@ from lbseries.subst import (
 from lbseries.seriesmorph import a_alpha
 from lbseries.trees import enumerate_ordered_forests, enumerate_planar_trees
 
-from partition_oracle import oracle_contract, oracle_delta_w, oracle_partitions
+from partition_oracle import oracle_delta_w, oracle_partitions
 from worked_examples import RHO_EXAMPLE_1, RHO_EXAMPLE_2, RHO_EXAMPLE_3, W_EXAMPLE
 
 pf = parse_forest
@@ -182,15 +182,6 @@ def test_delta_w_matches_the_set_partition_oracle():
             assert delta_w(forest) == oracle_delta_w(forest)
 
 
-def test_contract_matches_the_interleaving_oracle():
-    """Concatenating and shuffling the child parts of each skeleton gives
-    the sum over every interleaving of them, on every partition."""
-    for n in range(0, 7):
-        for forest in enumerate_ordered_forests(n):
-            for p in admissible_partitions(forest):
-                assert contract(forest, p) == oracle_contract(forest, p)
-
-
 def test_vanishing_parts_are_the_all_equal_forests():
     """A forest of two or more trees has no nonzero in-order Lie bracketing
     iff all its trees are equal."""
@@ -201,29 +192,40 @@ def test_vanishing_parts_are_the_all_equal_forests():
 
 
 def test_contract_examples():
+    """Contractions read off as coefficients of the coaction."""
     host = pf("[[[]][]]")
-    partitions = admissible_partitions(host)
-    by_parts = {}
-    for p in partitions:
-        key = tuple(sorted(part.serialize() for part in p.parts))
-        by_parts.setdefault(key, []).append(p)
-    # whole forest collapses to the single vertex
-    (whole,) = by_parts[("[[[]][]]",)]
-    assert contract(host, whole) == LinComb.of(pf("[]"))
-    # singleton partition is the identity contraction
-    (singles,) = by_parts[tuple(sorted(["[]"] * 4))]
-    assert contract(host, singles) == LinComb.of(host)
+    coaction = delta_w(host)
+    # the whole forest collapses to the single vertex
+    assert coaction.coeff((SymWord.of(host), pf("[]"))) == 1
+    # the singleton partition is the identity contraction
+    assert coaction.coeff((SymWord.of(*[pf("[]")] * 4), host)) == 1
     # the three-part partitions with a 2-chain produce three embeddings
-    total = LinComb()
-    for p in by_parts[tuple(sorted(["[]", "[]", "[[]]"]))]:
-        total = total + contract(host, p)
-    assert total == LinComb.of(pf("[[][]]"), 3)
+    word = SymWord.of(pf("[]"), pf("[]"), pf("[[]]"))
+    assert [(q, c) for (w, q), c in coaction.items() if w == word] == [(pf("[[][]]"), 3)]
 
 
-def test_contract_rejects_foreign_partition():
-    p = admissible_partitions(pf("[] [[]]"))[0]
-    with pytest.raises(ValueError):
-        contract(pf("[[]]"), p)
+# computed by the partition-and-contraction construction, before the
+# coaction became a recursion on its first block
+DELTA_W_DIGEST_7 = "2eba491dd8f7c5a07ac62f7ffd053979bffedf2f88c0c64655b7e5c123f83a09"
+
+
+def _delta_w_digest(order: int) -> str:
+    """sha256 of every forest's sorted, serialized ``delta_w`` terms."""
+    digest = hashlib.sha256()
+    for n in range(order + 1):
+        for forest in enumerate_ordered_forests(n):
+            terms = sorted(
+                f"{w.serialize()} (x) {q.serialize()} = {c}"
+                for (w, q), c in delta_w(forest).items()
+            )
+            digest.update("\n".join([forest.serialize(), *terms, ""]).encode())
+    return digest.hexdigest()
+
+
+def test_delta_w_is_pinned_to_order_7():
+    """Past the oracle's order 6: the coaction of every forest up to order 7
+    is unchanged from the partition-and-contraction construction."""
+    assert _delta_w_digest(7) == DELTA_W_DIGEST_7
 
 
 def test_delta_w_worked_example():
@@ -249,10 +251,10 @@ def test_rho_guard():
 def test_delta_w_matches_rho_on_tree_parts():
     """Coaction terms whose factors are single trees coincide between the
     bracket oracle and the partition coaction."""
-    for n in range(0, 4):
+    for n in range(0, 6):
         for forest in enumerate_ordered_forests(n):
             flattened = LinComb()
-            for (word, quotient), c in rho_oracle(forest, 4).items():
+            for (word, quotient), c in rho_oracle(forest, 5).items():
                 parts = []
                 for factor in word.factors:
                     words = list(factor.expansion.items())
