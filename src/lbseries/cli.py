@@ -15,8 +15,9 @@ import sys
 
 from .coeffalg import CharacterMap, LinComb, _as_fraction, format_basis, format_lincomb
 from .laws import REGISTRY, law_names, reads_guard, run_law
+from .numericdemo import PolyVectorField, bseries_eval, verify_bseries_substitution
 from .postlie import LiePoly, delta_n, delta_shuffle, gl_product, left_graft, shuffle
-from .prelie import delta_ck, delta_h, graft_comb
+from .prelie import compose_prelie_operad, delta_ck, delta_h, graft_comb
 from .seriesmorph import compose_lb, substitute_lb
 from .subst import Bracket, compose_postlie_operad, delta_w, expr_labels, tree_expr
 from .trees import (
@@ -171,8 +172,6 @@ def cmd_coproduct(args) -> int:
 def cmd_operad(args) -> int:
     inputs = [chunk for chunk in args.inputs.split(";") if chunk.strip()]
     if args.mode == "prelie":
-        from .prelie import compose_prelie_operad
-
         base = canonicalize(parse_tree(args.base))
         trees = [canonicalize(parse_tree(c)) for c in inputs]
         assignment = (
@@ -223,8 +222,6 @@ def _character_text(char: CharacterMap) -> str:
 
 
 def cmd_bseries(args) -> int:
-    from .numericdemo import PolyVectorField, bseries_eval, verify_bseries_substitution
-
     if args.order is not None and args.order < 1:
         raise CliError("--order must be at least 1")
     field = _read("field", args.field, PolyVectorField.load)

@@ -12,7 +12,13 @@ import json
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .trees import Forest, OrderedForest, parse_forest, parse_nonplanar_forest
+from .trees import (
+    EMPTY_FOREST,
+    OrderedForest,
+    enumerate_ordered_forests,
+    parse_forest,
+    parse_nonplanar_forest,
+)
 
 Rational = Fraction
 _ZERO = Fraction(0)
@@ -247,8 +253,10 @@ class CharacterMap:
     __slots__ = ("order", "empty_value", "values", "_logarithmic")
 
     def __init__(self, order: int, empty_value=0, values=None):
-        if type(order) is not int:
-            raise ValueError(f"truncation order must be an integer, not {order!r}")
+        if type(order) is not int or order < 0:
+            raise ValueError(
+                f"truncation order must be a non-negative integer, not {order!r}"
+            )
         self.order = order
         self.empty_value = _as_fraction(empty_value)
         self.values = {}
@@ -273,14 +281,18 @@ class CharacterMap:
     def on_comb(self, x: LinComb) -> Fraction:
         return evaluate(self, x)
 
-    def eval_multiplicative(self, forest) -> Fraction:
-        """Product of values over the tree factors (1 on the empty forest)."""
-        total = Fraction(1)
-        for t in forest.trees:
-            total *= self(_single(forest, t))
-            if not total:
-                return total
-        return total
+    def eval_multiplicative(self, factors) -> Fraction:
+        """Product of the values on a sequence of basis elements (1 on none).
+        The product starts from the first value, so k factors cost k - 1
+        multiplications, and it stops at a zero."""
+        if not factors:
+            return Fraction(1)
+        value = self(factors[0])
+        for f in factors[1:]:
+            if not value:
+                break
+            value *= self(f)
+        return value
 
     def __eq__(self, other):
         return (
@@ -303,13 +315,20 @@ class CharacterMap:
     @staticmethod
     def from_json(data: dict, planar: bool = True) -> "CharacterMap":
         """Read ``{"order": n, "empty": c, "values": {forest: c}}``; every
-        value is a ``"p/q"`` string or an integer."""
+        value is a ``"p/q"`` string or an integer.  Each forest gets one
+        value: two keys naming one forest, or a key naming the empty forest
+        beside ``"empty"``, are an error."""
         parse = parse_forest if planar else parse_nonplanar_forest
         values = data.get("values", {}) if isinstance(data, dict) else None
         if not isinstance(values, dict):
             raise ValueError('a character is an object with a "values" object')
-        values = [(parse(k), v) for k, v in values.items()]
-        return CharacterMap(data["order"], data.get("empty", 0), values)
+        parsed = {}
+        for key, value in values.items():
+            forest = parse(key)
+            if forest in parsed or (forest.is_empty and "empty" in data):
+                raise ValueError(f"key {key!r} names a forest that already has a value")
+            parsed[forest] = value
+        return CharacterMap(data["order"], data.get("empty", 0), parsed)
 
     @staticmethod
     def load(path, planar: bool = True) -> "CharacterMap":
@@ -320,17 +339,10 @@ class CharacterMap:
         return f"CharacterMap(order={self.order}, empty={self.empty_value}, {len(self.values)} values)"
 
 
-def _single(forest, tree):
-    if isinstance(forest, Forest):
-        return Forest((tree,))
-    return OrderedForest((tree,))
-
-
 def is_primitive_shuffle(x: LinComb, order: int) -> bool:
     """True iff every homogeneous component of ``x`` up to ``order`` is
     primitive for the unshuffling coproduct."""
     from .postlie import delta_shuffle
-    from .trees import EMPTY_FOREST
 
     by_degree: dict[int, list] = {}
     for forest, c in x.items():
@@ -350,8 +362,6 @@ def is_primitive_shuffle(x: LinComb, order: int) -> bool:
 
 
 def _shuffle_pairs(order: int):
-    from .trees import enumerate_ordered_forests
-
     for total in range(2, order + 1):
         for left_size in range(1, total):
             for left in enumerate_ordered_forests(left_size):

@@ -1,5 +1,6 @@
 """Planar-side algebra: left grafting, Lie polynomials, Grossman-Larson
-product, shuffle algebra and the planar left-cut coproduct.
+product, shuffle algebra and the planar left-cut coproduct, memoized and
+computed through the coproducts of the forests below each root.
 
 Left grafting attaches the root(s) of the first argument below a vertex of
 the second so that the new edge is leftmost there; with the stored child
@@ -13,9 +14,8 @@ in-place operation, so a cached result is safe to share.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable
 
-from .coeffalg import LinComb, bilinear
+from .coeffalg import LinComb, bilinear, format_lincomb
 from .trees import EMPTY_FOREST, OrderedForest, PlanarTree
 
 
@@ -95,13 +95,6 @@ def shuffle_comb(x: LinComb, y: LinComb) -> LinComb:
     return bilinear(x, y, shuffle)
 
 
-def shuffle_many(forests: Iterable[OrderedForest]) -> LinComb:
-    out = LinComb.of(EMPTY_FOREST)
-    for f in forests:
-        out = bilinear(out, LinComb.of(f), shuffle)
-    return out
-
-
 @lru_cache(maxsize=None)
 def delta_shuffle(forest: OrderedForest) -> LinComb:
     """Unshuffling coproduct: sum over complementary subsequences."""
@@ -119,47 +112,33 @@ def delta_shuffle(forest: OrderedForest) -> LinComb:
 def delta_n(forest: OrderedForest) -> LinComb:
     """Planar left-cut coproduct, dual to the Grossman-Larson product.
 
-    Left tensor legs are fully evaluated: components cut from a common
-    vertex are concatenated left-to-right and the per-vertex forests are
-    then shuffled into linear combinations of forests.  The coproduct of a
-    forest is computed through ``b_plus``/``b_minus``.
+    The cut at the forest's (virtual) root takes a planar-left run
+    ``trees[:j]`` whole; every later tree keeps its root and is cut through
+    ``delta_n`` of the forest below that root, ``b_plus`` closing its right
+    leg.  Left legs shuffle and right legs concatenate.
     """
+    trees = forest.trees
+    # the cuts of trees[j:], each keeping its root, as j falls
+    kept = LinComb.of((EMPTY_FOREST, EMPTY_FOREST))
     terms = []
-    for pieces, remainder in _cuts(b_plus(forest)):
-        right = b_minus(remainder)
-        terms.extend(((w, right), c) for w, c in shuffle_many(pieces).items())
+    for j in range(len(trees), -1, -1):
+        run = LinComb.of((OrderedForest(trees[:j]), EMPTY_FOREST))
+        terms.extend(_shuffle_concat(run, kept).items())
+        if j:
+            below = delta_n(b_minus(trees[j - 1])).items()
+            closed = LinComb(((l, OrderedForest((b_plus(r),))), c) for (l, r), c in below)
+            kept = _shuffle_concat(closed, kept)
     return LinComb(terms)
 
 
-def _cuts(tree: PlanarTree):
-    """Yield (cut-off forests, remaining tree) over admissible left cuts.
-
-    At each vertex the cut edges form a suffix of the stored child tuple
-    (the planar-left block); below a cut edge nothing else is cut.  The
-    forest cut from one vertex lists its subtrees in planar left-to-right
-    order, i.e. reversed storage order.
-    """
-    children = tree.children
-    k = len(children)
-    for split in range(k + 1):
-        kept, removed = children[:split], children[split:]
-        piece = (
-            (OrderedForest(tuple(reversed(removed))),) if removed else ()
-        )
-        for combo in _cut_combos(kept):
-            sub_pieces, sub_trees = combo
-            yield piece + sub_pieces, PlanarTree(sub_trees)
-
-
-def _cut_combos(kept: tuple):
-    if not kept:
-        yield (), ()
-        return
-    head, tail = kept[0], kept[1:]
-    head_options = list(_cuts(head))
-    for tail_pieces, tail_trees in _cut_combos(tail):
-        for head_pieces, head_tree in head_options:
-            yield head_pieces + tail_pieces, (head_tree,) + tail_trees
+def _shuffle_concat(x: LinComb, y: LinComb) -> LinComb:
+    """Product on tensors of forests: left legs shuffle, right legs concatenate."""
+    return LinComb(
+        ((w, rx.concat(ry)), cx * cy * cw)
+        for (lx, rx), cx in x.items()
+        for (ly, ry), cy in y.items()
+        for w, cw in shuffle(lx, ly).items()
+    )
 
 
 class LiePoly:
@@ -226,8 +205,6 @@ class LiePoly:
     def serialize(self) -> str:
         if self.display is not None:
             return self.display
-        from .coeffalg import format_lincomb
-
         return format_lincomb(self.expansion)
 
     def __repr__(self):

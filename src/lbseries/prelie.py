@@ -1,6 +1,10 @@
 """Non-planar side: grafting, the vertex-replacement operad, and the two
 coproducts that govern composition (admissible edge cuts) and substitution
 (extraction-contraction of spanning subforests) for series over rooted trees.
+
+Both coproducts are given on a tree by recursion at its root, where each
+child's own terms are computed once, and extended multiplicatively over the
+trees of a forest.
 """
 
 from __future__ import annotations
@@ -112,71 +116,58 @@ def _delta_ck_tree(tree: NonPlanarTree) -> LinComb:
     return LinComb(terms)
 
 
-def _forest_tensor_mul(x: LinComb, y: LinComb) -> LinComb:
-    return bilinear(x, y, lambda a, b: (a[0].mul(b[0]), a[1].mul(b[1])))
+def _multiplicative(tree_coproduct, forest: Forest) -> LinComb:
+    """A coproduct given on trees, extended multiplicatively over a forest."""
+    out = LinComb.of((EMPTY_NP_FOREST, EMPTY_NP_FOREST))
+    for t in forest.trees:
+        out = bilinear(out, tree_coproduct(t), lambda a, b: (a[0].mul(b[0]), a[1].mul(b[1])))
+    return out
 
 
 def delta_ck(forest: Forest) -> LinComb:
     """Admissible-cut coproduct, multiplicative over forest factors."""
-    out = LinComb.of((EMPTY_NP_FOREST, EMPTY_NP_FOREST))
-    for t in forest.trees:
-        out = _forest_tensor_mul(out, _delta_ck_tree(t))
-    return out
+    return _multiplicative(_delta_ck_tree, forest)
 
 
-def _vertex_partitions(tree: PlanarTree):
-    """Yield (parts, contraction) over spanning subforests of one tree.
+def _root_blocks(rep: PlanarTree) -> LinComb:
+    """The spanning subforests of a tree before contraction, keyed by (the
+    part holding the root, the other parts, the quotients hanging below the
+    root's part).
 
-    Every subset of edges spans a subforest; parts are the connected
-    components of the kept edges and the contraction collapses each part to
-    one vertex.
+    Every edge to a child is kept or cut.  A kept edge joins the child's own
+    root part to the root's; a cut one adds the child's parts to the others
+    and hangs the child's contracted tree below the root's part.  Both come
+    from the child's own terms, so each subtree is computed once.
     """
-    index = _ForestIndex((tree,))
-    n = index.n
-    # bit v - 1 of the mask keeps the edge from vertex v to its parent; a
-    # parent precedes its children in preorder, so one pass finds the root
-    # of every vertex's part
-    for mask in range(1 << (n - 1)):
-        top = list(range(n))
-        for v in range(1, n):
-            if mask >> (v - 1) & 1:
-                top[v] = top[index.parent[v]]
-        groups: dict[int, list[int]] = {}
-        for v in range(n):
-            groups.setdefault(top[v], []).append(v)
-        parts = Forest(
-            tuple(
-                canonicalize(index.induced_tree(root, frozenset(members)))
-                for root, members in groups.items()
-            )
+    out = LinComb.of(((), EMPTY_NP_FOREST, EMPTY_NP_FOREST))
+    for child in rep.children:
+        terms = _root_blocks(child)
+        joined = terms.map_basis(lambda k: ((k[0],), k[1], k[2]))
+        cut = terms.map_basis(lambda k: ((), *_contract(*k)))
+        out = bilinear(
+            out, joined + cut, lambda a, b: (a[0] + b[0], a[1].mul(b[1]), a[2].mul(b[2]))
         )
+    return out.map_basis(lambda k: (PlanarTree(k[0]), k[1], k[2]))
 
-        def build_quotient(root: int) -> PlanarTree:
-            return PlanarTree(
-                tuple(
-                    build_quotient(c)
-                    for member in groups[root]
-                    for c in index.children[member]
-                    if top[c] == c
-                )
-            )
 
-        yield parts, canonicalize(build_quotient(0))
+def _contract(part: PlanarTree, others: Forest, hanging: Forest) -> tuple[Forest, Forest]:
+    """The ``delta_h`` term (all parts, quotient) of a :func:`_root_blocks` term.
+
+    The root's part is canonicalized: its kept children may have lost
+    vertices, so their order can break.  The quotient needs no sort, since
+    a ``Forest`` keeps its trees in canonical child order.
+    """
+    quotient = NonPlanarTree(PlanarTree(tuple(t.rep for t in hanging.trees)))
+    return others.mul(Forest((canonicalize(part),))), Forest((quotient,))
 
 
 def _delta_h_tree(tree: NonPlanarTree) -> LinComb:
-    terms = []
-    for parts, quotient in _vertex_partitions(tree.rep):
-        terms.append(((parts, Forest((quotient,))), 1))
-    return LinComb(terms)
+    return _root_blocks(tree.rep).map_basis(lambda k: _contract(*k))
 
 
 def delta_h(forest: Forest) -> LinComb:
     """Extraction-contraction coproduct, multiplicative over forest factors."""
-    out = LinComb.of((EMPTY_NP_FOREST, EMPTY_NP_FOREST))
-    for t in forest.trees:
-        out = _forest_tensor_mul(out, _delta_h_tree(t))
-    return out
+    return _multiplicative(_delta_h_tree, forest)
 
 
 # ---------------------------------------------------------------------------
@@ -304,4 +295,8 @@ def convolve(a: CharacterMap, b: CharacterMap, coproduct: str) -> CharacterMap:
     if a.order != b.order:
         raise ValueError("truncation orders differ")
     delta = delta_ck if coproduct == "ck" else delta_h
-    return convolve_through(delta, a.eval_multiplicative, b, enumerate_forests, a.order)
+
+    def left(forest: Forest) -> Fraction:
+        return a.eval_multiplicative([Forest((t,)) for t in forest.trees])
+
+    return convolve_through(delta, left, b, enumerate_forests, a.order)

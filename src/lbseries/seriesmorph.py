@@ -6,9 +6,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffalg import CharacterMap, LinComb, convolve_through
+from .coeffalg import CharacterMap, LinComb, convolve_through, format_lincomb
 from .postlie import b_minus, concat, delta_n, left_graft
-from .subst import _require_logarithmic, _word_value, delta_w, star_w
+from .subst import _require_logarithmic, delta_w, star_w
 from .trees import EMPTY_FOREST, OrderedForest, enumerate_ordered_forests
 
 
@@ -47,8 +47,6 @@ class TruncatedSeries:
         )
 
     def __repr__(self):
-        from .coeffalg import format_lincomb
-
         return f"TruncatedSeries(order={self.order}, {format_lincomb(self.element)})"
 
 
@@ -118,7 +116,7 @@ def a_alpha_dagger(alpha: CharacterMap, forest: OrderedForest) -> LinComb:
     partition coaction with ``alpha`` multiplicative over parts."""
     _require_logarithmic(alpha)
     return LinComb(
-        (quotient, c * _word_value(alpha, word))
+        (quotient, c * alpha.eval_multiplicative(word.parts))
         for (word, quotient), c in delta_w(forest).items()
     )
 

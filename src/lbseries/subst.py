@@ -4,9 +4,10 @@ This module houses the vertex-replacement operad on Lie polynomials of
 planar trees, the module structure of ordered forests over it, admissible
 vertex partitions, the partition coaction (the production path for
 substitution, a recursion on the block of a forest's first vertex), the
-bounded coaction oracle with Lie-bracket left legs, the induced
-convolution-style products on characters, and the projection check onto
-the extraction-contraction coproduct.
+bounded coaction oracle with Lie-bracket left legs (the same recursion,
+memoized behind its size guard), the induced convolution-style products on
+characters, and the projection check onto the extraction-contraction
+coproduct.
 """
 
 from __future__ import annotations
@@ -403,17 +404,22 @@ def rho_oracle(forest: OrderedForest, max_size_guard: int = 4) -> LinComb:
 
     It is ``delta_w``'s recursion with another left leg: every nonzero
     in-order bracketing of a part is one left factor, stored sign-normalized
-    so that opposite orientations cancel.  Nothing is cached.
+    so that opposite orientations cancel.
     """
     if forest.vertex_count > max_size_guard:
         raise OracleGuardError(
             f"forest has {forest.vertex_count} vertices, guard is {max_size_guard}"
         )
+    return _rho(forest)
+
+
+@lru_cache(maxsize=None)
+def _rho(forest: OrderedForest) -> LinComb:
+    """:func:`rho_oracle` past its guard check; every forest the recursion
+    meets is smaller than the one it started from."""
     if forest.is_empty:
         return LinComb.of((SymLieWord.unit(), EMPTY_FOREST))
-    return _coaction(
-        forest, _bracket_leg, partial(rho_oracle, max_size_guard=max_size_guard)
-    )
+    return _coaction(forest, _bracket_leg, _rho)
 
 
 def _bracket_leg(part: OrderedForest):
@@ -432,21 +438,6 @@ def _require_logarithmic(alpha: CharacterMap) -> None:
         raise ValueError("character is not logarithmic")
 
 
-def _word_value(alpha: CharacterMap, word: SymWord) -> Fraction:
-    """``alpha`` extended multiplicatively over the parts of a word (1 on the
-    unit word).  The product starts from the first part's value, so a word
-    of k parts costs k - 1 multiplications."""
-    parts = word.parts
-    if not parts:
-        return Fraction(1)
-    value = alpha(parts[0])
-    for part in parts[1:]:
-        if not value:
-            break
-        value *= alpha(part)
-    return value
-
-
 def star_w(alpha: CharacterMap, beta: CharacterMap) -> CharacterMap:
     """Substitution product on characters through the partition coaction.
 
@@ -456,7 +447,7 @@ def star_w(alpha: CharacterMap, beta: CharacterMap) -> CharacterMap:
     _require_logarithmic(alpha)
     return convolve_through(
         delta_w,
-        partial(_word_value, alpha),
+        lambda word: alpha.eval_multiplicative(word.parts),
         beta,
         enumerate_ordered_forests,
         min(alpha.order, beta.order),

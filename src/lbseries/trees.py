@@ -207,16 +207,6 @@ class _ForestIndex:
             for i, c in enumerate(sibs):
                 self.position[c] = i
 
-    def induced_tree(self, vertex: int, members: frozenset[int]) -> PlanarTree:
-        """Subtree at ``vertex`` keeping only ``members``, stored order kept."""
-
-        def rec(v: int) -> PlanarTree:
-            return PlanarTree(
-                tuple(rec(c) for c in self.children[v] if c in members)
-            )
-
-        return rec(vertex)
-
     def grafted_tree(self, extras: dict[int, list[PlanarTree]]) -> PlanarTree:
         """The first tree with ``extras[v]`` appended to the stored children
         of each vertex ``v``."""

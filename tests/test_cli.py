@@ -473,6 +473,11 @@ CHARACTER = {"order": 1, "empty": "1", "values": {"[]": "1/2"}}
         ("field", {"dim": 1, "components": [{"monomials": [{"coeff": "1", "powers": 2}]}]}),
         ("character", {**CHARACTER, "values": {"[]": "1/0"}}),
         ("field", {"dim": 1, "components": [{"monomials": [{"coeff": "1/0", "powers": [2]}]}]}),
+        # one forest named twice, or the empty forest beside "empty"
+        ("character", {"order": 2, "values": {"[]": "1", " []": "7"}}),
+        ("character", {**CHARACTER, "values": {"": "3", "[]": "1/2"}}),
+        ("tree character", {"order": 4, "values": {"[[][[]]]": "2", "[[[]][]]": "2"}}),
+        ("character", {"order": -1, "empty": "1", "values": {}}),
     ],
 )
 def test_inexact_or_malformed_json_is_an_input_error(tmp_path, capsys, kind, doc):
@@ -481,9 +486,14 @@ def test_inexact_or_malformed_json_is_an_input_error(tmp_path, capsys, kind, doc
     good.write_text(json.dumps(CHARACTER))
     if kind == "character":
         argv = ["compose", "--alpha", str(bad), "--beta", str(good)]
-    else:
+    elif kind == "field":
         argv = ["bseries", "eval", "--field", str(bad), "--alpha", str(good), "--order", "1"]
+    else:
+        # bseries reads its character on non-planar forests
+        field = tmp_path / "field.json"
+        field.write_text(json.dumps({"dim": 1, "components": MONOMIALS}))
+        argv = ["bseries", "eval", "--field", str(field), "--alpha", str(bad), "--order", "1"]
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: cannot read {kind} file")
+    assert captured.err.startswith(f"error: cannot read {kind.split()[-1]} file")

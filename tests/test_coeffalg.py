@@ -115,6 +115,10 @@ def test_character_calls_and_truncation():
     assert alpha(pf("[[]]")) == 0
     with pytest.raises(ValueError):
         CharacterMap(1, 0, [(pf("[[]]"), 1)])
+    # order 0 holds only the empty value; no order is below it
+    assert CharacterMap(0, 5, [(pf(""), 7)])(pf("")) == 7
+    with pytest.raises(ValueError):
+        CharacterMap(-1, 1)
 
 
 def test_character_json_round_trip(tmp_path):

@@ -18,6 +18,7 @@ from lbseries.coeffalg import is_primitive_shuffle, tensor
 from lbseries.laws import run_law
 from lbseries.trees import EMPTY_FOREST, enumerate_ordered_forests, enumerate_planar_trees
 
+from digests import coproduct_digest
 from worked_examples import (
     B_PLUS_EXAMPLE,
     GL_EXAMPLE,
@@ -204,6 +205,14 @@ def test_unshuffle_pairs_with_shuffle():
 def test_delta_n_worked_examples():
     for forest, expected in N_EXAMPLES:
         assert delta_n(forest) == expected
+
+
+# computed by the cut enumerator, before delta_n became a recursion
+DELTA_N_DIGEST_7 = "d68eb8bbf697398a30652d466827c4d6ac4650ddf11071bd1396374e1b752d67"
+
+
+def test_delta_n_is_pinned_to_order_7():
+    assert coproduct_digest(delta_n, enumerate_ordered_forests, 7) == DELTA_N_DIGEST_7
 
 
 def test_delta_n_single_vertex():

@@ -22,6 +22,7 @@ from lbseries import (
 from lbseries.laws import run_law
 from lbseries.trees import enumerate_forests, enumerate_nonplanar_trees
 
+from digests import coproduct_digest
 from worked_examples import CK_EXAMPLES, GRAFT_EXAMPLE, H_EXAMPLES, PRELIE_OPERAD_EXAMPLE
 
 pnf = parse_nonplanar_forest
@@ -94,6 +95,17 @@ def test_delta_ck_worked_examples():
 def test_delta_h_worked_examples():
     for forest, expected in H_EXAMPLES:
         assert delta_h(forest) == expected
+
+
+# computed by the edge-mask construction of delta_h, before both tree
+# coproducts became recursions at the root
+DELTA_H_DIGEST_7 = "ff7d35a974d612716ab1c6cb1ae7da8711a2fc85993bf11ce5c549439c04b7dc"
+DELTA_CK_DIGEST_7 = "11e58c46d571308d81de1ef802009b9d42957a13ef56916206dcf385f43f9b8c"
+
+
+def test_delta_h_and_delta_ck_are_pinned_to_order_7():
+    assert coproduct_digest(delta_h, enumerate_forests, 7) == DELTA_H_DIGEST_7
+    assert coproduct_digest(delta_ck, enumerate_forests, 7) == DELTA_CK_DIGEST_7
 
 
 def test_delta_ck_coassoc_law():

@@ -1,4 +1,3 @@
-import hashlib
 import random
 from fractions import Fraction
 
@@ -42,6 +41,7 @@ from lbseries.subst import (
 from lbseries.seriesmorph import a_alpha
 from lbseries.trees import enumerate_ordered_forests, enumerate_planar_trees
 
+from digests import coproduct_digest
 from partition_oracle import oracle_delta_w, oracle_partitions
 from worked_examples import RHO_EXAMPLE_1, RHO_EXAMPLE_2, RHO_EXAMPLE_3, W_EXAMPLE
 
@@ -209,23 +209,10 @@ def test_contract_examples():
 DELTA_W_DIGEST_7 = "2eba491dd8f7c5a07ac62f7ffd053979bffedf2f88c0c64655b7e5c123f83a09"
 
 
-def _delta_w_digest(order: int) -> str:
-    """sha256 of every forest's sorted, serialized ``delta_w`` terms."""
-    digest = hashlib.sha256()
-    for n in range(order + 1):
-        for forest in enumerate_ordered_forests(n):
-            terms = sorted(
-                f"{w.serialize()} (x) {q.serialize()} = {c}"
-                for (w, q), c in delta_w(forest).items()
-            )
-            digest.update("\n".join([forest.serialize(), *terms, ""]).encode())
-    return digest.hexdigest()
-
-
 def test_delta_w_is_pinned_to_order_7():
     """Past the oracle's order 6: the coaction of every forest up to order 7
     is unchanged from the partition-and-contraction construction."""
-    assert _delta_w_digest(7) == DELTA_W_DIGEST_7
+    assert coproduct_digest(delta_w, enumerate_ordered_forests, 7) == DELTA_W_DIGEST_7
 
 
 def test_delta_w_worked_example():
