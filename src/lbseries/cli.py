@@ -196,11 +196,17 @@ def cmd_operad(args) -> int:
 
 def cmd_series_product(args) -> int:
     """``substitute`` (alpha *_W beta) and ``compose`` (beta * alpha): the
-    operands are read in ``args.operands`` order and multiplied in it."""
+    operands are read in ``args.operands`` order and multiplied in it.  An
+    ``--order`` may lower the truncation but not raise it past either
+    character's order, where their coefficients are not given."""
     if args.order is not None and args.order < 1:
         raise CliError("--order must be at least 1")
     chars = [_load_character(getattr(args, name), planar=True) for name in args.operands]
     if args.order is not None:
+        orders = {name: char.order for name, char in zip(args.operands, chars)}
+        if args.order > min(orders.values()):
+            alpha, beta = orders["alpha"], orders["beta"]
+            raise CliError(f"order {args.order} is above the characters' orders {alpha} and {beta}")
         chars = [_truncate(char, args.order) for char in chars]
     result = args.product(*chars)
     _emit(args, result.to_json(), _character_text(result))

@@ -194,17 +194,27 @@ def evaluate(func: Callable, x: LinComb) -> Fraction:
 
 
 class SymWord:
-    """A commutative word of non-empty ordered forests (unit: empty word)."""
+    """A commutative word of non-empty ordered forests (unit: empty word),
+    its parts sorted by size, then text; equal words are one object."""
 
-    __slots__ = ("parts", "_hash")
+    __slots__ = ("parts",)
+    _table: dict = {}
 
-    def __init__(self, parts: Iterable[OrderedForest] = ()):
+    def __new__(cls, parts: Iterable[OrderedForest] = ()):
         parts = tuple(parts)
         for p in parts:
             if not isinstance(p, OrderedForest) or p.is_empty:
                 raise ValueError("SymWord parts must be non-empty ordered forests")
-        self.parts = tuple(sorted(parts, key=lambda f: (f.vertex_count, f.serialize())))
-        self._hash = hash(("sw", self.parts))
+        parts = tuple(sorted(parts, key=lambda f: (f.vertex_count, f.serialize())))
+        self = cls._table.get(parts)
+        if self is None:
+            self = object.__new__(cls)
+            self.parts = parts
+            self = cls._table.setdefault(parts, self)
+        return self
+
+    def __reduce__(self):
+        return SymWord, (self.parts,)
 
     @staticmethod
     def unit() -> "SymWord":
@@ -220,12 +230,6 @@ class SymWord:
 
     def __mul__(self, other: "SymWord") -> "SymWord":
         return SymWord(self.parts + other.parts)
-
-    def __eq__(self, other):
-        return isinstance(other, SymWord) and self.parts == other.parts
-
-    def __hash__(self):
-        return self._hash
 
     def __len__(self):
         return len(self.parts)

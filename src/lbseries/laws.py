@@ -73,7 +73,6 @@ from .subst import (
 from .trees import (
     EMPTY_FOREST,
     Forest,
-    NonPlanarTree,
     OrderedForest,
     _ForestIndex,
     enumerate_forests,
@@ -397,10 +396,7 @@ def _delta_w_on_symword(word: SymWord) -> LinComb:
 
 
 def _w_counit(word: SymWord) -> Fraction:
-    ok = all(
-        len(p.trees) == 1 and p.vertex_count == 1 for p in word.parts
-    )
-    return Fraction(1 if ok else 0)
+    return Fraction(1 if all(p.vertex_count == 1 for p in word.parts) else 0)
 
 
 def law_w_coassoc(order: int, guard: int | None, seed: int) -> str | None:
@@ -583,9 +579,7 @@ def law_operad_assoc(order: int, guard: int | None, seed: int) -> str | None:
         rhs = LinComb((_parent_map_shape(m), 1) for m in flat)
         if lhs != rhs:
             return f"pre-Lie nested vs flat, base {base.serialize()}"
-        production = compose_prelie_operad(
-            [NonPlanarTree(m.rep) for m in mids], base
-        )
+        production = compose_prelie_operad(mids, base)
         labeled_image = LinComb(
             (_parent_map_shape(m), 1) for m in _labeled_compose(mid_maps, base_map)
         )
@@ -733,14 +727,14 @@ def law_automorphism(order: int, guard: int | None, seed: int) -> str | None:
 
 
 REGISTRY: dict[str, tuple[Callable, int]] = {
-    "prelie-identity": (law_prelie_identity, 3),
-    "postlie-jacobi": (law_postlie_jacobi, 3),
+    "prelie-identity": (law_prelie_identity, 4),
+    "postlie-jacobi": (law_postlie_jacobi, 4),
     "dalgebra-axioms": (law_dalgebra_axioms, 3),
     "ck-coassoc": (law_ck_coassoc, 5),
     "h-coassoc": (law_h_coassoc, 4),
     "n-coassoc": (law_n_coassoc, 5),
     "w-coassoc": (law_w_coassoc, 4),
-    "shuffle-bialgebra": (law_shuffle_bialgebra, 3),
+    "shuffle-bialgebra": (law_shuffle_bialgebra, 4),
     "gl-duality": (law_gl_duality, 6),
     "h-operad-duality": (law_h_operad_duality, 4),
     "operad-assoc": (law_operad_assoc, 6),

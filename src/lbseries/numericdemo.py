@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .coeffalg import CharacterMap, LinComb, _as_fraction, bilinear, evaluate
 from .prelie import convolve
-from .trees import Forest, NonPlanarTree, PlanarTree, enumerate_nonplanar_trees, symmetry_factor
+from .trees import Forest, NonPlanarTree, enumerate_nonplanar_trees, symmetry_factor
 
 Poly = LinComb
 
@@ -136,17 +136,13 @@ def elementary_differential(field: PolyVectorField, tree: NonPlanarTree) -> Poly
     children = tree.rep.children
     if not children:
         return field
-    child_fields = [elementary_differential(field, _sub(c)) for c in children]
+    # children of a canonical representative are canonical themselves
+    child_fields = [elementary_differential(field, NonPlanarTree(c)) for c in children]
     slots = list(itertools.product(range(field.dim), repeat=len(children)))
     return PolyVectorField(
         LinComb(term for js in slots for term in _applied(p, js, child_fields).items())
         for p in field.components
     )
-
-
-def _sub(rep: PlanarTree) -> NonPlanarTree:
-    # children of a canonical representative are canonical themselves
-    return NonPlanarTree(rep)
 
 
 def _weighted_differentials(field: PolyVectorField, alpha: CharacterMap, order: int) -> list:

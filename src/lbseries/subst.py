@@ -342,11 +342,7 @@ def _coaction(forest: OrderedForest, leg, coaction) -> LinComb:
             terms.extend(
                 ((wb * wr, OrderedForest(head + fr.trees)), cb * cr) for (wr, fr), cr in rest
             )
-    # equal words and quotients of different terms share one object
-    shared: dict = {}
-    return LinComb(
-        ((shared.setdefault(w, w), shared.setdefault(q, q)), c) for (w, q), c in terms
-    )
+    return LinComb(terms)
 
 
 @lru_cache(maxsize=None)

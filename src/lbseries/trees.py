@@ -16,11 +16,14 @@ Conventions used throughout the package:
   then recursively on the sorted child keys).  Forests of non-planar
   trees are sorted multisets under the same order.
 
-All values are immutable after construction and safe to share.
+All values are immutable, and equal values are one object: each constructor
+returns the existing object for its value, so equality and hashing are identity.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from functools import lru_cache
 from typing import Sequence
 
@@ -36,27 +39,28 @@ class ForestParseError(ValueError):
 class PlanarTree:
     """An ordered rooted tree; children order is significant."""
 
-    __slots__ = ("children", "vertex_count", "_hash")
+    __slots__ = ("children", "vertex_count", "_text")
+    _table: dict = {}
 
-    def __init__(self, children: Sequence["PlanarTree"] = ()):
-        self.children = tuple(children)
-        self.vertex_count = 1 + sum(c.vertex_count for c in self.children)
-        self._hash = hash(("pt", self.children))
+    def __new__(cls, children: Sequence["PlanarTree"] = ()):
+        children = tuple(children)
+        self = cls._table.get(children)
+        if self is None:
+            self = object.__new__(cls)
+            self.children = children
+            self.vertex_count = 1 + sum(c.vertex_count for c in children)
+            self._text = "[" + "".join(c._text for c in children) + "]"
+            self = cls._table.setdefault(children, self)
+        return self
 
-    def __eq__(self, other):
-        return (
-            self is other
-            or (isinstance(other, PlanarTree) and self.children == other.children)
-        )
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return PlanarTree, (self.children,)
 
     def __repr__(self):
         return f"PlanarTree({self.serialize()!r})"
 
     def serialize(self) -> str:
-        return "[" + "".join(c.serialize() for c in self.children) + "]"
+        return self._text
 
     def graftings(self, sub: "PlanarTree"):
         """Yield copies with ``sub`` grafted leftmost below each vertex, in preorder.
@@ -83,21 +87,22 @@ LEAF = PlanarTree()
 class OrderedForest:
     """A finite sequence of planar trees; the empty sequence is the unit."""
 
-    __slots__ = ("trees", "vertex_count", "_hash")
+    __slots__ = ("trees", "vertex_count", "_text")
+    _table: dict = {}
 
-    def __init__(self, trees: Sequence[PlanarTree] = ()):
-        self.trees = tuple(trees)
-        self.vertex_count = sum(t.vertex_count for t in self.trees)
-        self._hash = hash(("of", self.trees))
+    def __new__(cls, trees: Sequence[PlanarTree] = ()):
+        trees = tuple(trees)
+        self = cls._table.get(trees)
+        if self is None:
+            self = object.__new__(cls)
+            self.trees = trees
+            self.vertex_count = sum(t.vertex_count for t in trees)
+            self._text = " ".join(t._text for t in trees)
+            self = cls._table.setdefault(trees, self)
+        return self
 
-    def __eq__(self, other):
-        return (
-            self is other
-            or (isinstance(other, OrderedForest) and self.trees == other.trees)
-        )
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return OrderedForest, (self.trees,)
 
     def __repr__(self):
         return f"OrderedForest({self.serialize()!r})"
@@ -110,7 +115,7 @@ class OrderedForest:
         return not self.trees
 
     def serialize(self) -> str:
-        return " ".join(t.serialize() for t in self.trees)
+        return self._text
 
     def concat(self, other: "OrderedForest") -> "OrderedForest":
         return OrderedForest(self.trees + other.trees)
@@ -242,31 +247,30 @@ class NonPlanarTree:
     The canonical representative sorts every child list ascending under
     ``sort_key``: vertex count first, then lexicographically on the
     children's own keys.  Two embeddings of the same abstract tree always
-    canonicalize identically.
+    canonicalize identically.  The table is keyed by the key of the rep
+    passed in, so through :func:`canonicalize` every embedding of one
+    abstract tree gives the one object.
     """
 
-    __slots__ = ("rep", "_key", "_hash")
+    __slots__ = ("rep", "vertex_count", "_key")
+    _table: dict = {}
 
-    def __init__(self, rep: PlanarTree, _key=None):
-        self.rep = rep
-        self._key = _key if _key is not None else _planar_key(rep)
-        self._hash = hash(("nt", self._key))
+    def __new__(cls, rep: PlanarTree):
+        key = _planar_key(rep)
+        self = cls._table.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.rep = rep
+            self.vertex_count = rep.vertex_count
+            self._key = key
+            self = cls._table.setdefault(key, self)
+        return self
 
-    @property
-    def vertex_count(self) -> int:
-        return self.rep.vertex_count
+    def __reduce__(self):
+        return NonPlanarTree, (self.rep,)
 
     def sort_key(self):
         return self._key
-
-    def __eq__(self, other):
-        return (
-            self is other
-            or (isinstance(other, NonPlanarTree) and self._key == other._key)
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"NonPlanarTree({self.serialize()!r})"
@@ -293,22 +297,21 @@ def _canonical_rep(t: PlanarTree) -> PlanarTree:
 class Forest:
     """A multiset of non-planar trees, stored sorted; product is commutative."""
 
-    __slots__ = ("trees", "vertex_count", "_hash")
+    __slots__ = ("trees", "vertex_count")
+    _table: dict = {}
 
-    def __init__(self, trees: Sequence[NonPlanarTree] = ()):
-        self.trees = tuple(sorted(trees, key=NonPlanarTree.sort_key))
-        self.vertex_count = sum(t.vertex_count for t in self.trees)
-        self._hash = hash(("f", tuple(t.sort_key() for t in self.trees)))
+    def __new__(cls, trees: Sequence[NonPlanarTree] = ()):
+        trees = tuple(sorted(trees, key=NonPlanarTree.sort_key))
+        self = cls._table.get(trees)
+        if self is None:
+            self = object.__new__(cls)
+            self.trees = trees
+            self.vertex_count = sum(t.vertex_count for t in trees)
+            self = cls._table.setdefault(trees, self)
+        return self
 
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, Forest)
-            and len(self.trees) == len(other.trees)
-            and all(a == b for a, b in zip(self.trees, other.trees))
-        )
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return Forest, (self.trees,)
 
     def __repr__(self):
         return f"Forest({self.serialize()!r})"
@@ -345,18 +348,9 @@ def symmetry_factor(t: NonPlanarTree) -> int:
 
 
 def _symmetry_of_rep(rep: PlanarTree) -> int:
-    result = 1
-    run = 0
-    prev = None
-    for c in rep.children:
-        result *= _symmetry_of_rep(c)
-        if prev is not None and c == prev:
-            run += 1
-        else:
-            run = 1
-        result *= run
-        prev = c
-    return result
+    # equal children of a canonical rep are one object, and adjacent
+    runs = [(c, len(list(run))) for c, run in itertools.groupby(rep.children)]
+    return math.prod(math.factorial(m) * _symmetry_of_rep(c) ** m for c, m in runs)
 
 
 @lru_cache(maxsize=None)
@@ -366,10 +360,7 @@ def enumerate_planar_trees(n: int) -> tuple[PlanarTree, ...]:
         raise ValueError("n must be >= 1")
     if n == 1:
         return (LEAF,)
-    out = []
-    for forest in enumerate_ordered_forests(n - 1):
-        if forest.trees:
-            out.append(PlanarTree(forest.trees))
+    out = [PlanarTree(forest.trees) for forest in enumerate_ordered_forests(n - 1)]
     return tuple(sorted(out, key=PlanarTree.serialize))
 
 
@@ -391,19 +382,12 @@ def enumerate_ordered_forests(n: int) -> tuple[OrderedForest, ...]:
 @lru_cache(maxsize=None)
 def enumerate_nonplanar_trees(n: int) -> tuple[NonPlanarTree, ...]:
     """All non-planar trees with ``n`` vertices, sorted by canonical key."""
-    seen = {}
-    for t in enumerate_planar_trees(n):
-        c = canonicalize(t)
-        seen[c.sort_key()] = c
-    return tuple(seen[k] for k in sorted(seen))
+    trees = dict.fromkeys(map(canonicalize, enumerate_planar_trees(n)))
+    return tuple(sorted(trees, key=NonPlanarTree.sort_key))
 
 
 @lru_cache(maxsize=None)
 def enumerate_forests(n: int) -> tuple[Forest, ...]:
     """All non-planar forests with ``n`` total vertices."""
-    seen = {}
-    for of in enumerate_ordered_forests(n):
-        f = forget_planarity(of)
-        key = tuple(t.sort_key() for t in f.trees)
-        seen[key] = f
-    return tuple(seen[k] for k in sorted(seen))
+    forests = dict.fromkeys(map(forget_planarity, enumerate_ordered_forests(n)))
+    return tuple(sorted(forests, key=lambda f: tuple(t.sort_key() for t in f.trees)))

@@ -184,6 +184,22 @@ def test_series_product_order_below_one_is_an_input_error(tmp_path, capsys, comm
     assert captured.err == "error: --order must be at least 1\n"
 
 
+@pytest.mark.parametrize("command", ["substitute", "compose"])
+def test_series_product_order_above_the_characters_is_an_input_error(tmp_path, capsys, command):
+    """Coefficients past a character's truncation are not given, so the
+    product cannot be truncated above the lower of the two orders."""
+    alpha, beta = tmp_path / "alpha.json", tmp_path / "beta.json"
+    alpha.write_text(json.dumps(CharacterMap(2, 0, [(pf("[]"), 1)]).to_json()))
+    beta.write_text(json.dumps(CharacterMap(3, 1, [(pf("[]"), 1)]).to_json()))
+    argv = [command, "--alpha", str(alpha), "--beta", str(beta), "--order", "3"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: order 3 is above the characters' orders 2 and 3\n"
+    assert run(argv[:-1] + ["2"]) == 0
+    assert capsys.readouterr().out.startswith("order 2\n")
+
+
 def test_bseries_eval_and_verify(tmp_path, capsys):
     field = {
         "dim": 1,

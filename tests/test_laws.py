@@ -96,3 +96,26 @@ def test_only_the_law_and_cli_layers_import_them():
             if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "LawResult"
         ]
         assert builders == ["run_law"]
+
+
+def test_interned_values_compare_by_identity():
+    """The tree, forest and word constructors return one object per value,
+    so no class in ``trees`` and not ``SymWord`` defines ``__eq__`` or
+    ``__hash__``: equality and hashing stay Python's identity defaults."""
+    sources = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    classes = [node for node in sources["trees"].body if isinstance(node, ast.ClassDef)]
+    classes += [
+        node
+        for node in sources["coeffalg"].body
+        if isinstance(node, ast.ClassDef) and node.name == "SymWord"
+    ]
+    assert {"PlanarTree", "OrderedForest", "NonPlanarTree", "Forest", "SymWord"} <= {
+        cls.name for cls in classes
+    }
+    defined = [
+        (cls.name, func.name)
+        for cls in classes
+        for func in cls.body
+        if isinstance(func, ast.FunctionDef) and func.name in ("__eq__", "__hash__")
+    ]
+    assert defined == []

@@ -51,7 +51,7 @@ def test_graft_onto_cherry_collects_isomorphic_results():
 
 
 def test_prelie_identity_exhaustive():
-    result = run_law("prelie-identity", 3)
+    result = run_law("prelie-identity", 4)
     assert result.passed, result.counterexample
 
 

@@ -1,12 +1,18 @@
+import copy
 import itertools
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lbseries import (
     Forest,
     ForestParseError,
+    NonPlanarTree,
     OrderedForest,
     PlanarTree,
+    SymWord,
     canonicalize,
     enumerate_forests,
     enumerate_nonplanar_trees,
@@ -18,6 +24,7 @@ from lbseries import (
     parse_tree,
     symmetry_factor,
 )
+from lbseries.trees import LEAF
 
 
 def test_parse_basics():
@@ -54,12 +61,13 @@ def test_parse_tree_rejects_forests():
 def test_round_trip_up_to_six_vertices():
     for n in range(0, 7):
         for forest in enumerate_ordered_forests(n):
-            assert parse_forest(forest.serialize()) == forest
+            assert parse_forest(forest.serialize()) is forest
 
 
 def test_json_round_trip():
-    for forest in enumerate_ordered_forests(4):
-        assert OrderedForest.from_json(forest.to_json()) == forest
+    for n in range(0, 7):
+        for forest in enumerate_ordered_forests(n):
+            assert OrderedForest.from_json(forest.to_json()) is forest
 
 
 def test_canonicalize_idempotent():
@@ -67,6 +75,12 @@ def test_canonicalize_idempotent():
         for tree in enumerate_planar_trees(n):
             c = canonicalize(tree)
             assert canonicalize(c.rep) == c
+
+
+def test_nonplanar_tree_of_its_rep_is_itself():
+    for n in range(1, 8):
+        for tree in enumerate_nonplanar_trees(n):
+            assert NonPlanarTree(tree.rep) is tree
 
 
 def test_canonicalize_examples():
@@ -176,6 +190,36 @@ def test_enumerations_have_no_duplicates():
 
 
 def test_mirror_is_an_involution():
-    for n in range(0, 6):
+    for n in range(0, 7):
         for forest in enumerate_ordered_forests(n):
-            assert mirror_forest(mirror_forest(forest)) == forest
+            assert mirror_forest(mirror_forest(forest)) is forest
+            assert forget_planarity(mirror_forest(forest)) is forget_planarity(forest)
+
+
+_forests = st.integers(0, 4).flatmap(lambda n: st.sampled_from(enumerate_forests(n)))
+_parts = st.integers(1, 4).flatmap(lambda n: st.sampled_from(enumerate_ordered_forests(n)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_forests, _forests, _parts, _parts)
+def test_commutative_products_are_one_object(f, g, p, q):
+    assert f.mul(g) is g.mul(f)
+    assert SymWord.of(p, q) is SymWord.of(q, p)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        parse_tree("[[][[]]]"),
+        parse_forest("[[]] [] [[][]]"),
+        canonicalize(parse_tree("[[[]][]]")),
+        forget_planarity(parse_forest("[] [[]] []")),
+        SymWord.of(parse_forest("[[]]"), parse_forest("[] []")),
+    ],
+    ids=lambda value: type(value).__name__,
+)
+def test_copy_and_pickle_return_the_one_object(value):
+    assert copy.copy(value) is value
+    assert copy.deepcopy(value) is value
+    assert pickle.loads(pickle.dumps(value)) is value
+    assert LEAF.children == () and LEAF.serialize() == "[]" and PlanarTree() is LEAF
