@@ -410,8 +410,9 @@ def convolve_through(
     """The character ``w -> sum c * left(l) * right(r)`` over the terms
     ``c * (l, r)`` of ``delta(w)``, for every ``w`` in ``forests(0..order)``.
 
-    This is the one product of characters: composition and substitution of
-    series are convolutions through a coproduct or a coaction.
+    Composition and substitution of series are convolutions through a
+    coproduct or a coaction.  ``prelie.convolve`` contracts its left
+    character into each tree's terms instead, and is tested against this.
     """
     values = []
     for size in range(order + 1):

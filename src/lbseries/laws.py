@@ -743,7 +743,7 @@ REGISTRY: dict[str, tuple[Callable, int]] = {
     "grading": (law_grading, 6),
     "adjoint": (law_adjoint, 5),
     "substitution-theorem": (law_substitution_theorem, 5),
-    "bseries-substitution": (law_bseries_substitution, 4),
+    "bseries-substitution": (law_bseries_substitution, 6),
     "automorphism": (law_automorphism, 4),
 }
 

@@ -115,15 +115,56 @@ class PolyVectorField:
         return {"dim": self.dim, "components": comps}
 
 
-def _applied(p: Poly, js: Sequence[int], child_fields: Sequence[PolyVectorField]) -> Poly:
+def _capped(p: Poly, cap: int | None) -> Poly:
+    """``p`` without its monomials above ``h^cap`` (all of ``p`` when ``cap`` is None)."""
+    if cap is None:
+        return p
+    return LinComb((m, c) for m, c in p.items() if m[0] <= cap)
+
+
+def _applied(p: Poly, js: Sequence[int], children: Sequence[Sequence[Poly]], cap) -> Poly:
     """The derivative of ``p`` in ``y_j1 .. y_jk`` applied to component
-    ``j_m`` of the m-th child field."""
+    ``j_m`` of the m-th child, capped at ``h^cap`` after each product."""
     for j in js:
         p = diff_y(p, j)
-    if p:
-        for child, j in zip(child_fields, js):
-            p = poly_mul(p, child.components[j])
+    for child, j in zip(children, js):
+        if not p:
+            break
+        p = _capped(poly_mul(p, child[j]), cap)
     return p
+
+
+def _differentials(field: PolyVectorField, cap: int | None):
+    """The map from the canonical rep of a tree t to its elementary
+    differential, each tree computed once, keeping the h-powers up to
+    ``cap - |t|`` (all of them when ``cap`` is None).
+
+    Powers of h only add in a product, so dropping the higher ones from
+    every factor and after every product leaves the kept ones exact.  A
+    subtree keeps more powers than its parent needs, and is capped again
+    where it is used."""
+    memo: dict = {}
+
+    def differential(rep) -> PolyVectorField:
+        out = memo.get(rep)
+        if out is None:
+            bound = None if cap is None else cap - rep.vertex_count
+            components = [_capped(p, bound) for p in field.components]
+            if rep.children:
+                children = [
+                    [_capped(q, bound) for q in differential(c).components] for c in rep.children
+                ]
+                slots = list(itertools.product(range(field.dim), repeat=len(children)))
+                components = [
+                    LinComb(
+                        term for js in slots for term in _applied(p, js, children, bound).items()
+                    )
+                    for p in components
+                ]
+            out = memo[rep] = PolyVectorField(components)
+        return out
+
+    return differential
 
 
 def elementary_differential(field: PolyVectorField, tree: NonPlanarTree) -> PolyVectorField:
@@ -133,29 +174,49 @@ def elementary_differential(field: PolyVectorField, tree: NonPlanarTree) -> Poly
     t_1..t_k maps, component-wise, to the k-th derivative of that component
     applied to the subtree images.
     """
-    children = tree.rep.children
-    if not children:
-        return field
-    # children of a canonical representative are canonical themselves
-    child_fields = [elementary_differential(field, NonPlanarTree(c)) for c in children]
-    slots = list(itertools.product(range(field.dim), repeat=len(children)))
-    return PolyVectorField(
-        LinComb(term for js in slots for term in _applied(p, js, child_fields).items())
-        for p in field.components
-    )
+    return _differentials(field, None)(tree.rep)
 
 
-def _weighted_differentials(field: PolyVectorField, alpha: CharacterMap, order: int) -> list:
+def _weighted_differentials(
+    field: PolyVectorField, alpha: CharacterMap, order: int, cap: int | None = None
+) -> list:
     """``(|t|, alpha(t)/sigma(t), F(t))`` for every tree t with a nonzero
     weight, up to ``order`` or the character's order if that is lower (the
-    character vanishes past its own order)."""
+    character vanishes past its own order).  With a ``cap``, F(t) keeps the
+    h-powers up to ``cap - |t|``: those that reach at most ``h^cap`` in the
+    series."""
+    differential = _differentials(field, cap)
     out = []
     for size in range(1, min(order, alpha.order) + 1):
         for tree in enumerate_nonplanar_trees(size):
             coeff = alpha(Forest((tree,))) / symmetry_factor(tree)
             if coeff:
-                out.append((size, coeff, elementary_differential(field, tree)))
+                out.append((size, coeff, differential(tree.rep)))
     return out
+
+
+def _series(
+    field: PolyVectorField, alpha: CharacterMap, y0: Sequence, order: int, cap: int | None = None
+) -> list[LinComb]:
+    """The series at ``y0`` with a formal step, one h-polynomial per
+    component; with a ``cap``, exact up to ``h^cap`` and nothing above."""
+    point = tuple(map(_as_fraction, y0))
+    if len(point) != field.dim:
+        raise ValueError("point dimension mismatch")
+    weighted = _weighted_differentials(field, alpha, order, cap)
+    return [
+        LinComb(
+            itertools.chain(
+                [(0, alpha.empty_value * x)],
+                (
+                    (hpow + size, coeff * v)
+                    for size, coeff, diff in weighted
+                    for hpow, v in eval_y(diff.components[i], point).items()
+                ),
+            )
+        )
+        for i, x in enumerate(point)
+    ]
 
 
 def bseries_eval(
@@ -169,29 +230,16 @@ def bseries_eval(
 
     With ``h=None`` the step stays formal and each component is returned as
     a map ``{h-power: coefficient}``; with a rational ``h`` the exact vector
-    is returned.  The character is read on single trees (non-planar basis);
-    trees above its order are not visited, as it vanishes there.
+    is returned.  ``h`` and the entries of ``y0`` are exact rationals
+    (``Fraction``, ``int`` or ``"p/q"``); a float is a ``ValueError``.  The
+    character is read on single trees (non-planar basis); trees above its
+    order are not visited, as it vanishes there.
     """
-    point = tuple(Fraction(v) for v in y0)
-    if len(point) != field.dim:
-        raise ValueError("point dimension mismatch")
-    weighted = _weighted_differentials(field, alpha, order)
-    series = [
-        LinComb(
-            itertools.chain(
-                [(0, alpha.empty_value * x)],
-                (
-                    (hpow + size, coeff * v)
-                    for size, coeff, diff in weighted
-                    for hpow, v in eval_y(diff.components[i], point).items()
-                ),
-            )
-        )
-        for i, x in enumerate(point)
-    ]
+    if h is not None:
+        h = _as_fraction(h)
+    series = _series(field, alpha, y0, order)
     if h is None:
         return [dict(comp.items()) for comp in series]
-    h = Fraction(h)
     return tuple(evaluate(lambda k: h**k, comp) for comp in series)
 
 
@@ -221,16 +269,17 @@ def verify_bseries_substitution(
     """Substituting one series as the vector field of another agrees with
     the convolution through the extraction-contraction coproduct, compared
     exactly on h-coefficients up to ``order``, which may not exceed either
-    character's order."""
+    character's order.  The entries of ``y0`` are exact rationals.
+
+    Both sides are expanded only up to ``h^order``: a tree ``t`` reads the
+    h-powers up to ``order - |t|`` of its elementary differential, and
+    higher ones are dropped after every product, since powers of h only add.
+    """
     if order > min(alpha.order, beta.order):
         raise ValueError(
             f"order {order} is above the characters' orders {alpha.order} and {beta.order}"
         )
     modified = _series_as_field(field, alpha, order)
-    lhs = bseries_eval(None, modified, beta, y0, order)
-    rhs = bseries_eval(None, field, convolve(alpha, beta, "h"), y0, order)
-    for comp_l, comp_r in zip(lhs, rhs):
-        for k in range(order + 1):
-            if comp_l.get(k, Fraction(0)) != comp_r.get(k, Fraction(0)):
-                return False
-    return True
+    lhs = _series(modified, beta, y0, order, cap=order)
+    rhs = _series(field, convolve(alpha, beta, "h"), y0, order, cap=order)
+    return lhs == rhs

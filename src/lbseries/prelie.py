@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .coeffalg import CharacterMap, LinComb, bilinear, convolve_through
+from .coeffalg import CharacterMap, LinComb, bilinear
 from .trees import (
     EMPTY_NP_FOREST,
     Forest,
@@ -284,19 +284,37 @@ def check_h_operad_duality(tree: NonPlanarTree) -> bool:
 
 
 def convolve(a: CharacterMap, b: CharacterMap, coproduct: str) -> CharacterMap:
-    """Convolution of functionals through ``delta_ck`` or ``delta_h``.
+    """Convolution of functionals through ``delta_ck`` or ``delta_h``: the
+    value on a forest is the sum of ``c * a(left) * b(right)`` over its terms.
 
     The left argument is evaluated multiplicatively over the tree factors of
     the left tensor legs (so a functional given on trees extends to the cut
     branches / extracted parts); the right argument is looked up directly.
+    Both coproducts are multiplicative, so ``a`` is contracted into each
+    tree's terms once, giving a map from right legs to ``sum c * a(left)``;
+    a forest's map is the product of its trees' maps, paired with ``b``.
     """
     if coproduct not in ("ck", "h"):
         raise ValueError("coproduct must be 'ck' or 'h'")
     if a.order != b.order:
         raise ValueError("truncation orders differ")
-    delta = delta_ck if coproduct == "ck" else delta_h
+    tree_coproduct = _delta_ck_tree if coproduct == "ck" else _delta_h_tree
+    contracted: dict[NonPlanarTree, LinComb] = {}
 
-    def left(forest: Forest) -> Fraction:
-        return a.eval_multiplicative([Forest((t,)) for t in forest.trees])
+    def contract(tree: NonPlanarTree) -> LinComb:
+        out = contracted.get(tree)
+        if out is None:
+            out = contracted[tree] = LinComb(
+                (r, c * a.eval_multiplicative([Forest((t,)) for t in l.trees]))
+                for (l, r), c in tree_coproduct(tree).items()
+            )
+        return out
 
-    return convolve_through(delta, left, b, enumerate_forests, a.order)
+    values = []
+    for size in range(a.order + 1):
+        for forest in enumerate_forests(size):
+            legs = LinComb.of(EMPTY_NP_FOREST)
+            for tree in forest.trees:
+                legs = bilinear(legs, contract(tree), Forest.mul)
+            values.append((forest, b.on_comb(legs)))
+    return CharacterMap(a.order, 0, values)

@@ -39,7 +39,7 @@ class ForestParseError(ValueError):
 class PlanarTree:
     """An ordered rooted tree; children order is significant."""
 
-    __slots__ = ("children", "vertex_count", "_text")
+    __slots__ = ("children", "vertex_count", "_text", "_canonical")
     _table: dict = {}
 
     def __new__(cls, children: Sequence["PlanarTree"] = ()):
@@ -50,6 +50,7 @@ class PlanarTree:
             self.children = children
             self.vertex_count = 1 + sum(c.vertex_count for c in children)
             self._text = "[" + "".join(c._text for c in children) + "]"
+            self._canonical = None  # its NonPlanarTree, once canonicalize has met it
             self = cls._table.setdefault(children, self)
         return self
 
@@ -246,24 +247,23 @@ class NonPlanarTree:
 
     The canonical representative sorts every child list ascending under
     ``sort_key``: vertex count first, then lexicographically on the
-    children's own keys.  Two embeddings of the same abstract tree always
-    canonicalize identically.  The table is keyed by the key of the rep
-    passed in, so through :func:`canonicalize` every embedding of one
-    abstract tree gives the one object.
+    children's own keys.  The table is keyed by the (interned) rep, which
+    must be canonical; :func:`canonicalize` takes any embedding to the one
+    object.  The sort key is built once, when a tree is first seen, from
+    its children's keys.
     """
 
     __slots__ = ("rep", "vertex_count", "_key")
     _table: dict = {}
 
     def __new__(cls, rep: PlanarTree):
-        key = _planar_key(rep)
-        self = cls._table.get(key)
+        self = cls._table.get(rep)
         if self is None:
             self = object.__new__(cls)
             self.rep = rep
             self.vertex_count = rep.vertex_count
-            self._key = key
-            self = cls._table.setdefault(key, self)
+            self._key = (rep.vertex_count, tuple(NonPlanarTree(c)._key for c in rep.children))
+            self = cls._table.setdefault(rep, self)
         return self
 
     def __reduce__(self):
@@ -279,19 +279,15 @@ class NonPlanarTree:
         return self.rep.serialize()
 
 
-def _planar_key(t: PlanarTree):
-    return (t.vertex_count, tuple(_planar_key(c) for c in t.children))
-
-
 def canonicalize(t: PlanarTree) -> NonPlanarTree:
-    """Forget the planar embedding of a single tree."""
-    rep = _canonical_rep(t)
-    return NonPlanarTree(rep)
-
-
-def _canonical_rep(t: PlanarTree) -> PlanarTree:
-    children = sorted((_canonical_rep(c) for c in t.children), key=_planar_key)
-    return PlanarTree(children)
+    """Forget the planar embedding of a single tree.  The answer is kept on
+    the planar tree (and on its canonical rep), so each is sorted once."""
+    tree = t._canonical
+    if tree is None:
+        children = sorted(map(canonicalize, t.children), key=NonPlanarTree.sort_key)
+        tree = NonPlanarTree(PlanarTree(tuple(c.rep for c in children)))
+        t._canonical = tree.rep._canonical = tree
+    return tree
 
 
 class Forest:

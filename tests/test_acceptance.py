@@ -187,9 +187,9 @@ def test_criterion_5_substitution_theorem():
 
 
 def test_criterion_6_bseries_substitution():
-    """Polynomial-field substitution identity through fourth order."""
+    """Polynomial-field substitution identity through sixth order."""
     started = time.time()
-    _run("bseries-substitution", 4)
+    _run("bseries-substitution", 6)
     _report(6, "series substitution on polynomial fields", 60.0, started)
 
 

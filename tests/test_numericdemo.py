@@ -214,3 +214,89 @@ def test_series_stop_at_the_characters_order(monkeypatch):
         assert numericdemo._series_as_field(f, alpha, order) == modified
     with pytest.raises(ValueError):
         verify_bseries_substitution(alpha, beta, f, (1, -2), 3)
+
+
+def test_floats_are_rejected_at_the_library_boundary():
+    f = _field_y_squared()
+    alpha = CharacterMap(2, 1, [(pnf("[]"), 1)])
+    delta_dot = CharacterMap(2, 0, [(pnf("[]"), 1)])
+    for h, y0 in ((0.1, (Fraction(1, 2),)), (Fraction(1, 10), (0.5,)), (None, (0.5,))):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            bseries_eval(h, f, alpha, y0, 2)
+    with pytest.raises(ValueError, match="not an exact rational"):
+        verify_bseries_substitution(delta_dot, alpha, f, (0.5,), 2)
+    exact = bseries_eval(Fraction(1, 10), f, alpha, (Fraction(1, 2),), 2)
+    assert bseries_eval("1/10", f, alpha, ("1/2",), 2) == exact
+
+
+# the law's two fields, and the 2-D field with an h-dependent monomial of
+# tests/test_cli.py: (y1 y2 + h y2/2, -y1 + y2^2/3)
+TRUNCATION_FIELDS = [
+    (_field_y_squared(), (Fraction(1),)),
+    (
+        PolyVectorField(
+            [
+                Poly({(0, (1, 1)): Fraction(1), (0, (0, 1)): Fraction(1, 2)}),
+                Poly({(0, (1, 0)): Fraction(-1), (0, (0, 2)): Fraction(1, 3)}),
+            ]
+        ),
+        (Fraction(1), Fraction(-2)),
+    ),
+    (
+        PolyVectorField(
+            [
+                Poly({(0, (1, 1)): Fraction(1), (1, (0, 1)): Fraction(1, 2)}),
+                Poly({(0, (1, 0)): Fraction(-1), (0, (0, 2)): Fraction(1, 3)}),
+            ]
+        ),
+        (Fraction(1), Fraction(-2)),
+    ),
+]
+
+
+@pytest.mark.parametrize("field,y0", TRUNCATION_FIELDS)
+def test_capped_series_is_the_series_up_to_the_cap(field, y0):
+    """The capped expansion that verify_bseries_substitution compares is
+    bseries_eval of the substituted field, h-power by h-power up to the
+    order, and has nothing above it.  The uncapped 2-D series take 13-15 s
+    at order 5, so the 2-D fields stop at order 4."""
+    rng = random.Random(23)
+    for order in range(1, 6 if field.dim == 1 else 5):
+        alpha = random_tree_character(order, rng, empty=0)
+        beta = random_tree_character(order, rng, empty=Fraction(2, 3))
+        modified = numericdemo._series_as_field(field, alpha, order)
+        full = bseries_eval(None, modified, beta, y0, order)
+        capped = numericdemo._series(modified, beta, y0, order, cap=order)
+        for comp_full, comp_capped in zip(full, capped):
+            assert max(comp_capped.support(), default=0) <= order
+            for k in range(order + 1):
+                assert comp_capped.coeff(k) == comp_full.get(k, 0)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("field,y0", TRUNCATION_FIELDS)
+def test_verify_sees_every_tree_of_the_top_order(field, y0, order, monkeypatch):
+    """Changing the convolved character on one tree of size ``order``, where
+    its elementary differential is nonzero at y0, makes the check fail: the
+    cap keeps the top h-power."""
+    rng = random.Random(29)
+    alpha = random_tree_character(order, rng, empty=0)
+    beta = random_tree_character(order, rng, empty=Fraction(1))
+    assert verify_bseries_substitution(alpha, beta, field, y0, order)
+    convolve = numericdemo.convolve
+    seen = 0
+    for tree in enumerate_nonplanar_trees(order):
+        diff = elementary_differential(field, tree)
+        if not any(numericdemo.eval_y(p, y0) for p in diff.components):
+            continue
+        seen += 1
+
+        def perturbed(a, b, op, tree=tree):
+            product = convolve(a, b, op)
+            values = dict(product.values)
+            values[Forest((tree,))] = product(Forest((tree,))) + 1
+            return CharacterMap(product.order, product.empty_value, values)
+
+        monkeypatch.setattr(numericdemo, "convolve", perturbed)
+        assert not verify_bseries_substitution(alpha, beta, field, y0, order)
+    assert seen

@@ -12,6 +12,7 @@ from lbseries import (
     check_prelie_identity,
     compose_prelie_operad,
     convolve,
+    convolve_through,
     delta_ck,
     delta_h,
     graft,
@@ -19,7 +20,7 @@ from lbseries import (
     parse_nonplanar_forest,
     parse_tree,
 )
-from lbseries.laws import run_law
+from lbseries.laws import random_tree_character, run_law
 from lbseries.trees import enumerate_forests, enumerate_nonplanar_trees
 
 from digests import coproduct_digest
@@ -163,3 +164,36 @@ def test_graft_comb_bilinear():
     direct = graft_comb(x, y)
     expected = graft(cn("[]"), cn("[]")).scale(2) + graft(cn("[]"), cn("[[]]")).scale(-2)
     assert direct == expected
+
+
+def _random_forest_character(order, rng, empty):
+    values = [
+        (f, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+        for n in range(1, order + 1)
+        for f in enumerate_forests(n)
+    ]
+    return CharacterMap(order, empty, values)
+
+
+def _convolve_through(a, b, delta):
+    """The convolution read term by term off the forest coproduct."""
+
+    def left(forest):
+        return a.eval_multiplicative([Forest((t,)) for t in forest.trees])
+
+    return convolve_through(delta, left, b, enumerate_forests, a.order)
+
+
+@pytest.mark.parametrize("op,delta", [("h", delta_h), ("ck", delta_ck)])
+def test_convolve_agrees_with_the_coproduct_terms(op, delta):
+    """The per-tree contraction of ``a`` equals the sum over the terms of
+    ``delta_h``/``delta_ck``, on tree characters ``a`` and on ``b`` given
+    on trees or on every forest, up to order 6."""
+    rng = random.Random(31)
+    for order in (0, 1, 3, 6):
+        a = random_tree_character(order, rng, empty=Fraction(rng.randint(-2, 2)))
+        for b in (
+            random_tree_character(order, rng, empty=1),
+            _random_forest_character(order, rng, Fraction(rng.randint(-2, 2), 3)),
+        ):
+            assert convolve(a, b, op) == _convolve_through(a, b, delta)

@@ -20,6 +20,7 @@ from lbseries import (
     enumerate_planar_trees,
     forget_planarity,
     mirror_forest,
+    mirror_tree,
     parse_forest,
     parse_tree,
     symmetry_factor,
@@ -179,6 +180,38 @@ def test_nonplanar_counts_match_recurrence():
     for n in range(1, 7):
         assert len(enumerate_nonplanar_trees(n)) == counts[n]
     assert [len(enumerate_nonplanar_trees(n)) for n in range(1, 7)] == [1, 1, 2, 4, 9, 20]
+
+
+def _embeddings(t: PlanarTree) -> set:
+    """Every planar tree reached by permuting the children at each vertex."""
+    out = set()
+    for children in itertools.product(*map(_embeddings, t.children)):
+        out.update(map(PlanarTree, set(itertools.permutations(children))))
+    return out
+
+
+def _recursive_key(t: PlanarTree):
+    # the sort key as a recursion over the planar tree, built anew on each call
+    return (t.vertex_count, tuple(_recursive_key(c) for c in t.children))
+
+
+def _sorted_rep(t: PlanarTree) -> PlanarTree:
+    return PlanarTree(sorted(map(_sorted_rep, t.children), key=_recursive_key))
+
+
+def test_canonicalize_gives_one_object_per_abstract_tree_up_to_eight_vertices():
+    counts = _rooted_tree_counts(8)
+    for n in range(1, 9):
+        seen = set()
+        for t in enumerate_planar_trees(n):
+            tree = canonicalize(t)
+            assert canonicalize(mirror_tree(t)) is tree
+            assert all(canonicalize(e) is tree for e in _embeddings(t))
+            assert tree.rep is _sorted_rep(t)
+            assert tree.sort_key() == _recursive_key(tree.rep)
+            assert canonicalize(tree.rep) is tree and NonPlanarTree(tree.rep) is tree
+            seen.add(tree)
+        assert len(seen) == counts[n]
 
 
 def test_enumerations_have_no_duplicates():
