@@ -398,11 +398,9 @@ def run(argv=None) -> int:
                 print(name)
             return 0
         if args.command == "verify" and not args.all and not args.law:
-            print("verify needs a law name, --all or --list", file=sys.stderr)
-            return 1
+            raise CliError("verify needs a law name, --all or --list")
         if args.command == "bseries" and args.action == "verify" and not args.beta:
-            print("bseries verify needs --beta", file=sys.stderr)
-            return 1
+            raise CliError("bseries verify needs --beta")
         return args.func(args)
     except (CliError, ForestParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

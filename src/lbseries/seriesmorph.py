@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .coeffalg import CharacterMap, LinComb, convolve_through, format_lincomb
 from .postlie import b_minus, concat, delta_n, left_graft
-from .subst import _require_logarithmic, delta_w, star_w
+from .subst import _contraction, _require_logarithmic, star_w
 from .trees import EMPTY_FOREST, OrderedForest, enumerate_ordered_forests
 
 
@@ -112,13 +112,15 @@ def a_alpha(alpha: CharacterMap, forest: OrderedForest) -> TruncatedSeries:
 
 
 def a_alpha_dagger(alpha: CharacterMap, forest: OrderedForest) -> LinComb:
-    """Adjoint of the substitution endomorphism, computed through the
-    partition coaction with ``alpha`` multiplicative over parts."""
+    """Adjoint of the substitution endomorphism: the partition coaction of
+    ``forest`` with ``alpha`` evaluated multiplicatively on each word of
+    parts.  The alpha-contracted recursion of :mod:`lbseries.subst` gives the
+    quotients with integer coefficients, so ``delta_w``'s words are never
+    built; one division undoes alpha's scaling."""
     _require_logarithmic(alpha)
-    return LinComb(
-        (quotient, c * alpha.eval_multiplicative(word.parts))
-        for (word, quotient), c in delta_w(forest).items()
-    )
+    scale, _, contracted = _contraction(alpha)
+    denominator = scale**forest.vertex_count
+    return LinComb((q, Fraction(c, denominator)) for q, c in contracted(forest).items())
 
 
 def check_adjoint(alpha: CharacterMap, order: int) -> bool:

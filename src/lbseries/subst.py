@@ -2,12 +2,21 @@
 
 This module houses the vertex-replacement operad on Lie polynomials of
 planar trees, the module structure of ordered forests over it, admissible
-vertex partitions, the partition coaction (the production path for
-substitution, a recursion on the block of a forest's first vertex), the
-bounded coaction oracle with Lie-bracket left legs (the same recursion,
-memoized behind its size guard), the induced convolution-style products on
-characters, and the projection check onto the extraction-contraction
-coproduct.
+vertex partitions, the partition coaction (a recursion on the block of a
+forest's first vertex), the bounded coaction oracle with Lie-bracket left
+legs (the same recursion, memoized behind its size guard), the induced
+convolution-style products on characters, and the projection check onto
+the extraction-contraction coproduct.
+
+The blocks at a forest's first vertex, with the forests each leaves, are
+one coefficient-free cache per forest (``_skeleton``) that every use of the
+recursion reads.  Substitution (``star_w``, and ``a_alpha_dagger`` in
+:mod:`lbseries.seriesmorph`) does not build ``delta_w``: its recursion
+carries the logarithmic character's value, multiplicative over the parts,
+in place of the word of parts, with integer coefficients
+(``_contraction``).  ``delta_w`` serves ``coproduct --op w``, the laws that
+read its terms, and the tests, where the convolution through it is the
+oracle for substitution.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .coeffalg import CharacterMap, LinComb, SymWord, convolve_through, is_logarithmic
-from .postlie import LiePoly, b_plus, bracket, concat, left_graft, shuffle
+from .postlie import LiePoly, _shuffle_words, b_plus, bracket, concat, left_graft, shuffle
 from .prelie import delta_h
 from .trees import (
     EMPTY_FOREST,
@@ -282,7 +291,7 @@ def admissible_partitions(forest: OrderedForest) -> list[AdmissiblePartition]:
     equal, are left out: no in-order Lie bracketing of such a part is
     nonzero, and keeping them breaks coassociativity of the coaction.
     Nothing is cached here; the coaction does not list partitions, it
-    walks only the blocks at a forest's first vertex (``_coaction``).
+    walks only the blocks at a forest's first vertex (``_skeleton``).
     """
     index = _ForestIndex(forest.trees)
     # each kept block, with its part, once per host: listed at its first vertex
@@ -316,32 +325,71 @@ def _pair_product(x: LinComb, y: LinComb) -> LinComb:
     )
 
 
+@lru_cache(maxsize=None)
+def _tree_blocks(tree: PlanarTree) -> tuple:
+    """The blocks rooted at a tree's root, each as (part tree, hanging):
+    the root takes a prefix of its stored children, each taken child roots
+    a block of its own subtree, and ``hanging`` lists, in the part's
+    preorder, the children each block vertex leaves (planar left to right)
+    as one forest per vertex that leaves any."""
+    kids = tree.children
+    blocks = []
+    for j in range(len(kids) + 1):
+        own = (OrderedForest(kids[j:][::-1]),) if j < len(kids) else ()
+        for taken in itertools.product(*map(_tree_blocks, kids[:j])):
+            part = PlanarTree(tuple(p for p, _ in taken))
+            blocks.append((part, own + tuple(h for _, hs in taken for h in hs)))
+    return tuple(blocks)
+
+
+@lru_cache(maxsize=None)
+def _skeleton(forest: OrderedForest) -> tuple:
+    """The kept blocks at a non-empty forest's first vertex, as (rest,
+    blocks) pairs with blocks (part, hanging).
+
+    A block's roots are a run of top-level trees from the first, each
+    rooting a block of its tree (``_tree_blocks``).  Every other block lies
+    in one of the smaller forests the block leaves: ``hanging`` lists the
+    children its vertices do not take, one forest per vertex, and ``rest``
+    holds the top-level trees past the block's roots (one per run, so the
+    blocks are grouped by it).  The skeleton does not depend on
+    coefficients, so the coactions and the alpha-contracted substitution
+    all read this one cache.
+    """
+    trees = forest.trees
+    runs = []
+    # (part trees, hanging) of the blocks whose roots are trees[:end]
+    taken = [((), ())]
+    for end, tree in enumerate(trees, 1):
+        taken = [(ps + (p,), hs + h) for ps, hs in taken for p, h in _tree_blocks(tree)]
+        parts = ((OrderedForest(ps), hs) for ps, hs in taken)
+        blocks = tuple((part, hs) for part, hs in parts if not _vanishing_part(part))
+        runs.append((OrderedForest(trees[end:]), blocks))
+    return tuple(runs)
+
+
 def _coaction(forest: OrderedForest, leg, coaction) -> LinComb:
     """The partition coaction of a non-empty forest, by recursion on the
-    block that holds its first vertex.
+    block that holds its first vertex (``_skeleton``).
 
-    Once that block is chosen, every other block lies in one of the
-    smaller forests it leaves: below each block vertex, the children it
-    does not take (planar left to right), and after it, the top-level trees
-    past its roots.  Their coactions (``coaction``) multiply in: words
-    multiply, the forests hanging below the block shuffle and ``b_plus``
-    closes them under the collapsed block, and the rest concatenates.
-    ``leg`` maps a part to its left legs, as (word, coefficient) pairs.
+    The coactions (``coaction``) of the forests the block leaves multiply
+    in: words multiply, the forests hanging below the block shuffle and
+    ``b_plus`` closes them under the collapsed block, and the rest
+    concatenates.  ``leg`` maps a part to its left legs, as (word,
+    coefficient) pairs.
     """
-    index = _ForestIndex(forest.trees)
     terms = []
-    for _, (block, part, roots, visited) in _blocks_at(index, index.roots, 0):
-        below = LinComb(((word, EMPTY_FOREST), c) for word, c in leg(part))
-        for v in visited:
-            hanging = [index.subtree[c] for c in reversed(index.children[v]) if c not in block]
-            if hanging:
-                below = _pair_product(below, coaction(OrderedForest(hanging)))
-        rest = coaction(OrderedForest(forest.trees[len(roots) :])).items()
-        for (wb, fb), cb in below.items():
-            head = (b_plus(fb),)
-            terms.extend(
-                ((wb * wr, OrderedForest(head + fr.trees)), cb * cr) for (wr, fr), cr in rest
-            )
+    for rest, blocks in _skeleton(forest):
+        tail = coaction(rest).items()
+        for part, hanging in blocks:
+            below = LinComb(((word, EMPTY_FOREST), c) for word, c in leg(part))
+            for h in hanging:
+                below = _pair_product(below, coaction(h))
+            for (wb, fb), cb in below.items():
+                head = (b_plus(fb),)
+                terms.extend(
+                    ((wb * wr, OrderedForest(head + fr.trees)), cb * cr) for (wr, fr), cr in tail
+                )
     return LinComb(terms)
 
 
@@ -434,20 +482,116 @@ def _require_logarithmic(alpha: CharacterMap) -> None:
         raise ValueError("character is not logarithmic")
 
 
+def _denominator_lcm(values) -> int:
+    return math.lcm(1, *(c.denominator for c in values))
+
+
+def _contraction(alpha: CharacterMap):
+    """The partition coaction with ``alpha`` evaluated on the word of parts,
+    in integers: ``(scale, terms, contracted)``.
+
+    ``contracted(F)`` is ``{quotient: c}`` with ``c`` the coefficient of the
+    quotient in ``a_alpha_dagger(alpha, F)`` times ``scale ** |F|``, where
+    ``scale`` is the lcm of alpha's denominators; ``terms(F)`` yields the
+    unsummed (quotient, c) pairs of a non-empty forest.  ``alpha`` is
+    multiplicative over the parts, so the coaction's first-block recursion
+    (``_skeleton``) carries alpha's value where the word was: each part
+    weighs ``alpha(part) * scale ** |part|``, an integer, and the parts of a
+    term cover F.  Blocks whose part alpha vanishes on are skipped.  The
+    memo lives as long as the returned functions, one call of the caller.
+    """
+    scale = _denominator_lcm(alpha.values.values())
+    weight = {
+        part: c.numerator * (scale**part.vertex_count // c.denominator)
+        for part, c in alpha.values.items()
+    }
+    memo = {EMPTY_FOREST: {EMPTY_FOREST: 1}}
+
+    def terms(forest: OrderedForest):
+        for rest, blocks in _skeleton(forest):
+            # the forests closed under the collapsed block, summed over the
+            # blocks of this run before the rest multiplies in
+            heads: dict = {}
+            for part, hanging in blocks:
+                a = weight.get(part)
+                if a is None:
+                    continue
+                if hanging:
+                    below = [(f, a * c) for f, c in contracted(hanging[0]).items()]
+                    for h in hanging[1:]:
+                        below = _shuffled(below, contracted(h))
+                else:
+                    below = [(EMPTY_FOREST, a)]
+                for f, c in below:
+                    heads[f] = heads.get(f, 0) + c
+            tail = contracted(rest).items() if heads else ()
+            for fb, cb in heads.items():
+                if cb:
+                    head = (b_plus(fb),)
+                    for fr, cr in tail:
+                        yield OrderedForest(head + fr.trees), cb * cr
+
+    def contracted(forest: OrderedForest) -> dict:
+        out = memo.get(forest)
+        if out is None:
+            sums: dict = {}
+            for q, c in terms(forest):
+                sums[q] = sums.get(q, 0) + c
+            out = memo[forest] = {q: c for q, c in sums.items() if c}
+        return out
+
+    return scale, terms, contracted
+
+
+def _shuffled(x, y: dict) -> list:
+    """Integer (forest, c) pairs times a combination: forests shuffle."""
+    sums: dict = {}
+    for fx, cx in x:
+        for fy, cy in y.items():
+            c = cx * cy
+            for w, m in _shuffle_counts(fx, fy):
+                sums[w] = sums.get(w, 0) + c * m
+    return [(w, c) for w, c in sums.items() if c]
+
+
+@lru_cache(maxsize=None)
+def _shuffle_counts(f1: OrderedForest, f2: OrderedForest) -> tuple:
+    """The shuffles of two forests, as (forest, multiplicity) pairs."""
+    counts: dict = {}
+    for w in _shuffle_words(f1.trees, f2.trees):
+        counts[w] = counts.get(w, 0) + 1
+    return tuple(counts.items())
+
+
 def star_w(alpha: CharacterMap, beta: CharacterMap) -> CharacterMap:
     """Substitution product on characters through the partition coaction.
 
     ``alpha`` must be logarithmic; it is extended multiplicatively over the
-    commutative word of parts.
+    commutative word of parts.  The coaction's words are never built: the
+    alpha-contracted recursion (``_contraction``) gives each forest's
+    quotients with integer coefficients, and beta, scaled to integers by
+    the lcm of its denominators, is paired with them; one division per
+    forest undoes both scalings.  Forests of the top order are paired as
+    their terms come and are not memoized.  Equal to
+    ``convolve_through(delta_w, ...)`` (tested up to order 7).
     """
     _require_logarithmic(alpha)
-    return convolve_through(
-        delta_w,
-        lambda word: alpha.eval_multiplicative(word.parts),
-        beta,
-        enumerate_ordered_forests,
-        min(alpha.order, beta.order),
-    )
+    order = min(alpha.order, beta.order)
+    scale, terms, contracted = _contraction(alpha)
+    beta_scale = _denominator_lcm([beta.empty_value, *beta.values.values()])
+    weight = {
+        f: c.numerator * (beta_scale // c.denominator)
+        for f, c in beta.values.items()
+        if f.vertex_count <= order
+    }
+    values = [(EMPTY_FOREST, beta.empty_value)]
+    for size in range(1, order + 1):
+        denominator = scale**size * beta_scale
+        for forest in enumerate_ordered_forests(size):
+            pairs = terms(forest) if size == order else contracted(forest).items()
+            total = sum(c * weight.get(q, 0) for q, c in pairs)
+            values.append((forest, Fraction(total, denominator)))
+    return CharacterMap(order, 0, values)
 
 
 def _lie_factor_value(alpha: CharacterMap, lp: LiePoly) -> Fraction:

@@ -1,6 +1,8 @@
-"""Output digests that pin a coproduct or coaction on a whole basis."""
+"""Output digests that pin a coproduct or coaction on a whole basis, or a
+character."""
 
 import hashlib
+import json
 
 
 def coproduct_digest(coproduct, forests, order: int) -> str:
@@ -15,3 +17,8 @@ def coproduct_digest(coproduct, forests, order: int) -> str:
             )
             digest.update("\n".join([forest.serialize(), *terms, ""]).encode())
     return digest.hexdigest()
+
+
+def character_digest(char) -> str:
+    """sha256 of a character's JSON form with sorted keys."""
+    return hashlib.sha256(json.dumps(char.to_json(), sort_keys=True).encode()).hexdigest()

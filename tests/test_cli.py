@@ -435,6 +435,21 @@ def test_verify_order_or_guard_below_one_is_an_input_error(capsys, target, flag,
     assert captured.err == f"error: {flag} must be at least 1\n"
 
 
+def test_verify_without_a_target_is_a_usage_error(capsys):
+    assert run(["verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: verify needs a law name, --all or --list\n"
+
+
+def test_bseries_verify_without_beta_is_a_usage_error(golden_files, capsys):
+    argv = ["bseries", "verify", "--field", golden_files["field"], "--alpha", golden_files["alpha"]]
+    assert run(argv + ["--y0", "1,-2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bseries verify needs --beta\n"
+
+
 def test_verify_guard_needs_a_law_that_reads_it(capsys):
     assert run(["verify", "ck-coassoc", "--order", "3", "--guard", "9"]) == 1
     captured = capsys.readouterr()

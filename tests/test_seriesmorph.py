@@ -31,6 +31,8 @@ from lbseries.laws import (
 from lbseries.postlie import concat, left_graft
 from lbseries.trees import EMPTY_FOREST, enumerate_ordered_forests
 
+from characters import dagger_through_delta_w, lie_character
+
 pf = parse_forest
 
 
@@ -178,6 +180,15 @@ def test_a_alpha_dagger_examples():
     assert a_alpha_dagger(alpha, pf("[[]]")) == LinComb(
         [(pf("[[]]"), Fraction(1, 4)), (pf("[]"), c)]
     )
+
+
+def test_a_alpha_dagger_matches_the_delta_w_pairing():
+    """The alpha-contracted recursion equals the coaction's terms paired with
+    alpha on every forest up to order 6."""
+    alpha = lie_character(6, random.Random(15))
+    for n in range(0, 7):
+        for forest in enumerate_ordered_forests(n):
+            assert a_alpha_dagger(alpha, forest) == dagger_through_delta_w(alpha, forest)
 
 
 def test_adjoint_identity():

@@ -38,10 +38,12 @@ from lbseries.subst import (
     _vanishing_part,
     eval_expr,
 )
-from lbseries.seriesmorph import a_alpha
+from lbseries import seriesmorph, subst
+from lbseries.seriesmorph import a_alpha, a_alpha_dagger, substitute_lb
 from lbseries.trees import enumerate_ordered_forests, enumerate_planar_trees
 
-from digests import coproduct_digest
+from characters import any_character, dagger_through_delta_w, lie_character, star_w_through_delta_w
+from digests import character_digest, coproduct_digest
 from partition_oracle import oracle_delta_w, oracle_partitions
 from worked_examples import RHO_EXAMPLE_1, RHO_EXAMPLE_2, RHO_EXAMPLE_3, W_EXAMPLE
 
@@ -215,6 +217,17 @@ def test_delta_w_is_pinned_to_order_7():
     assert coproduct_digest(delta_w, enumerate_ordered_forests, 7) == DELTA_W_DIGEST_7
 
 
+# computed by the convolution through delta_w, before star_w stopped
+# building the coaction's words
+STAR_W_DIGEST_7 = "1facda108e9df9cc9b917564f9b0603bb2c6d3b8b13163c7cd6a229da4da08f4"
+
+
+def test_star_w_is_pinned_to_order_7():
+    alpha = lie_character(7, random.Random(70))
+    beta = any_character(7, random.Random(71))
+    assert character_digest(star_w(alpha, beta)) == STAR_W_DIGEST_7
+
+
 def test_delta_w_worked_example():
     forest, expected = W_EXAMPLE
     assert delta_w(forest) == expected
@@ -338,6 +351,44 @@ def test_seeded_random_characters_keep_their_draw_order():
         "empty": "1",
         "values": {"[]": "-4", "[[]]": "-2", "[] []": "8"},
     }
+
+
+@pytest.mark.parametrize(
+    "seed, alpha_order, beta_order",
+    [(0, 7, 7), (1, 7, 5), (2, 4, 7), (3, 6, 6), (4, 5, 5), (5, 1, 3), (6, 0, 2)],
+)
+def test_star_w_matches_the_convolution_through_delta_w(seed, alpha_order, beta_order):
+    """Unequal orders, alpha with values on multi-tree forests and
+    denominators up to 12 in both characters."""
+    rng = random.Random(seed)
+    alpha = lie_character(alpha_order, rng)
+    beta = any_character(beta_order, rng)
+    assert any(len(f.trees) > 1 for f in alpha.values) or alpha_order < 2
+    assert star_w(alpha, beta) == star_w_through_delta_w(alpha, beta)
+
+
+def test_star_w_matches_the_convolution_on_law_characters():
+    rng = random.Random(13)
+    for order, support in ((3, None), (4, 3), (6, 2)):
+        alpha = random_logarithmic_character(order, rng, support)
+        beta = random_character(order, rng)
+        assert star_w(alpha, beta) == star_w_through_delta_w(alpha, beta)
+
+
+def test_substitution_does_not_build_delta_w(monkeypatch):
+    rng = random.Random(14)
+    alpha = lie_character(5, rng)
+    beta = any_character(5, rng)
+    expected = star_w_through_delta_w(alpha, beta)
+    daggers = {f: dagger_through_delta_w(alpha, f) for f in enumerate_ordered_forests(5)}
+
+    def refuse(forest):
+        raise AssertionError(f"delta_w called on {forest.serialize()}")
+
+    monkeypatch.setattr(subst, "delta_w", refuse)
+    monkeypatch.setattr(seriesmorph, "delta_w", refuse, raising=False)
+    assert substitute_lb(alpha, beta) == expected
+    assert all(a_alpha_dagger(alpha, f) == d for f, d in daggers.items())
 
 
 def test_star_rho_agrees_with_star_w():
