@@ -72,8 +72,10 @@ def gl_product(f1: OrderedForest, f2: OrderedForest) -> LinComb:
     return grafted.map_basis(lambda w: b_minus(w.trees[0]))
 
 
+@lru_cache(maxsize=None)
 def shuffle(f1: OrderedForest, f2: OrderedForest) -> LinComb:
-    """Sum of all interleavings of the two tree sequences."""
+    """Sum of all interleavings of the two tree sequences (cached, so every
+    caller shares a pair's interleavings)."""
     terms = [(w, 1) for w in _shuffle_words(f1.trees, f2.trees)]
     return LinComb(terms)
 

@@ -116,11 +116,21 @@ def a_alpha_dagger(alpha: CharacterMap, forest: OrderedForest) -> LinComb:
     ``forest`` with ``alpha`` evaluated multiplicatively on each word of
     parts.  The alpha-contracted recursion of :mod:`lbseries.subst` gives the
     quotients with integer coefficients, so ``delta_w``'s words are never
-    built; one division undoes alpha's scaling."""
+    built; one division undoes alpha's scaling.  A loop over forests should
+    use ``_dagger_map``, which shares the recursion's memo between them."""
+    return _dagger_map(alpha)(forest)
+
+
+def _dagger_map(alpha: CharacterMap):
+    """``forest -> a_alpha_dagger(alpha, forest)`` over one contraction."""
     _require_logarithmic(alpha)
     scale, _, contracted = _contraction(alpha)
-    denominator = scale**forest.vertex_count
-    return LinComb((q, Fraction(c, denominator)) for q, c in contracted(forest).items())
+
+    def dagger(forest: OrderedForest) -> LinComb:
+        denominator = scale**forest.vertex_count
+        return LinComb((q, Fraction(c, denominator)) for q, c in contracted(forest).items())
+
+    return dagger
 
 
 def check_adjoint(alpha: CharacterMap, order: int) -> bool:
@@ -129,7 +139,8 @@ def check_adjoint(alpha: CharacterMap, order: int) -> bool:
     for size in range(1, order + 1):
         forests.extend(enumerate_ordered_forests(size))
     images = {w: a_alpha(alpha, w) for w in forests}
-    daggers = {w: a_alpha_dagger(alpha, w) for w in forests}
+    dagger = _dagger_map(alpha)
+    daggers = {w: dagger(w) for w in forests}
     for w1 in forests:
         for w2 in forests:
             if images[w1].coeff(w2) != daggers[w2].coeff(w1):

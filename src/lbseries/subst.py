@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .coeffalg import CharacterMap, LinComb, SymWord, convolve_through, is_logarithmic
-from .postlie import LiePoly, _shuffle_words, b_plus, bracket, concat, left_graft, shuffle
+from .postlie import LiePoly, b_plus, bracket, concat, left_graft, shuffle
 from .prelie import delta_h
 from .trees import (
     EMPTY_FOREST,
@@ -208,46 +208,60 @@ class AdmissiblePartition:
     part_vertices: tuple[tuple[int, ...], ...]
 
 
-def _part_forest(
-    index: _ForestIndex, roots: list[int], block: frozenset[int]
-) -> tuple[OrderedForest, tuple[int, ...], tuple[int, ...]]:
-    """A block's part, its roots planar left to right (stored order is planar
-    for top-level roots, reversed for the children of a vertex) and its
-    vertices in the part's preorder."""
-    ordered = roots if index.parent[roots[0]] is None else roots[::-1]
-    visited: list[int] = []
+@lru_cache(maxsize=None)
+def _tree_blocks(tree: PlanarTree) -> tuple:
+    """The blocks rooted at a tree's root, each as (part tree, hanging):
+    the root takes a prefix of its stored children, each taken child roots
+    a block of its own subtree, and ``hanging`` lists, in the part's
+    preorder, the children each block vertex leaves (planar left to right)
+    as one forest per vertex that leaves any."""
+    kids = tree.children
+    blocks = []
+    for j in range(len(kids) + 1):
+        own = (OrderedForest(kids[j:][::-1]),) if j < len(kids) else ()
+        for taken in itertools.product(*map(_tree_blocks, kids[:j])):
+            part = PlanarTree(tuple(p for p, _ in taken))
+            blocks.append((part, own + tuple(h for _, hs in taken for h in hs)))
+    return tuple(blocks)
 
-    def rec(v: int) -> PlanarTree:
-        visited.append(v)
-        return PlanarTree(
-            tuple(rec(c) for c in index.children[v] if c in block)
-        )
 
-    trees = tuple(rec(r) for r in ordered)
-    return OrderedForest(trees), tuple(ordered), tuple(visited)
+def _run_blocks(trees: Sequence[PlanarTree]):
+    """The blocks whose roots are a run of sibling trees from the first:
+    for each run ``trees[:end]`` in turn, its blocks as (part trees in
+    stored order, hanging) pairs, each tree rooting a block of its own
+    (``_tree_blocks``).  This and ``_tree_blocks`` are the one statement of
+    the block rule; partitions and coactions read it."""
+    taken = [((), ())]
+    for tree in trees:
+        taken = [(ps + (p,), hs + h) for ps, hs in taken for p, h in _tree_blocks(tree)]
+        yield taken
 
 
 def _blocks_at(index: _ForestIndex, siblings: list[int], v: int):
     """The kept blocks opened at ``v``, as (vertex bitmask, (block, part,
     roots, part vertices)): the roots are a run of ``siblings`` starting at
-    ``v`` and every member adds a prefix of its stored children."""
+    ``v`` (``_run_blocks``).  Stored order is planar for top-level roots,
+    reversed for the children of a vertex."""
 
-    def grown(frontier: list[int], members: list[int]):
-        if not frontier:
-            yield members
-            return
-        kids = index.children[frontier[0]]
-        for j in range(len(kids) + 1):
-            yield from grown(frontier[1:] + kids[:j], members + kids[:j])
+    def members(u: int, tree: PlanarTree) -> list[int]:
+        # a block vertex takes the first of its stored children, as many as
+        # its part tree has
+        out = [u]
+        for c, sub in zip(index.children[u], tree.children):
+            out += members(c, sub)
+        return out
 
-    start = index.position[v]
-    for end in range(start + 1, len(siblings) + 1):
-        roots = siblings[start:end]
-        for members in grown(roots, roots):
-            block = frozenset(members)
-            part, ordered, visited = _part_forest(index, roots, block)
+    run = siblings[index.position[v] :]
+    planar = index.parent[v] is None
+    for end, combos in enumerate(_run_blocks([index.subtree[r] for r in run]), 1):
+        roots = run[:end] if planar else run[:end][::-1]
+        for trees, _ in combos:
+            trees = trees if planar else trees[::-1]
+            part = OrderedForest(trees)
             if not _vanishing_part(part):
-                yield sum(1 << u for u in members), (block, part, ordered, visited)
+                visited = tuple(u for r, t in zip(roots, trees) for u in members(r, t))
+                mask = sum(1 << u for u in visited)
+                yield mask, (frozenset(visited), part, tuple(roots), visited)
 
 
 def _in_order_bracketings(trees: tuple[PlanarTree, ...]) -> list[LiePoly]:
@@ -326,45 +340,22 @@ def _pair_product(x: LinComb, y: LinComb) -> LinComb:
 
 
 @lru_cache(maxsize=None)
-def _tree_blocks(tree: PlanarTree) -> tuple:
-    """The blocks rooted at a tree's root, each as (part tree, hanging):
-    the root takes a prefix of its stored children, each taken child roots
-    a block of its own subtree, and ``hanging`` lists, in the part's
-    preorder, the children each block vertex leaves (planar left to right)
-    as one forest per vertex that leaves any."""
-    kids = tree.children
-    blocks = []
-    for j in range(len(kids) + 1):
-        own = (OrderedForest(kids[j:][::-1]),) if j < len(kids) else ()
-        for taken in itertools.product(*map(_tree_blocks, kids[:j])):
-            part = PlanarTree(tuple(p for p, _ in taken))
-            blocks.append((part, own + tuple(h for _, hs in taken for h in hs)))
-    return tuple(blocks)
-
-
-@lru_cache(maxsize=None)
 def _skeleton(forest: OrderedForest) -> tuple:
-    """The kept blocks at a non-empty forest's first vertex, as (rest,
-    blocks) pairs with blocks (part, hanging).
+    """The kept blocks at a non-empty forest's first vertex
+    (``_run_blocks``), as (rest, blocks) pairs with blocks (part, hanging).
 
-    A block's roots are a run of top-level trees from the first, each
-    rooting a block of its tree (``_tree_blocks``).  Every other block lies
-    in one of the smaller forests the block leaves: ``hanging`` lists the
-    children its vertices do not take, one forest per vertex, and ``rest``
-    holds the top-level trees past the block's roots (one per run, so the
-    blocks are grouped by it).  The skeleton does not depend on
-    coefficients, so the coactions and the alpha-contracted substitution
-    all read this one cache.
+    Every other block lies in one of the smaller forests the block leaves:
+    ``hanging`` lists the children its vertices do not take, one forest per
+    vertex, and ``rest`` holds the top-level trees past the block's roots
+    (one per run of roots, so the blocks are grouped by it).  The skeleton
+    does not depend on coefficients, so the coactions and the
+    alpha-contracted substitution all read this one cache.
     """
-    trees = forest.trees
     runs = []
-    # (part trees, hanging) of the blocks whose roots are trees[:end]
-    taken = [((), ())]
-    for end, tree in enumerate(trees, 1):
-        taken = [(ps + (p,), hs + h) for ps, hs in taken for p, h in _tree_blocks(tree)]
+    for end, taken in enumerate(_run_blocks(forest.trees), 1):
         parts = ((OrderedForest(ps), hs) for ps, hs in taken)
         blocks = tuple((part, hs) for part, hs in parts if not _vanishing_part(part))
-        runs.append((OrderedForest(trees[end:]), blocks))
+        runs.append((OrderedForest(forest.trees[end:]), blocks))
     return tuple(runs)
 
 
@@ -549,18 +540,10 @@ def _shuffled(x, y: dict) -> list:
     for fx, cx in x:
         for fy, cy in y.items():
             c = cx * cy
-            for w, m in _shuffle_counts(fx, fy):
-                sums[w] = sums.get(w, 0) + c * m
+            for w, m in shuffle(fx, fy).items():
+                # multiplicities are whole numbers: their numerators keep the sums int
+                sums[w] = sums.get(w, 0) + c * m.numerator
     return [(w, c) for w, c in sums.items() if c]
-
-
-@lru_cache(maxsize=None)
-def _shuffle_counts(f1: OrderedForest, f2: OrderedForest) -> tuple:
-    """The shuffles of two forests, as (forest, multiplicity) pairs."""
-    counts: dict = {}
-    for w in _shuffle_words(f1.trees, f2.trees):
-        counts[w] = counts.get(w, 0) + 1
-    return tuple(counts.items())
 
 
 def star_w(alpha: CharacterMap, beta: CharacterMap) -> CharacterMap:
