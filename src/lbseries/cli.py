@@ -207,15 +207,10 @@ def cmd_series_product(args) -> int:
         if args.order > min(orders.values()):
             alpha, beta = orders["alpha"], orders["beta"]
             raise CliError(f"order {args.order} is above the characters' orders {alpha} and {beta}")
-        chars = [_truncate(char, args.order) for char in chars]
+        chars = [char.truncated(args.order) for char in chars]
     result = args.product(*chars)
     _emit(args, result.to_json(), _character_text(result))
     return 0
-
-
-def _truncate(char: CharacterMap, order: int) -> CharacterMap:
-    values = [(b, c) for b, c in char.values.items() if b.vertex_count <= order]
-    return CharacterMap(order, char.empty_value, values)
 
 
 def _character_text(char: CharacterMap) -> str:

@@ -9,6 +9,7 @@ no floating point anywhere.  ``LinComb`` is a sparse map from basis elements
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
@@ -298,6 +299,12 @@ class CharacterMap:
             value *= self(f)
         return value
 
+    def truncated(self, order: int) -> "CharacterMap":
+        """The character cut to truncation ``order``: its values on larger
+        forests are dropped."""
+        values = [(b, c) for b, c in self.values.items() if b.vertex_count <= order]
+        return CharacterMap(order, self.empty_value, values)
+
     def __eq__(self, other):
         return (
             isinstance(other, CharacterMap)
@@ -404,6 +411,22 @@ def is_exponential(alpha: CharacterMap) -> bool:
     return True
 
 
+def integer_weights(values: dict, graded: bool = True) -> tuple[int, dict]:
+    """Rational values as integers over one scale: ``(D, weights)`` with
+    ``D`` the lcm of the denominators and ``weights[x]`` the integer
+    ``values[x] * D ** |x|``, or ``values[x] * D`` when not ``graded``.
+
+    Graded weights of parts that cover ``n`` vertices multiply to
+    ``D ** n`` times the product of their values, whatever the parts, so a
+    sum over the terms of a size-``n`` basis element stays an integer and
+    one division by ``D ** n`` ends it."""
+    scale = math.lcm(1, *(c.denominator for c in values.values()))
+    return scale, {
+        x: c.numerator * (scale ** (x.vertex_count if graded else 1) // c.denominator)
+        for x, c in values.items()
+    }
+
+
 def convolve_through(
     delta: Callable, left: Callable, right: Callable, forests: Callable, order: int
 ) -> CharacterMap:
@@ -411,8 +434,10 @@ def convolve_through(
     ``c * (l, r)`` of ``delta(w)``, for every ``w`` in ``forests(0..order)``.
 
     Composition and substitution of series are convolutions through a
-    coproduct or a coaction.  ``prelie.convolve`` contracts its left
-    character into each tree's terms instead, and is tested against this.
+    coproduct or a coaction.  ``prelie.convolve`` and ``subst.star_w``
+    build no terms: they carry their left character through the
+    coproduct's or coaction's recursion instead, and are tested against
+    this.
     """
     values = []
     for size in range(order + 1):

@@ -269,7 +269,8 @@ def verify_bseries_substitution(
     """Substituting one series as the vector field of another agrees with
     the convolution through the extraction-contraction coproduct, compared
     exactly on h-coefficients up to ``order``, which may not exceed either
-    character's order.  The entries of ``y0`` are exact rationals.
+    character's order.  Both characters are truncated to ``order`` first,
+    so their orders may differ.  The entries of ``y0`` are exact rationals.
 
     Both sides are expanded only up to ``h^order``: a tree ``t`` reads the
     h-powers up to ``order - |t|`` of its elementary differential, and
@@ -279,6 +280,7 @@ def verify_bseries_substitution(
         raise ValueError(
             f"order {order} is above the characters' orders {alpha.order} and {beta.order}"
         )
+    alpha, beta = alpha.truncated(order), beta.truncated(order)
     modified = _series_as_field(field, alpha, order)
     lhs = _series(modified, beta, y0, order, cap=order)
     rhs = _series(field, convolve(alpha, beta, "h"), y0, order, cap=order)

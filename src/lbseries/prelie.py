@@ -4,7 +4,9 @@ coproducts that govern composition (admissible edge cuts) and substitution
 
 Both coproducts are given on a tree by recursion at its root, where each
 child's own terms are computed once, and extended multiplicatively over the
-trees of a forest.
+trees of a forest.  The convolution of characters through either one runs
+the same recursion with the left character's values in place of the left
+legs, so it builds no coproduct term.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .coeffalg import CharacterMap, LinComb, bilinear
+from .coeffalg import CharacterMap, LinComb, bilinear, integer_weights
 from .trees import (
     EMPTY_NP_FOREST,
     Forest,
@@ -120,8 +122,13 @@ def _multiplicative(tree_coproduct, forest: Forest) -> LinComb:
     """A coproduct given on trees, extended multiplicatively over a forest."""
     out = LinComb.of((EMPTY_NP_FOREST, EMPTY_NP_FOREST))
     for t in forest.trees:
-        out = bilinear(out, tree_coproduct(t), lambda a, b: (a[0].mul(b[0]), a[1].mul(b[1])))
+        out = bilinear(out, tree_coproduct(t), _pair_mul)
     return out
+
+
+def _pair_mul(x: tuple, y: tuple) -> tuple:
+    """Pairs of forests multiply leg by leg."""
+    return x[0].mul(y[0]), x[1].mul(y[1])
 
 
 def delta_ck(forest: Forest) -> LinComb:
@@ -154,11 +161,15 @@ def _contract(part: PlanarTree, others: Forest, hanging: Forest) -> tuple[Forest
     """The ``delta_h`` term (all parts, quotient) of a :func:`_root_blocks` term.
 
     The root's part is canonicalized: its kept children may have lost
-    vertices, so their order can break.  The quotient needs no sort, since
-    a ``Forest`` keeps its trees in canonical child order.
+    vertices, so their order can break.
     """
-    quotient = NonPlanarTree(PlanarTree(tuple(t.rep for t in hanging.trees)))
-    return others.mul(Forest((canonicalize(part),))), Forest((quotient,))
+    return others.mul(Forest((canonicalize(part),))), Forest((_b_plus(hanging),))
+
+
+def _b_plus(forest: Forest) -> NonPlanarTree:
+    """The tree whose root carries the forest's trees.  A ``Forest`` keeps
+    its trees in canonical child order, so no sort is needed."""
+    return NonPlanarTree(PlanarTree(tuple(t.rep for t in forest.trees)))
 
 
 def _delta_h_tree(tree: NonPlanarTree) -> LinComb:
@@ -289,32 +300,115 @@ def convolve(a: CharacterMap, b: CharacterMap, coproduct: str) -> CharacterMap:
 
     The left argument is evaluated multiplicatively over the tree factors of
     the left tensor legs (so a functional given on trees extends to the cut
-    branches / extracted parts); the right argument is looked up directly.
-    Both coproducts are multiplicative, so ``a`` is contracted into each
-    tree's terms once, giving a map from right legs to ``sum c * a(left)``;
-    a forest's map is the product of its trees' maps, paired with ``b``.
+    branches / extracted parts; its values on other forests are not read);
+    the right argument is looked up directly.  No coproduct term is built:
+    ``a`` is carried through the root recursion of the coproduct
+    (``_h_terms``, ``_ck_legs``), which gives each tree a map from right legs
+    to their summed left values, in integers.  A forest's map is the product
+    of its trees' maps, paired with ``b``, and one division per forest
+    undoes the scaling.  Equal to ``convolve_through`` of the coproduct
+    (tested up to order 7).
     """
     if coproduct not in ("ck", "h"):
         raise ValueError("coproduct must be 'ck' or 'h'")
     if a.order != b.order:
         raise ValueError("truncation orders differ")
-    tree_coproduct = _delta_ck_tree if coproduct == "ck" else _delta_h_tree
-    contracted: dict[NonPlanarTree, LinComb] = {}
+    scale, weight = integer_weights({f.trees[0]: c for f, c in a.values.items() if len(f) == 1})
+    b_values = {EMPTY_NP_FOREST: b.empty_value, **b.values}
+    b_scale, b_weight = integer_weights(b_values, graded=False)
+    memo: dict = {}
 
-    def contract(tree: NonPlanarTree) -> LinComb:
-        out = contracted.get(tree)
-        if out is None:
-            out = contracted[tree] = LinComb(
-                (r, c * a.eval_multiplicative([Forest((t,)) for t in l.trees]))
-                for (l, r), c in tree_coproduct(tree).items()
-            )
-        return out
+    def tree_legs(rep: PlanarTree) -> dict:
+        if coproduct == "h":
+            legs = _h_terms(rep, weight, memo)[1]
+        else:
+            legs = _ck_legs(rep, scale, weight, memo)
+        if rep.vertex_count == a.order:
+            del memo[rep]  # a tree of the top order is no other tree's subtree
+        return legs
 
     values = []
     for size in range(a.order + 1):
+        denominator = scale**size * b_scale
         for forest in enumerate_forests(size):
-            legs = LinComb.of(EMPTY_NP_FOREST)
+            legs = {EMPTY_NP_FOREST: 1}
             for tree in forest.trees:
-                legs = bilinear(legs, contract(tree), Forest.mul)
-            values.append((forest, b.on_comb(legs)))
+                legs = _multiplied(legs, tree_legs(tree.rep))
+            total = sum(c * b_weight.get(leg, 0) for leg, c in legs.items())
+            values.append((forest, Fraction(total, denominator)))
     return CharacterMap(a.order, 0, values)
+
+
+def _multiplied(x: dict, y: dict, mul=Forest.mul) -> dict:
+    """The product of two integer combinations under ``mul``; equal
+    products sum."""
+    out: dict = {}
+    for bx, cx in x.items():
+        for by, cy in y.items():
+            b = mul(bx, by)
+            out[b] = out.get(b, 0) + cx * cy
+    return out
+
+
+def _h_terms(rep: PlanarTree, weight: dict, memo: dict) -> tuple[dict, dict]:
+    """``a`` contracted into ``delta_h`` of a canonical tree rep, as
+    ``(blocks, legs)``.  ``legs`` maps each right leg (the quotient, as a
+    one-tree forest) to the sum, over the spanning subforests with that
+    quotient, of ``weight``'s product over their parts.
+
+    This is ``_root_blocks``' recursion with another key: ``blocks`` is
+    keyed by (the root's part, the quotients hanging below it), and the
+    weights of the other parts are summed into the coefficient, so a cut
+    child's part enters as a number, not as a left leg.  Every part weighs
+    ``a(part) * D ** |part|`` (``integer_weights``) and the parts cover the
+    tree, so each term of a tree ``t`` carries ``D ** |t|``.  Different parts may give the same
+    key, and different subforests the same quotient; their weights sum.
+    ``memo`` holds each planar subtree's pair for one ``convolve`` call.
+    """
+    out = memo.get(rep)
+    if out is None:
+        terms = {(EMPTY_NP_FOREST, EMPTY_NP_FOREST): 1}
+        for child in rep.children:
+            blocks, legs = _h_terms(child, weight, memo)
+            # a kept edge joins the child's root part to the root's; a cut
+            # one hangs the child's quotient below the root's part
+            options = {(Forest((part,)), below): c for (part, below), c in blocks.items()}
+            options.update(((EMPTY_NP_FOREST, leg), c) for leg, c in legs.items())
+            terms = _multiplied(terms, options, _pair_mul)
+        blocks = {(_b_plus(kids), below): c for (kids, below), c in terms.items()}
+        legs = {}
+        for (part, below), c in blocks.items():
+            w = weight.get(part)
+            if w:
+                leg = Forest((_b_plus(below),))
+                legs[leg] = legs.get(leg, 0) + c * w
+        out = memo[rep] = blocks, legs
+    return out
+
+
+def _ck_legs(rep: PlanarTree, scale: int, weight: dict, memo: dict) -> dict:
+    """``a`` contracted into ``delta_ck`` of a canonical tree rep: a map from
+    right legs (the kept tree as a one-tree forest, or the empty forest) to
+    the sum, over the cuts that keep it, of ``weight``'s product over the
+    cut branches.
+
+    This is ``_edge_antichains``' recursion keyed by the kept tree: each
+    child edge is cut, the child's branch weighing in on the empty leg, or
+    the recursion goes on inside the child, so a child's options are its
+    own legs and the kept children multiply as forests.  A kept tree
+    weighs ``scale ** |kept|``, so each term of a tree ``t`` carries
+    ``scale ** |t|``, as does the term with the whole tree on the left,
+    ``weight(t)`` on the empty leg.  ``memo`` holds each planar subtree's
+    legs for one ``convolve`` call.
+    """
+    out = memo.get(rep)
+    if out is None:
+        kids = {EMPTY_NP_FOREST: scale}
+        for child in rep.children:
+            kids = _multiplied(kids, _ck_legs(child, scale, weight, memo))
+        out = {Forest((_b_plus(f),)): c for f, c in kids.items()}
+        w = weight.get(NonPlanarTree(rep))
+        if w:
+            out[EMPTY_NP_FOREST] = w
+        memo[rep] = out
+    return out

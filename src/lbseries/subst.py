@@ -28,7 +28,14 @@ from functools import lru_cache, partial
 from fractions import Fraction
 from typing import Sequence
 
-from .coeffalg import CharacterMap, LinComb, SymWord, convolve_through, is_logarithmic
+from .coeffalg import (
+    CharacterMap,
+    LinComb,
+    SymWord,
+    convolve_through,
+    integer_weights,
+    is_logarithmic,
+)
 from .postlie import LiePoly, b_plus, bracket, concat, left_graft, shuffle
 from .prelie import delta_h
 from .trees import (
@@ -473,10 +480,6 @@ def _require_logarithmic(alpha: CharacterMap) -> None:
         raise ValueError("character is not logarithmic")
 
 
-def _denominator_lcm(values) -> int:
-    return math.lcm(1, *(c.denominator for c in values))
-
-
 def _contraction(alpha: CharacterMap):
     """The partition coaction with ``alpha`` evaluated on the word of parts,
     in integers: ``(scale, terms, contracted)``.
@@ -491,11 +494,7 @@ def _contraction(alpha: CharacterMap):
     term cover F.  Blocks whose part alpha vanishes on are skipped.  The
     memo lives as long as the returned functions, one call of the caller.
     """
-    scale = _denominator_lcm(alpha.values.values())
-    weight = {
-        part: c.numerator * (scale**part.vertex_count // c.denominator)
-        for part, c in alpha.values.items()
-    }
+    scale, weight = integer_weights(alpha.values)
     memo = {EMPTY_FOREST: {EMPTY_FOREST: 1}}
 
     def terms(forest: OrderedForest):
@@ -561,12 +560,8 @@ def star_w(alpha: CharacterMap, beta: CharacterMap) -> CharacterMap:
     _require_logarithmic(alpha)
     order = min(alpha.order, beta.order)
     scale, terms, contracted = _contraction(alpha)
-    beta_scale = _denominator_lcm([beta.empty_value, *beta.values.values()])
-    weight = {
-        f: c.numerator * (beta_scale // c.denominator)
-        for f, c in beta.values.items()
-        if f.vertex_count <= order
-    }
+    beta_values = {EMPTY_FOREST: beta.empty_value, **beta.values}
+    beta_scale, weight = integer_weights(beta_values, graded=False)
     values = [(EMPTY_FOREST, beta.empty_value)]
     for size in range(1, order + 1):
         denominator = scale**size * beta_scale

@@ -350,6 +350,23 @@ def test_bseries_verify_above_the_characters_order_is_an_input_error(golden_file
     assert captured.err.startswith("error: order 5 is above the characters' orders")
 
 
+@pytest.mark.parametrize(
+    "order", [[], ["--order", "3"], ["--order", "2"]], ids=["default", "order-3", "order-2"]
+)
+def test_bseries_verify_with_characters_of_different_orders(golden_files, tmp_path, capsys, order):
+    """An order-3 alpha against the order-4 beta is checked up to order 3,
+    or to a lower ``--order``."""
+    alpha = dict(GOLDEN_ALPHA, order=3)
+    alpha["values"] = {k: v for k, v in GOLDEN_ALPHA["values"].items() if k.count("[") <= 3}
+    path = tmp_path / "alpha3.json"
+    path.write_text(json.dumps(alpha))
+    argv = ["bseries", "verify", "--field", golden_files["field"], "--alpha", str(path)]
+    argv += ["--beta", golden_files["beta"], "--y0", "1,-2"]
+    assert run(argv + order) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("PASS\n", "")
+
+
 @pytest.mark.parametrize("flag", ["--y0", "--step"])
 def test_zero_denominator_on_the_command_line_is_an_input_error(golden_files, capsys, flag):
     argv = ["bseries", "eval", "--field", golden_files["field"], "--alpha", golden_files["beta"]]

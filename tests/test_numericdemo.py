@@ -165,6 +165,26 @@ def test_substitution_identity_case():
     assert verify_bseries_substitution(delta_dot, beta, f, (1,), 3)
 
 
+def test_verify_truncates_both_characters_to_the_order(monkeypatch):
+    """Characters of different orders are checked at any order up to the
+    lower one, and only that order is convolved."""
+    f = _field_y_squared()
+    rng = random.Random(20)
+    alpha = random_tree_character(3, rng, empty=0)
+    beta = random_tree_character(4, rng, empty=1)
+    convolve = numericdemo.convolve
+    orders = []
+
+    def recording(a, b, op):
+        orders.append((a.order, b.order))
+        return convolve(a, b, op)
+
+    monkeypatch.setattr(numericdemo, "convolve", recording)
+    for order in (1, 2, 3):
+        assert verify_bseries_substitution(alpha, beta, f, (1,), order)
+    assert orders == [(1, 1), (2, 2), (3, 3)]
+
+
 def test_substitution_rejects_nonvanishing_empty_part():
     f = _field_y_squared()
     alpha = CharacterMap(2, 1, [(pnf("[]"), 1)])

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -19,11 +20,12 @@ from lbseries import (
     graft_comb,
     parse_nonplanar_forest,
     parse_tree,
+    prelie,
 )
 from lbseries.laws import random_tree_character, run_law
 from lbseries.trees import enumerate_forests, enumerate_nonplanar_trees
 
-from digests import coproduct_digest
+from digests import character_digest, coproduct_digest
 from worked_examples import CK_EXAMPLES, GRAFT_EXAMPLE, H_EXAMPLES, PRELIE_OPERAD_EXAMPLE
 
 pnf = parse_nonplanar_forest
@@ -168,7 +170,7 @@ def test_graft_comb_bilinear():
 
 def _random_forest_character(order, rng, empty):
     values = [
-        (f, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+        (f, Fraction(rng.randint(-5, 5), rng.randint(1, 12)))
         for n in range(1, order + 1)
         for f in enumerate_forests(n)
     ]
@@ -186,14 +188,69 @@ def _convolve_through(a, b, delta):
 
 @pytest.mark.parametrize("op,delta", [("h", delta_h), ("ck", delta_ck)])
 def test_convolve_agrees_with_the_coproduct_terms(op, delta):
-    """The per-tree contraction of ``a`` equals the sum over the terms of
-    ``delta_h``/``delta_ck``, on tree characters ``a`` and on ``b`` given
-    on trees or on every forest, up to order 6."""
+    """The contraction of ``a`` through the root recursion equals the sum
+    over the terms of ``delta_h``/``delta_ck``, up to order 7, on ``a``
+    given on trees or on every forest (its values on forests of two or more
+    trees are not read) and on ``b`` given on trees or on every forest."""
     rng = random.Random(31)
-    for order in (0, 1, 3, 6):
-        a = random_tree_character(order, rng, empty=Fraction(rng.randint(-2, 2)))
-        for b in (
-            random_tree_character(order, rng, empty=1),
-            _random_forest_character(order, rng, Fraction(rng.randint(-2, 2), 3)),
+    for order in (0, 1, 3, 6, 7):
+        for a in (
+            random_tree_character(order, rng, empty=Fraction(rng.randint(-2, 2))),
+            _random_forest_character(order, rng, Fraction(rng.randint(-2, 2), 5)),
         ):
-            assert convolve(a, b, op) == _convolve_through(a, b, delta)
+            for b in (
+                random_tree_character(order, rng, empty=1),
+                _random_forest_character(order, rng, Fraction(rng.randint(-2, 2), 3)),
+            ):
+                assert convolve(a, b, op) == _convolve_through(a, b, delta)
+
+
+# computed by the convolution that summed the delta_h/delta_ck terms of
+# every tree, before a was carried through the root recursions
+CONVOLVE_DIGEST_7 = {
+    "h": "a386a58994329917e0a76b7b53918f73187d21738775fc259beddafa66d29b07",
+    "ck": "49480efb97c17d19e1ad21a744ea54e071752d728bd8ac03a55f095af953a46f",
+}
+
+
+@pytest.mark.parametrize("op", ["h", "ck"])
+def test_convolve_is_pinned_at_order_7(op):
+    rng = random.Random(7)
+    a = _random_forest_character(7, rng, Fraction(rng.randint(-2, 2)))
+    b = _random_forest_character(7, rng, Fraction(rng.randint(-2, 2), 3))
+    assert character_digest(convolve(a, b, op)) == CONVOLVE_DIGEST_7[op]
+
+
+@pytest.mark.parametrize("op,delta", [("h", delta_h), ("ck", delta_ck)])
+def test_convolve_does_not_build_the_tree_coproducts(op, delta, monkeypatch):
+    """``convolve`` builds no coproduct term: the tree coproducts and their
+    recursions are not called, and the result still equals the sum over
+    the terms."""
+    rng = random.Random(41)
+    a = _random_forest_character(5, rng, 0)
+    b = _random_forest_character(5, rng, 1)
+    expected = _convolve_through(a, b, delta)
+
+    def refuse(*args):
+        raise AssertionError("convolve built a coproduct term")
+
+    for name in ("_delta_h_tree", "_delta_ck_tree", "_root_blocks", "_edge_antichains"):
+        monkeypatch.setattr(prelie, name, refuse)
+    assert convolve(a, b, op) == expected
+
+
+@pytest.mark.parametrize("op", ["h", "ck"])
+def test_convolve_frees_its_memo_on_return(op):
+    """The memo dies with the call: no reference cycle leaves it to the
+    cyclic garbage collector."""
+    rng = random.Random(43)
+    a = _random_forest_character(5, rng, 0)
+    b = _random_forest_character(5, rng, 1)
+    convolve(a, b, op)  # interns every tree and forest the call meets
+    gc.collect()
+    gc.disable()
+    try:
+        convolve(a, b, op)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -318,23 +318,18 @@ def test_star_w_requires_logarithmic():
         star_w(bad, CharacterMap(2, 1))
 
 
-def _truncated(char, order):
-    values = [(f, c) for f, c in char.values.items() if f.vertex_count <= order]
-    return CharacterMap(order, char.empty_value, values)
-
-
 def test_star_w_with_unequal_orders_truncates_to_the_smaller():
     rng = random.Random(8)
     alpha = random_logarithmic_character(4, rng)
     beta = random_character(2, rng)
     result = star_w(alpha, beta)
     assert result.order == 2
-    assert result == star_w(_truncated(alpha, 2), beta)
+    assert result == star_w(alpha.truncated(2), beta)
     alpha = random_logarithmic_character(2, rng)
     beta = random_character(4, rng)
     result = star_w(alpha, beta)
     assert result.order == 2
-    assert result == star_w(alpha, _truncated(beta, 2))
+    assert result == star_w(alpha, beta.truncated(2))
 
 
 def test_seeded_random_characters_keep_their_draw_order():
