@@ -405,11 +405,6 @@ def run(argv=None) -> int:
         return 1
 
 
-def verify_registry() -> list[str]:
-    """Stable list of the registered verification laws."""
-    return law_names()
-
-
 def main() -> None:
     sys.exit(run())
 

@@ -1,9 +1,12 @@
 """Exact-rational linear combinations, tensors, symmetric words and characters.
 
-Every coefficient in the package is a :class:`fractions.Fraction`; there is
-no floating point anywhere.  ``LinComb`` is a sparse map from basis elements
-(any hashable values) to nonzero rationals.  Rank-two tensors are
-``LinComb`` instances keyed by ``(left, right)`` pairs.
+Every public coefficient in the package is a :class:`fractions.Fraction`;
+there is no floating point anywhere.  The contracted recursions behind the
+character products keep ``int`` coefficients internally, over one scale
+per character (``integer_weights``), and ``pair_legs`` divides them back
+into ``Fraction`` values once per forest.  ``LinComb`` is a sparse map from
+basis elements (any hashable values) to nonzero rationals.  Rank-two
+tensors are ``LinComb`` instances keyed by ``(left, right)`` pairs.
 """
 
 from __future__ import annotations
@@ -411,20 +414,51 @@ def is_exponential(alpha: CharacterMap) -> bool:
     return True
 
 
-def integer_weights(values: dict, graded: bool = True) -> tuple[int, dict]:
+def integer_weights(values: dict) -> tuple[int, dict]:
     """Rational values as integers over one scale: ``(D, weights)`` with
     ``D`` the lcm of the denominators and ``weights[x]`` the integer
-    ``values[x] * D ** |x|``, or ``values[x] * D`` when not ``graded``.
+    ``values[x] * D ** |x|``.
 
-    Graded weights of parts that cover ``n`` vertices multiply to
-    ``D ** n`` times the product of their values, whatever the parts, so a
-    sum over the terms of a size-``n`` basis element stays an integer and
-    one division by ``D ** n`` ends it."""
+    The weights of parts that cover ``n`` vertices multiply to ``D ** n``
+    times the product of their values, whatever the parts, so a sum over
+    the terms of a size-``n`` basis element stays an integer and one
+    division by ``D ** n`` ends it."""
     scale = math.lcm(1, *(c.denominator for c in values.values()))
     return scale, {
-        x: c.numerator * (scale ** (x.vertex_count if graded else 1) // c.denominator)
-        for x, c in values.items()
+        x: c.numerator * (scale**x.vertex_count // c.denominator) for x, c in values.items()
     }
+
+
+def pair_legs(
+    legs: Callable, scale: int, right: CharacterMap, forests: Callable, order: int
+) -> CharacterMap:
+    """The character ``w -> sum c * right(r) / scale ** |w|`` over the
+    integer pairs ``(r, c)`` of ``legs(w, top)``, for every ``w`` in
+    ``forests(0..order)``.
+
+    This is the one pairing of the contracted character products
+    (``subst.star_w``, ``prelie.convolve``): ``legs`` carries the left
+    character through a coproduct's or coaction's recursion and gives each
+    forest its right legs with integer coefficients, scaled by
+    ``scale ** |w|`` (``integer_weights``).  ``right`` is scaled to
+    integers by the lcm of its denominators, and one division per forest
+    undoes both scalings.  ``top`` is true for the forests of the top
+    order, whose legs no later forest reads, so ``legs`` need not memoize
+    them.  ``forests(0)`` lists the empty forest, where ``right`` reads its
+    empty value.
+    """
+    values = dict.fromkeys(forests(0), right.empty_value)
+    values.update(right.values)
+    right_scale = math.lcm(1, *(c.denominator for c in values.values()))
+    weight = {r: c.numerator * (right_scale // c.denominator) for r, c in values.items()}
+    out = []
+    for size in range(order + 1):
+        denominator = scale**size * right_scale
+        top = size == order
+        for w in forests(size):
+            total = sum(c * weight.get(r, 0) for r, c in legs(w, top))
+            out.append((w, Fraction(total, denominator)))
+    return CharacterMap(order, 0, out)
 
 
 def convolve_through(
@@ -436,8 +470,8 @@ def convolve_through(
     Composition and substitution of series are convolutions through a
     coproduct or a coaction.  ``prelie.convolve`` and ``subst.star_w``
     build no terms: they carry their left character through the
-    coproduct's or coaction's recursion instead, and are tested against
-    this.
+    coproduct's or coaction's recursion instead, pair it with the right
+    character through :func:`pair_legs`, and are tested against this.
     """
     values = []
     for size in range(order + 1):

@@ -60,7 +60,7 @@ from .subst import (
     Bracket,
     Leaf,
     SymLieWord,
-    _in_order_bracketings,
+    _nonzero_bracketings,
     _pair_product,
     admissible_partitions,
     check_pi_morphism,
@@ -112,20 +112,6 @@ def random_character(order: int, rng: random.Random) -> CharacterMap:
     return CharacterMap(order, _random_fraction(rng), values)
 
 
-def _lie_monomials(max_vertices: int) -> list[LiePoly]:
-    """Spanning set of Lie polynomials: all in-order bracketings of all tree
-    sequences with the given total vertex count or less."""
-    out = []
-    for total in range(1, max_vertices + 1):
-        for forest in enumerate_ordered_forests(total):
-            if forest.is_empty:
-                continue
-            for lp in _in_order_bracketings(forest.trees):
-                if not lp.is_zero():
-                    out.append(lp)
-    return out
-
-
 def random_logarithmic_character(
     order: int, rng: random.Random, support: int | None = None
 ) -> CharacterMap:
@@ -136,9 +122,10 @@ def random_logarithmic_character(
     """
     limit = min(order, support if support is not None else order)
     terms = []
-    for lp in _lie_monomials(limit):
-        c = _random_fraction(rng)
-        terms.extend((w, a * c) for w, a in lp.expansion.items())
+    for forest in _up_to(enumerate_ordered_forests, limit, 1):
+        for lp in _nonzero_bracketings(forest):
+            c = _random_fraction(rng)
+            terms.extend((w, a * c) for w, a in lp.expansion.items())
     return CharacterMap(order, 0, LinComb(terms).items())
 
 
@@ -297,7 +284,8 @@ def law_dalgebra_axioms(order: int, guard: int | None, seed: int) -> str | None:
     for a in forests:
         if left_graft(unit, LinComb.of(a)) != LinComb.of(a):
             return f"1 -> {a.serialize()}"
-    lies = _lie_monomials(order)
+    # a spanning set of the Lie polynomials (the empty forest has no bracketing)
+    lies = [lp for f in forests for lp in _nonzero_bracketings(f)]
     small = [f for f in forests if f.vertex_count <= 2]
     for a in forests:
         for x in lies:
@@ -478,11 +466,7 @@ def law_shuffle_bialgebra(order: int, guard: int | None, seed: int) -> str | Non
         columns = [[row.coeff(j) for row in rows] for j in range(width)]
         rank = matrix_rank(columns) if width else 0
         primitive_dim = len(basis) - rank
-        monos = [
-            lp
-            for lp in _lie_monomials(n)
-            if next(iter(lp.expansion.items()))[0].vertex_count == n
-        ]
+        monos = [lp for f in enumerate_ordered_forests(n) for lp in _nonzero_bracketings(f)]
         vecs = []
         for lp in monos:
             vec = [Fraction(0)] * len(basis)

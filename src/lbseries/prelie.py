@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .coeffalg import CharacterMap, LinComb, bilinear, integer_weights
+from .coeffalg import CharacterMap, LinComb, bilinear, integer_weights, pair_legs
 from .trees import (
     EMPTY_NP_FOREST,
     Forest,
@@ -296,7 +296,8 @@ def check_h_operad_duality(tree: NonPlanarTree) -> bool:
 
 def convolve(a: CharacterMap, b: CharacterMap, coproduct: str) -> CharacterMap:
     """Convolution of functionals through ``delta_ck`` or ``delta_h``: the
-    value on a forest is the sum of ``c * a(left) * b(right)`` over its terms.
+    value on a forest is the sum of ``c * a(left) * b(right)`` over its
+    terms, up to the smaller of the two orders.
 
     The left argument is evaluated multiplicatively over the tree factors of
     the left tensor legs (so a functional given on trees extends to the cut
@@ -305,38 +306,28 @@ def convolve(a: CharacterMap, b: CharacterMap, coproduct: str) -> CharacterMap:
     ``a`` is carried through the root recursion of the coproduct
     (``_h_terms``, ``_ck_legs``), which gives each tree a map from right legs
     to their summed left values, in integers.  A forest's map is the product
-    of its trees' maps, paired with ``b``, and one division per forest
-    undoes the scaling.  Equal to ``convolve_through`` of the coproduct
-    (tested up to order 7).
+    of its trees' maps, which ``pair_legs`` pairs with ``b``.  Equal to
+    ``convolve_through`` of the coproduct (tested up to order 7).
     """
     if coproduct not in ("ck", "h"):
         raise ValueError("coproduct must be 'ck' or 'h'")
-    if a.order != b.order:
-        raise ValueError("truncation orders differ")
     scale, weight = integer_weights({f.trees[0]: c for f, c in a.values.items() if len(f) == 1})
-    b_values = {EMPTY_NP_FOREST: b.empty_value, **b.values}
-    b_scale, b_weight = integer_weights(b_values, graded=False)
     memo: dict = {}
 
-    def tree_legs(rep: PlanarTree) -> dict:
-        if coproduct == "h":
-            legs = _h_terms(rep, weight, memo)[1]
-        else:
-            legs = _ck_legs(rep, scale, weight, memo)
-        if rep.vertex_count == a.order:
-            del memo[rep]  # a tree of the top order is no other tree's subtree
-        return legs
+    def legs(forest: Forest, top: bool):
+        out = {EMPTY_NP_FOREST: 1}
+        for tree in forest.trees:
+            rep = tree.rep
+            if coproduct == "h":
+                tree_legs = _h_terms(rep, weight, memo)[1]
+            else:
+                tree_legs = _ck_legs(rep, scale, weight, memo)
+            if top and len(forest) == 1:
+                del memo[rep]  # a tree of the top order is no other tree's subtree
+            out = _multiplied(out, tree_legs)
+        return out.items()
 
-    values = []
-    for size in range(a.order + 1):
-        denominator = scale**size * b_scale
-        for forest in enumerate_forests(size):
-            legs = {EMPTY_NP_FOREST: 1}
-            for tree in forest.trees:
-                legs = _multiplied(legs, tree_legs(tree.rep))
-            total = sum(c * b_weight.get(leg, 0) for leg, c in legs.items())
-            values.append((forest, Fraction(total, denominator)))
-    return CharacterMap(a.order, 0, values)
+    return pair_legs(legs, scale, b, enumerate_forests, min(a.order, b.order))
 
 
 def _multiplied(x: dict, y: dict, mul=Forest.mul) -> dict:

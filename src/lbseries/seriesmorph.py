@@ -6,9 +6,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffalg import CharacterMap, LinComb, convolve_through, format_lincomb
+from .coeffalg import CharacterMap, LinComb, convolve_through, format_lincomb, integer_weights
 from .postlie import b_minus, concat, delta_n, left_graft
-from .subst import _contraction, _require_logarithmic, star_w
+from .subst import _contracted, _require_logarithmic, star_w
 from .trees import EMPTY_FOREST, OrderedForest, enumerate_ordered_forests
 
 
@@ -122,13 +122,16 @@ def a_alpha_dagger(alpha: CharacterMap, forest: OrderedForest) -> LinComb:
 
 
 def _dagger_map(alpha: CharacterMap):
-    """``forest -> a_alpha_dagger(alpha, forest)`` over one contraction."""
+    """``forest -> a_alpha_dagger(alpha, forest)`` over one memo of the
+    alpha-contracted recursion (``subst._contracted``)."""
     _require_logarithmic(alpha)
-    scale, _, contracted = _contraction(alpha)
+    scale, weight = integer_weights(alpha.values)
+    memo: dict = {}
 
     def dagger(forest: OrderedForest) -> LinComb:
         denominator = scale**forest.vertex_count
-        return LinComb((q, Fraction(c, denominator)) for q, c in contracted(forest).items())
+        contracted = _contracted(forest, weight, memo)
+        return LinComb((q, Fraction(c, denominator)) for q, c in contracted.items())
 
     return dagger
 
@@ -149,10 +152,10 @@ def check_adjoint(alpha: CharacterMap, order: int) -> bool:
 
 
 def compose_lb(beta: CharacterMap, alpha: CharacterMap) -> CharacterMap:
-    """Composition convolution of characters through the left-cut coproduct."""
-    if beta.order != alpha.order:
-        raise ValueError("truncation orders differ")
-    return convolve_through(delta_n, beta, alpha, enumerate_ordered_forests, beta.order)
+    """Composition convolution of characters through the left-cut coproduct,
+    truncated to the smaller of their orders."""
+    order = min(beta.order, alpha.order)
+    return convolve_through(delta_n, beta, alpha, enumerate_ordered_forests, order)
 
 
 def substitute_lb(alpha: CharacterMap, beta: CharacterMap) -> CharacterMap:

@@ -14,7 +14,8 @@ recursion reads.  Substitution (``star_w``, and ``a_alpha_dagger`` in
 :mod:`lbseries.seriesmorph`) does not build ``delta_w``: its recursion
 carries the logarithmic character's value, multiplicative over the parts,
 in place of the word of parts, with integer coefficients
-(``_contraction``).  ``delta_w`` serves ``coproduct --op w``, the laws that
+(``_contracted``), and ``coeffalg.pair_legs`` pairs the result with the
+right character.  ``delta_w`` serves ``coproduct --op w``, the laws that
 read its terms, and the tests, where the convolution through it is the
 oracle for substitution.
 """
@@ -35,6 +36,7 @@ from .coeffalg import (
     convolve_through,
     integer_weights,
     is_logarithmic,
+    pair_legs,
 )
 from .postlie import LiePoly, b_plus, bracket, concat, left_graft, shuffle
 from .prelie import delta_h
@@ -480,57 +482,56 @@ def _require_logarithmic(alpha: CharacterMap) -> None:
         raise ValueError("character is not logarithmic")
 
 
-def _contraction(alpha: CharacterMap):
-    """The partition coaction with ``alpha`` evaluated on the word of parts,
-    in integers: ``(scale, terms, contracted)``.
+def _contracted(forest: OrderedForest, weight: dict, memo: dict) -> dict:
+    """The partition coaction of ``forest`` with alpha evaluated on the
+    word of parts, in integers: ``{quotient: c}`` with ``c`` the
+    coefficient of the quotient in ``a_alpha_dagger(alpha, forest)`` times
+    ``D ** |forest|``, where ``weight`` is alpha's ``integer_weights`` over
+    the scale ``D``.  ``memo`` holds each forest's map for one call of the
+    caller."""
+    out = memo.get(forest)
+    if out is None:
+        sums: dict = {}
+        for q, c in _contracted_terms(forest, weight, memo):
+            sums[q] = sums.get(q, 0) + c
+        out = memo[forest] = {q: c for q, c in sums.items() if c}
+    return out
 
-    ``contracted(F)`` is ``{quotient: c}`` with ``c`` the coefficient of the
-    quotient in ``a_alpha_dagger(alpha, F)`` times ``scale ** |F|``, where
-    ``scale`` is the lcm of alpha's denominators; ``terms(F)`` yields the
-    unsummed (quotient, c) pairs of a non-empty forest.  ``alpha`` is
-    multiplicative over the parts, so the coaction's first-block recursion
-    (``_skeleton``) carries alpha's value where the word was: each part
-    weighs ``alpha(part) * scale ** |part|``, an integer, and the parts of a
-    term cover F.  Blocks whose part alpha vanishes on are skipped.  The
-    memo lives as long as the returned functions, one call of the caller.
+
+def _contracted_terms(forest: OrderedForest, weight: dict, memo: dict):
+    """The unsummed (quotient, c) pairs of :func:`_contracted`.
+
+    alpha is multiplicative over the parts, so the coaction's first-block
+    recursion (``_skeleton``) carries alpha's value where the word was:
+    each part weighs ``alpha(part) * D ** |part|``, an integer, and the
+    parts of a term cover the forest.  Blocks whose part alpha vanishes on
+    are skipped.
     """
-    scale, weight = integer_weights(alpha.values)
-    memo = {EMPTY_FOREST: {EMPTY_FOREST: 1}}
-
-    def terms(forest: OrderedForest):
-        for rest, blocks in _skeleton(forest):
-            # the forests closed under the collapsed block, summed over the
-            # blocks of this run before the rest multiplies in
-            heads: dict = {}
-            for part, hanging in blocks:
-                a = weight.get(part)
-                if a is None:
-                    continue
-                if hanging:
-                    below = [(f, a * c) for f, c in contracted(hanging[0]).items()]
-                    for h in hanging[1:]:
-                        below = _shuffled(below, contracted(h))
-                else:
-                    below = [(EMPTY_FOREST, a)]
-                for f, c in below:
-                    heads[f] = heads.get(f, 0) + c
-            tail = contracted(rest).items() if heads else ()
-            for fb, cb in heads.items():
-                if cb:
-                    head = (b_plus(fb),)
-                    for fr, cr in tail:
-                        yield OrderedForest(head + fr.trees), cb * cr
-
-    def contracted(forest: OrderedForest) -> dict:
-        out = memo.get(forest)
-        if out is None:
-            sums: dict = {}
-            for q, c in terms(forest):
-                sums[q] = sums.get(q, 0) + c
-            out = memo[forest] = {q: c for q, c in sums.items() if c}
-        return out
-
-    return scale, terms, contracted
+    if forest.is_empty:
+        yield EMPTY_FOREST, 1
+        return
+    for rest, blocks in _skeleton(forest):
+        # the forests closed under the collapsed block, summed over the
+        # blocks of this run before the rest multiplies in
+        heads: dict = {}
+        for part, hanging in blocks:
+            a = weight.get(part)
+            if a is None:
+                continue
+            if hanging:
+                below = [(f, a * c) for f, c in _contracted(hanging[0], weight, memo).items()]
+                for h in hanging[1:]:
+                    below = _shuffled(below, _contracted(h, weight, memo))
+            else:
+                below = [(EMPTY_FOREST, a)]
+            for f, c in below:
+                heads[f] = heads.get(f, 0) + c
+        tail = _contracted(rest, weight, memo).items() if heads else ()
+        for fb, cb in heads.items():
+            if cb:
+                head = (b_plus(fb),)
+                for fr, cr in tail:
+                    yield OrderedForest(head + fr.trees), cb * cr
 
 
 def _shuffled(x, y: dict) -> list:
@@ -550,26 +551,23 @@ def star_w(alpha: CharacterMap, beta: CharacterMap) -> CharacterMap:
 
     ``alpha`` must be logarithmic; it is extended multiplicatively over the
     commutative word of parts.  The coaction's words are never built: the
-    alpha-contracted recursion (``_contraction``) gives each forest's
-    quotients with integer coefficients, and beta, scaled to integers by
-    the lcm of its denominators, is paired with them; one division per
-    forest undoes both scalings.  Forests of the top order are paired as
-    their terms come and are not memoized.  Equal to
-    ``convolve_through(delta_w, ...)`` (tested up to order 7).
+    alpha-contracted recursion (``_contracted``) gives each forest's
+    quotients with integer coefficients, which ``pair_legs`` pairs with
+    beta.  Forests of the top order are paired as their terms come and are
+    not memoized.  Equal to ``convolve_through(delta_w, ...)`` (tested up
+    to order 7).
     """
     _require_logarithmic(alpha)
+    scale, weight = integer_weights(alpha.values)
+    memo: dict = {}
+
+    def legs(forest: OrderedForest, top: bool):
+        if top:
+            return _contracted_terms(forest, weight, memo)
+        return _contracted(forest, weight, memo).items()
+
     order = min(alpha.order, beta.order)
-    scale, terms, contracted = _contraction(alpha)
-    beta_values = {EMPTY_FOREST: beta.empty_value, **beta.values}
-    beta_scale, weight = integer_weights(beta_values, graded=False)
-    values = [(EMPTY_FOREST, beta.empty_value)]
-    for size in range(1, order + 1):
-        denominator = scale**size * beta_scale
-        for forest in enumerate_ordered_forests(size):
-            pairs = terms(forest) if size == order else contracted(forest).items()
-            total = sum(c * weight.get(q, 0) for q, c in pairs)
-            values.append((forest, Fraction(total, denominator)))
-    return CharacterMap(order, 0, values)
+    return pair_legs(legs, scale, beta, enumerate_ordered_forests, order)
 
 
 def _lie_factor_value(alpha: CharacterMap, lp: LiePoly) -> Fraction:

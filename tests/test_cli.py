@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from lbseries import CharacterMap, parse_forest
-from lbseries.cli import run, verify_registry
+from lbseries.cli import run
+from lbseries.laws import law_names
 
 pf = parse_forest
 
@@ -31,7 +32,7 @@ EXPECTED_LAWS = [
 
 
 def test_registry_is_stable():
-    assert verify_registry() == EXPECTED_LAWS
+    assert law_names() == EXPECTED_LAWS
 
 
 def test_parse_and_canon(capsys):
@@ -182,6 +183,18 @@ def test_series_product_order_below_one_is_an_input_error(tmp_path, capsys, comm
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --order must be at least 1\n"
+
+
+def test_compose_of_unequal_orders_truncates_to_the_smaller(tmp_path, capsys):
+    """Without ``--order`` compose, like substitute, multiplies up to the
+    lower of the two orders."""
+    beta, alpha = tmp_path / "beta.json", tmp_path / "alpha.json"
+    beta.write_text(json.dumps(CharacterMap(9, 1, [(pf("[]"), 1), (pf("[[]]"), 2)]).to_json()))
+    alpha.write_text(json.dumps(CharacterMap(8, 1, [(pf("[]"), 2)]).to_json()))
+    assert run(["compose", "--beta", str(beta), "--alpha", str(alpha)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("order 8\n1 -> 1\n[] -> 3\n")
 
 
 @pytest.mark.parametrize("command", ["substitute", "compose"])

@@ -8,6 +8,7 @@ from lbseries import (
     CharacterMap,
     Forest,
     LinComb,
+    a_alpha_dagger,
     canonicalize,
     check_h_operad_duality,
     check_prelie_identity,
@@ -18,11 +19,18 @@ from lbseries import (
     delta_h,
     graft,
     graft_comb,
+    parse_forest,
     parse_nonplanar_forest,
     parse_tree,
     prelie,
+    star_w,
 )
-from lbseries.laws import random_tree_character, run_law
+from lbseries.laws import (
+    random_character,
+    random_logarithmic_character,
+    random_tree_character,
+    run_law,
+)
 from lbseries.trees import enumerate_forests, enumerate_nonplanar_trees
 
 from digests import character_digest, coproduct_digest
@@ -155,9 +163,19 @@ def test_convolve_h_reads_off_contractions():
     assert result(ladder) == a_ladder * beta(dot) + a_dot**2 * beta(ladder)
 
 
-def test_convolve_rejects_order_mismatch():
-    with pytest.raises(ValueError):
-        convolve(CharacterMap(2, 1), CharacterMap(3, 1), "ck")
+def test_convolve_with_unequal_orders_truncates_to_the_smaller():
+    rng = random.Random(12)
+    for op in ("h", "ck"):
+        a = _random_forest_character(4, rng, 0)
+        b = _random_forest_character(2, rng, 1)
+        result = convolve(a, b, op)
+        assert result.order == 2
+        assert result == convolve(a.truncated(2), b, op)
+        a = _random_forest_character(2, rng, 0)
+        b = _random_forest_character(4, rng, 1)
+        result = convolve(a, b, op)
+        assert result.order == 2
+        assert result == convolve(a, b.truncated(2), op)
 
 
 def test_graft_comb_bilinear():
@@ -251,6 +269,32 @@ def test_convolve_frees_its_memo_on_return(op):
     gc.disable()
     try:
         convolve(a, b, op)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("product", ["star_w", "a_alpha_dagger"])
+def test_star_w_frees_its_memo_on_return(product):
+    """The memo of the alpha-contracted recursion dies with the call of
+    ``star_w`` or ``a_alpha_dagger``: no reference cycle leaves it to the
+    cyclic garbage collector."""
+    rng = random.Random(47)
+    alpha = random_logarithmic_character(5, rng)
+    beta = random_character(5, rng)
+    forest = parse_forest("[[]] [] [[[]]]")
+
+    def call():
+        if product == "star_w":
+            star_w(alpha, beta)
+        else:
+            a_alpha_dagger(alpha, forest)
+
+    call()  # interns every forest the call meets and checks alpha once
+    gc.collect()
+    gc.disable()
+    try:
+        call()
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -229,6 +229,20 @@ def test_compose_lb_associativity():
             assert lhs(f) == rhs(f)
 
 
+def test_compose_lb_with_unequal_orders_truncates_to_the_smaller():
+    rng = random.Random(11)
+    beta = random_character(4, rng)
+    alpha = random_character(2, rng)
+    result = compose_lb(beta, alpha)
+    assert result.order == 2
+    assert result == compose_lb(beta.truncated(2), alpha)
+    beta = random_character(2, rng)
+    alpha = random_character(4, rng)
+    result = compose_lb(beta, alpha)
+    assert result.order == 2
+    assert result == compose_lb(beta, alpha.truncated(2))
+
+
 def test_exponential_group_closure():
     rng = random.Random(11)
     beta = random_exponential_character(3, rng)
