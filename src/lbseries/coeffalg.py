@@ -247,6 +247,50 @@ class SymWord:
         return f"SymWord({self.serialize()!r})"
 
 
+class Monomials(dict):
+    """An integer combination of commuting monomials (a ``Forest`` of parts,
+    a ``SymWord``, a ``SymLieWord``) that multiply by ``*``: the universal
+    character's value in a contracted recursion, where a character product
+    carries an ``int``; ``0 + m`` and ``n * m`` take the recursion's ``int``.
+    A sum that cancels is dropped, as in ``LinComb``, so of two equal keys
+    the same one is kept and prints the same (a ``SymLieWord``'s brackets)."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def terms(legs: dict) -> LinComb:
+        """A coproduct from its legs read with the universal character: the
+        terms ``c * (left, right)``, one per right leg and monomial."""
+        return LinComb(((left, right), c) for right, m in legs.items() for left, c in m.items())
+
+    def add_term(self, key, c) -> None:
+        total = self.get(key, 0) + c
+        if total:
+            self[key] = total
+        else:
+            self.pop(key, None)
+
+    def __add__(self, other: "Monomials") -> "Monomials":
+        out = Monomials(self)
+        for k, c in other.items():
+            out.add_term(k, c)
+        return out
+
+    def __radd__(self, other: int) -> "Monomials":
+        return self if other == 0 else NotImplemented
+
+    def __mul__(self, other) -> "Monomials":
+        if isinstance(other, int):
+            return Monomials({k: c * other for k, c in self.items()})
+        out = Monomials()
+        for ka, ca in self.items():
+            for kb, cb in other.items():
+                out.add_term(ka * kb, ca * cb)
+        return out
+
+    __rmul__ = __mul__
+
+
 class CharacterMap:
     """A truncated linear functional on forests.
 
@@ -376,10 +420,14 @@ def is_primitive_shuffle(x: LinComb, order: int) -> bool:
 
 
 def _shuffle_pairs(order: int):
+    """Each unordered pair of non-empty forests up to ``order`` in all, once:
+    shuffle commutes, and both predicates are symmetric in the pair."""
     for total in range(2, order + 1):
-        for left_size in range(1, total):
-            for left in enumerate_ordered_forests(left_size):
-                for right in enumerate_ordered_forests(total - left_size):
+        for left_size in range(1, total // 2 + 1):
+            lefts = enumerate_ordered_forests(left_size)
+            rights = enumerate_ordered_forests(total - left_size)
+            for i, left in enumerate(lefts):
+                for right in rights[i:] if 2 * left_size == total else rights:
                     yield left, right
 
 

@@ -22,6 +22,7 @@ from .coeffalg import (
     CharacterMap,
     LinComb,
     SymWord,
+    bilinear,
     convolve_through,
     is_exponential,
     is_primitive_shuffle,
@@ -61,7 +62,6 @@ from .subst import (
     Leaf,
     SymLieWord,
     _nonzero_bracketings,
-    _pair_product,
     admissible_partitions,
     check_pi_morphism,
     compose_postlie_operad,
@@ -191,6 +191,11 @@ def matrix_rank(rows: list[list[Fraction]]) -> int:
 # Cointeraction at oracle scale.
 
 
+def _word_shuffle(x: tuple, y: tuple) -> LinComb:
+    """Product on (word, forest) pairs: words multiply, forests shuffle."""
+    return LinComb(((x[0] * y[0], f), c) for f, c in shuffle(x[1], y[1]).items())
+
+
 def check_cointeraction(order: int, guard: int = 3, seed: int = 7) -> dict[str, bool]:
     """Verify the coaction axioms at oracle scale and the character-level
     compatibility with the composition convolution.
@@ -208,7 +213,7 @@ def check_cointeraction(order: int, guard: int = 3, seed: int = 7) -> dict[str, 
             for w, c in shuffle(fa, fb).items()
             for term, ct in rho_oracle(w, guard).items()
         )
-        == _pair_product(rho_oracle(fa, guard), rho_oracle(fb, guard))
+        == bilinear(rho_oracle(fa, guard), rho_oracle(fb, guard), _word_shuffle)
         for fa in forests[1:]
         for fb in forests[1:]
         if fa.vertex_count + fb.vertex_count <= guard
@@ -714,8 +719,8 @@ REGISTRY: dict[str, tuple[Callable, int]] = {
     "prelie-identity": (law_prelie_identity, 4),
     "postlie-jacobi": (law_postlie_jacobi, 4),
     "dalgebra-axioms": (law_dalgebra_axioms, 3),
-    "ck-coassoc": (law_ck_coassoc, 5),
-    "h-coassoc": (law_h_coassoc, 4),
+    "ck-coassoc": (law_ck_coassoc, 7),
+    "h-coassoc": (law_h_coassoc, 6),
     "n-coassoc": (law_n_coassoc, 5),
     "w-coassoc": (law_w_coassoc, 4),
     "shuffle-bialgebra": (law_shuffle_bialgebra, 4),

@@ -2,11 +2,13 @@
 coproducts that govern composition (admissible edge cuts) and substitution
 (extraction-contraction of spanning subforests) for series over rooted trees.
 
-Both coproducts are given on a tree by recursion at its root, where each
-child's own terms are computed once, and extended multiplicatively over the
-trees of a forest.  The convolution of characters through either one runs
-the same recursion with the left character's values in place of the left
-legs, so it builds no coproduct term.
+Each coproduct is one recursion at a tree's root (``_h_terms``,
+``_ck_legs``), where each child's own terms are computed once, extended
+multiplicatively over the trees of a forest.  The recursion carries a left
+character: ``convolve`` passes its left argument's values as integers and
+builds no coproduct term, and ``delta_h``/``delta_ck`` pass the universal
+character, whose value on a tree is the tree itself (``Monomials``), so
+the summed values are the left legs.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .coeffalg import CharacterMap, LinComb, bilinear, integer_weights, pair_legs
+from .coeffalg import CharacterMap, LinComb, Monomials, bilinear, integer_weights, pair_legs
 from .trees import (
     EMPTY_NP_FOREST,
     Forest,
@@ -89,40 +91,35 @@ def compose_prelie_operad(
     return build(0).map_basis(canonicalize)
 
 
-def _edge_antichains(tree: PlanarTree):
-    """Yield (cut-off branches, remaining tree) over admissible cuts.
-
-    A cut takes at most one edge on any root-to-leaf path: either an edge to
-    a child is cut (its whole branch comes off) or the recursion continues
-    inside that child.
-    """
-    options = []
-    for child in tree.children:
-        child_options = [((child,), None)]
-        child_options.extend(
-            (branches, kept) for branches, kept in _edge_antichains(child)
-        )
-        options.append(child_options)
-    for combo in itertools.product(*options):
-        branches = tuple(itertools.chain.from_iterable(b for b, _ in combo))
-        kept_children = tuple(k for _, k in combo if k is not None)
-        yield branches, PlanarTree(kept_children)
+def _universal_leg(tree: NonPlanarTree) -> Monomials:
+    """The universal character on trees: a tree is its own one-tree forest."""
+    return Monomials({Forest((tree,)): 1})
 
 
-def _delta_ck_tree(tree: NonPlanarTree) -> LinComb:
-    terms = []
-    for branches, remainder in _edge_antichains(tree.rep):
-        left = Forest(tuple(canonicalize(b) for b in branches))
-        terms.append(((left, Forest((canonicalize(remainder),))), 1))
-    terms.append(((Forest((tree,)), EMPTY_NP_FOREST), 1))
-    return LinComb(terms)
+_UNIT = Monomials({EMPTY_NP_FOREST: 1})
 
 
-def _multiplicative(tree_coproduct, forest: Forest) -> LinComb:
-    """A coproduct given on trees, extended multiplicatively over a forest."""
-    out = LinComb.of((EMPTY_NP_FOREST, EMPTY_NP_FOREST))
-    for t in forest.trees:
-        out = bilinear(out, tree_coproduct(t), _pair_mul)
+def delta_ck(forest: Forest) -> LinComb:
+    """Admissible-cut coproduct: ``_ck_legs`` read with the universal character."""
+    memo: dict = {}
+    legs = _forest_legs(forest, lambda rep: _ck_legs(rep, _UNIT, _universal_leg, memo), _UNIT)
+    return Monomials.terms(legs)
+
+
+def delta_h(forest: Forest) -> LinComb:
+    """Extraction-contraction coproduct: ``_h_terms`` read with the
+    universal character."""
+    memo: dict = {}
+    legs = _forest_legs(forest, lambda rep: _h_terms(rep, _universal_leg, memo)[1], _UNIT)
+    return Monomials.terms(legs)
+
+
+def _forest_legs(forest: Forest, tree_legs, one) -> dict:
+    """The product, from ``one``, of the maps ``tree_legs(rep)`` of a
+    forest's trees: the tree coproducts are multiplicative."""
+    out = {EMPTY_NP_FOREST: one}
+    for tree in forest.trees:
+        out = _multiplied(out, tree_legs(tree.rep))
     return out
 
 
@@ -131,54 +128,10 @@ def _pair_mul(x: tuple, y: tuple) -> tuple:
     return x[0].mul(y[0]), x[1].mul(y[1])
 
 
-def delta_ck(forest: Forest) -> LinComb:
-    """Admissible-cut coproduct, multiplicative over forest factors."""
-    return _multiplicative(_delta_ck_tree, forest)
-
-
-def _root_blocks(rep: PlanarTree) -> LinComb:
-    """The spanning subforests of a tree before contraction, keyed by (the
-    part holding the root, the other parts, the quotients hanging below the
-    root's part).
-
-    Every edge to a child is kept or cut.  A kept edge joins the child's own
-    root part to the root's; a cut one adds the child's parts to the others
-    and hangs the child's contracted tree below the root's part.  Both come
-    from the child's own terms, so each subtree is computed once.
-    """
-    out = LinComb.of(((), EMPTY_NP_FOREST, EMPTY_NP_FOREST))
-    for child in rep.children:
-        terms = _root_blocks(child)
-        joined = terms.map_basis(lambda k: ((k[0],), k[1], k[2]))
-        cut = terms.map_basis(lambda k: ((), *_contract(*k)))
-        out = bilinear(
-            out, joined + cut, lambda a, b: (a[0] + b[0], a[1].mul(b[1]), a[2].mul(b[2]))
-        )
-    return out.map_basis(lambda k: (PlanarTree(k[0]), k[1], k[2]))
-
-
-def _contract(part: PlanarTree, others: Forest, hanging: Forest) -> tuple[Forest, Forest]:
-    """The ``delta_h`` term (all parts, quotient) of a :func:`_root_blocks` term.
-
-    The root's part is canonicalized: its kept children may have lost
-    vertices, so their order can break.
-    """
-    return others.mul(Forest((canonicalize(part),))), Forest((_b_plus(hanging),))
-
-
 def _b_plus(forest: Forest) -> NonPlanarTree:
     """The tree whose root carries the forest's trees.  A ``Forest`` keeps
     its trees in canonical child order, so no sort is needed."""
     return NonPlanarTree(PlanarTree(tuple(t.rep for t in forest.trees)))
-
-
-def _delta_h_tree(tree: NonPlanarTree) -> LinComb:
-    return _root_blocks(tree.rep).map_basis(lambda k: _contract(*k))
-
-
-def delta_h(forest: Forest) -> LinComb:
-    """Extraction-contraction coproduct, multiplicative over forest factors."""
-    return _multiplicative(_delta_h_tree, forest)
 
 
 # ---------------------------------------------------------------------------
@@ -303,36 +256,35 @@ def convolve(a: CharacterMap, b: CharacterMap, coproduct: str) -> CharacterMap:
     the left tensor legs (so a functional given on trees extends to the cut
     branches / extracted parts; its values on other forests are not read);
     the right argument is looked up directly.  No coproduct term is built:
-    ``a`` is carried through the root recursion of the coproduct
-    (``_h_terms``, ``_ck_legs``), which gives each tree a map from right legs
-    to their summed left values, in integers.  A forest's map is the product
-    of its trees' maps, which ``pair_legs`` pairs with ``b``.  Equal to
-    ``convolve_through`` of the coproduct (tested up to order 7).
+    ``a`` is carried through the root recursion that ``delta_h`` and
+    ``delta_ck`` read with the universal character (``_h_terms``,
+    ``_ck_legs``), which gives each tree a map from right legs to their
+    summed left values, in integers.  A forest's map is the product of its
+    trees' maps, which ``pair_legs`` pairs with ``b``.  Equal to
+    ``convolve_through`` of a brute-force coproduct (tested up to order 7).
     """
     if coproduct not in ("ck", "h"):
         raise ValueError("coproduct must be 'ck' or 'h'")
     scale, weight = integer_weights({f.trees[0]: c for f, c in a.values.items() if len(f) == 1})
     memo: dict = {}
 
+    def tree_legs(rep: PlanarTree) -> dict:
+        if coproduct == "h":
+            return _h_terms(rep, weight.get, memo)[1]
+        return _ck_legs(rep, scale, weight.get, memo)
+
     def legs(forest: Forest, top: bool):
-        out = {EMPTY_NP_FOREST: 1}
-        for tree in forest.trees:
-            rep = tree.rep
-            if coproduct == "h":
-                tree_legs = _h_terms(rep, weight, memo)[1]
-            else:
-                tree_legs = _ck_legs(rep, scale, weight, memo)
-            if top and len(forest) == 1:
-                del memo[rep]  # a tree of the top order is no other tree's subtree
-            out = _multiplied(out, tree_legs)
+        out = _forest_legs(forest, tree_legs, 1)
+        if top and len(forest) == 1:
+            del memo[forest.trees[0].rep]  # a tree of the top order is no other tree's subtree
         return out.items()
 
     return pair_legs(legs, scale, b, enumerate_forests, min(a.order, b.order))
 
 
 def _multiplied(x: dict, y: dict, mul=Forest.mul) -> dict:
-    """The product of two integer combinations under ``mul``; equal
-    products sum."""
+    """The product of two combinations under ``mul``; equal products sum.
+    The coefficients are ``int``s or ``Monomials``."""
     out: dict = {}
     for bx, cx in x.items():
         for by, cy in y.items():
@@ -341,26 +293,29 @@ def _multiplied(x: dict, y: dict, mul=Forest.mul) -> dict:
     return out
 
 
-def _h_terms(rep: PlanarTree, weight: dict, memo: dict) -> tuple[dict, dict]:
-    """``a`` contracted into ``delta_h`` of a canonical tree rep, as
-    ``(blocks, legs)``.  ``legs`` maps each right leg (the quotient, as a
-    one-tree forest) to the sum, over the spanning subforests with that
-    quotient, of ``weight``'s product over their parts.
+def _h_terms(rep: PlanarTree, value, memo: dict) -> tuple[dict, dict]:
+    """The left character ``value`` contracted into ``delta_h`` of a
+    canonical tree rep, as ``(blocks, legs)``.  ``legs`` maps each right leg
+    (the quotient, as a one-tree forest) to the sum, over the spanning
+    subforests with that quotient, of ``value``'s product over their parts:
+    an ``int`` for ``convolve``, the parts themselves for ``delta_h``.
 
-    This is ``_root_blocks``' recursion with another key: ``blocks`` is
-    keyed by (the root's part, the quotients hanging below it), and the
-    weights of the other parts are summed into the coefficient, so a cut
-    child's part enters as a number, not as a left leg.  Every part weighs
+    Every edge to a child is kept or cut.  ``blocks`` is keyed by (the
+    root's part, the quotients hanging below it), the values of the other
+    parts multiplied into the coefficient.  A kept edge joins the child's
+    root part to the root's; a cut one hangs the child's quotient below the
+    root's part, its part's value coming in from the child's legs.  Both
+    read the child's own pair, so each subtree is computed once; equal keys
+    and equal quotients sum.  With ``convolve``'s weights every part weighs
     ``a(part) * D ** |part|`` (``integer_weights``) and the parts cover the
-    tree, so each term of a tree ``t`` carries ``D ** |t|``.  Different parts may give the same
-    key, and different subforests the same quotient; their weights sum.
-    ``memo`` holds each planar subtree's pair for one ``convolve`` call.
+    tree, so each term of a tree ``t`` carries ``D ** |t|``.  ``memo``
+    holds each planar subtree's pair for one call.
     """
     out = memo.get(rep)
     if out is None:
         terms = {(EMPTY_NP_FOREST, EMPTY_NP_FOREST): 1}
         for child in rep.children:
-            blocks, legs = _h_terms(child, weight, memo)
+            blocks, legs = _h_terms(child, value, memo)
             # a kept edge joins the child's root part to the root's; a cut
             # one hangs the child's quotient below the root's part
             options = {(Forest((part,)), below): c for (part, below), c in blocks.items()}
@@ -369,7 +324,7 @@ def _h_terms(rep: PlanarTree, weight: dict, memo: dict) -> tuple[dict, dict]:
         blocks = {(_b_plus(kids), below): c for (kids, below), c in terms.items()}
         legs = {}
         for (part, below), c in blocks.items():
-            w = weight.get(part)
+            w = value(part)
             if w:
                 leg = Forest((_b_plus(below),))
                 legs[leg] = legs.get(leg, 0) + c * w
@@ -377,28 +332,28 @@ def _h_terms(rep: PlanarTree, weight: dict, memo: dict) -> tuple[dict, dict]:
     return out
 
 
-def _ck_legs(rep: PlanarTree, scale: int, weight: dict, memo: dict) -> dict:
-    """``a`` contracted into ``delta_ck`` of a canonical tree rep: a map from
-    right legs (the kept tree as a one-tree forest, or the empty forest) to
-    the sum, over the cuts that keep it, of ``weight``'s product over the
-    cut branches.
+def _ck_legs(rep: PlanarTree, scale, value, memo: dict) -> dict:
+    """The left character ``value`` contracted into ``delta_ck`` of a
+    canonical tree rep: a map from right legs (the kept tree as a one-tree
+    forest, or the empty forest) to the sum, over the cuts that keep it, of
+    ``value``'s product over the cut branches.
 
-    This is ``_edge_antichains``' recursion keyed by the kept tree: each
-    child edge is cut, the child's branch weighing in on the empty leg, or
-    the recursion goes on inside the child, so a child's options are its
-    own legs and the kept children multiply as forests.  A kept tree
-    weighs ``scale ** |kept|``, so each term of a tree ``t`` carries
-    ``scale ** |t|``, as does the term with the whole tree on the left,
-    ``weight(t)`` on the empty leg.  ``memo`` holds each planar subtree's
-    legs for one ``convolve`` call.
+    A cut takes at most one edge on any root-to-leaf path: each child edge
+    is cut, the child's branch weighing in on the empty leg, or the cut goes
+    on inside the child.  So a child's options are its own legs, and the
+    kept children multiply as forests.  Every kept vertex weighs ``scale``
+    (the unit monomial for ``delta_ck``), so with ``convolve``'s weights
+    each term of a tree ``t`` carries ``scale ** |t|``, as does the term
+    with the whole tree on the left, ``value(t)`` on the empty leg.
+    ``memo`` holds each planar subtree's legs for one call.
     """
     out = memo.get(rep)
     if out is None:
         kids = {EMPTY_NP_FOREST: scale}
         for child in rep.children:
-            kids = _multiplied(kids, _ck_legs(child, scale, weight, memo))
+            kids = _multiplied(kids, _ck_legs(child, scale, value, memo))
         out = {Forest((_b_plus(f),)): c for f, c in kids.items()}
-        w = weight.get(NonPlanarTree(rep))
+        w = value(NonPlanarTree(rep))
         if w:
             out[EMPTY_NP_FOREST] = w
         memo[rep] = out

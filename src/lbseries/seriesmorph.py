@@ -130,7 +130,7 @@ def _dagger_map(alpha: CharacterMap):
 
     def dagger(forest: OrderedForest) -> LinComb:
         denominator = scale**forest.vertex_count
-        contracted = _contracted(forest, weight, memo)
+        contracted = _contracted(forest, weight.get, memo)
         return LinComb((q, Fraction(c, denominator)) for q, c in contracted.items())
 
     return dagger

@@ -2,22 +2,21 @@
 
 This module houses the vertex-replacement operad on Lie polynomials of
 planar trees, the module structure of ordered forests over it, admissible
-vertex partitions, the partition coaction (a recursion on the block of a
-forest's first vertex), the bounded coaction oracle with Lie-bracket left
-legs (the same recursion, memoized behind its size guard), the induced
-convolution-style products on characters, and the projection check onto
-the extraction-contraction coproduct.
+vertex partitions, the partition coaction, the bounded coaction oracle with
+Lie-bracket left legs, the induced convolution-style products on
+characters, and the projection check onto the extraction-contraction
+coproduct.
 
-The blocks at a forest's first vertex, with the forests each leaves, are
-one coefficient-free cache per forest (``_skeleton``) that every use of the
-recursion reads.  Substitution (``star_w``, and ``a_alpha_dagger`` in
-:mod:`lbseries.seriesmorph`) does not build ``delta_w``: its recursion
-carries the logarithmic character's value, multiplicative over the parts,
-in place of the word of parts, with integer coefficients
-(``_contracted``), and ``coeffalg.pair_legs`` pairs the result with the
-right character.  ``delta_w`` serves ``coproduct --op w``, the laws that
-read its terms, and the tests, where the convolution through it is the
-oracle for substitution.
+Both coactions and substitution are one recursion on the block of a
+forest's first vertex (``_contracted``), which reads the blocks there, with
+the forests each leaves, from one coefficient-free cache per forest
+(``_skeleton``).  It carries a left character, multiplicative over the
+parts.  Substitution (``star_w``, and ``a_alpha_dagger`` in
+:mod:`lbseries.seriesmorph`) passes the logarithmic character's values as
+integers and builds no word of parts; ``coeffalg.pair_legs`` pairs the
+result with the right character.  ``delta_w`` and ``rho_oracle`` pass a
+universal leg, whose summed values are the words; they serve
+``coproduct --op w``, the laws and the tests.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from typing import Sequence
 from .coeffalg import (
     CharacterMap,
     LinComb,
+    Monomials,
     SymWord,
     convolve_through,
     integer_weights,
@@ -338,16 +338,6 @@ def admissible_partitions(forest: OrderedForest) -> list[AdmissiblePartition]:
     return out
 
 
-def _pair_product(x: LinComb, y: LinComb) -> LinComb:
-    """Product on (word, forest) tensors: words multiply, forests shuffle."""
-    return LinComb(
-        ((wx * wy, f), cx * cy * cs)
-        for (wx, fx), cx in x.items()
-        for (wy, fy), cy in y.items()
-        for f, cs in shuffle(fx, fy).items()
-    )
-
-
 @lru_cache(maxsize=None)
 def _skeleton(forest: OrderedForest) -> tuple:
     """The kept blocks at a non-empty forest's first vertex
@@ -357,8 +347,8 @@ def _skeleton(forest: OrderedForest) -> tuple:
     ``hanging`` lists the children its vertices do not take, one forest per
     vertex, and ``rest`` holds the top-level trees past the block's roots
     (one per run of roots, so the blocks are grouped by it).  The skeleton
-    does not depend on coefficients, so the coactions and the
-    alpha-contracted substitution all read this one cache.
+    does not depend on coefficients, so every use of ``_contracted`` reads
+    this one cache.
     """
     runs = []
     for end, taken in enumerate(_run_blocks(forest.trees), 1):
@@ -368,37 +358,88 @@ def _skeleton(forest: OrderedForest) -> tuple:
     return tuple(runs)
 
 
-def _coaction(forest: OrderedForest, leg, coaction) -> LinComb:
-    """The partition coaction of a non-empty forest, by recursion on the
-    block that holds its first vertex (``_skeleton``).
+def _contracted(forest: OrderedForest, value, memo: dict) -> dict:
+    """The partition coaction of ``forest`` with the left character
+    ``value`` evaluated on the word of parts, as ``{quotient: c}``.  With
+    alpha's ``integer_weights`` over the scale ``D`` (``star_w``,
+    ``a_alpha_dagger``), ``c`` is the quotient's coefficient in
+    ``a_alpha_dagger(alpha, forest)`` times ``D ** |forest|``; with a
+    universal leg (``delta_w``, ``rho_oracle``), it is the quotient's words.
+    ``memo`` holds each forest's map for as long as the caller keeps it."""
+    out = memo.get(forest)
+    if out is None:
+        sums: dict = {}
+        for q, c in _contracted_terms(forest, value, memo):
+            sums[q] = sums.get(q, 0) + c
+        out = memo[forest] = {q: c for q, c in sums.items() if c}
+    return out
 
-    The coactions (``coaction``) of the forests the block leaves multiply
-    in: words multiply, the forests hanging below the block shuffle and
-    ``b_plus`` closes them under the collapsed block, and the rest
-    concatenates.  ``leg`` maps a part to its left legs, as (word,
-    coefficient) pairs.
+
+def _contracted_terms(forest: OrderedForest, value, memo: dict):
+    """The unsummed (quotient, c) pairs of :func:`_contracted`, by
+    recursion on the block that holds the forest's first vertex
+    (``_skeleton``): the values of the forests the block leaves multiply
+    in, the forests hanging below the block shuffle and ``b_plus`` closes
+    them under the collapsed block, and the rest concatenates.  With
+    alpha's weights each part weighs ``alpha(part) * D ** |part|``, and the
+    parts of a term cover the forest.  A part without a value is skipped.
     """
-    terms = []
+    if forest.is_empty:
+        yield EMPTY_FOREST, 1
+        return
     for rest, blocks in _skeleton(forest):
-        tail = coaction(rest).items()
+        # the forests closed under the collapsed block, summed over the
+        # blocks of this run before the rest multiplies in
+        heads: dict = {}
         for part, hanging in blocks:
-            below = LinComb(((word, EMPTY_FOREST), c) for word, c in leg(part))
-            for h in hanging:
-                below = _pair_product(below, coaction(h))
-            for (wb, fb), cb in below.items():
+            a = value(part)
+            if a is None:
+                continue
+            if hanging:
+                below = [(f, a * c) for f, c in _contracted(hanging[0], value, memo).items()]
+                for h in hanging[1:]:
+                    below = _shuffled(below, _contracted(h, value, memo))
+            else:
+                below = [(EMPTY_FOREST, a)]
+            for f, c in below:
+                heads[f] = heads.get(f, 0) + c
+        tail = _contracted(rest, value, memo).items() if heads else ()
+        for fb, cb in heads.items():
+            if cb:
                 head = (b_plus(fb),)
-                terms.extend(
-                    ((wb * wr, OrderedForest(head + fr.trees)), cb * cr) for (wr, fr), cr in tail
-                )
-    return LinComb(terms)
+                for fr, cr in tail:
+                    yield OrderedForest(head + fr.trees), cb * cr
+
+
+def _shuffled(x, y: dict) -> list:
+    """(forest, c) pairs times a combination, with ``int`` or
+    ``Monomials`` coefficients: forests shuffle."""
+    sums: dict = {}
+    for fx, cx in x:
+        for fy, cy in y.items():
+            c = cx * cy
+            for w, m in shuffle(fx, fy).items():
+                # multiplicities are whole numbers: their numerators keep the sums int
+                sums[w] = sums.get(w, 0) + c * m.numerator
+    return [(w, c) for w, c in sums.items() if c]
+
+
+_WORD_MEMO: dict = {}
+
+
+def _word_leg(part: OrderedForest) -> Monomials:
+    """The universal leg of ``delta_w``: a part is its own one-part word."""
+    return Monomials({SymWord.of(part): 1})
 
 
 @lru_cache(maxsize=None)
 def delta_w(forest: OrderedForest) -> LinComb:
-    """Partition coaction: symmetric words of parts tensor contractions."""
+    """Partition coaction: symmetric words of parts tensor contractions,
+    ``_contracted`` read with the universal word leg over one memo for the
+    process."""
     if forest.is_empty:
         return LinComb.of((SymWord.unit(), EMPTY_FOREST))
-    return _coaction(forest, lambda part: ((SymWord.of(part), 1),), delta_w)
+    return Monomials.terms(_contracted(forest, _word_leg, _WORD_MEMO))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +487,7 @@ class OracleGuardError(ValueError):
 def rho_oracle(forest: OrderedForest, max_size_guard: int = 4) -> LinComb:
     """Coaction with Lie-polynomial left legs, refusing forests above the guard.
 
-    It is ``delta_w``'s recursion with another left leg: every nonzero
+    It is ``delta_w``'s recursion with another universal leg: every nonzero
     in-order bracketing of a part is one left factor, stored sign-normalized
     so that opposite orientations cancel.
     """
@@ -463,14 +504,20 @@ def _rho(forest: OrderedForest) -> LinComb:
     meets is smaller than the one it started from."""
     if forest.is_empty:
         return LinComb.of((SymLieWord.unit(), EMPTY_FOREST))
-    return _coaction(forest, _bracket_leg, _rho)
+    return Monomials.terms(_contracted(forest, _bracket_leg, _RHO_MEMO))
 
 
-def _bracket_leg(part: OrderedForest):
-    """The sign-normalized nonzero in-order bracketings of a part."""
+_RHO_MEMO: dict = {}
+
+
+def _bracket_leg(part: OrderedForest) -> Monomials:
+    """The universal leg of :func:`rho_oracle`: the signed sum of a part's
+    sign-normalized nonzero in-order bracketings, one left factor each."""
+    out = Monomials()
     for lp in _nonzero_bracketings(part):
         sign, canonical = lp.sign_normalized()
-        yield SymLieWord((canonical,)), sign
+        out.add_term(SymLieWord((canonical,)), sign)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -482,80 +529,16 @@ def _require_logarithmic(alpha: CharacterMap) -> None:
         raise ValueError("character is not logarithmic")
 
 
-def _contracted(forest: OrderedForest, weight: dict, memo: dict) -> dict:
-    """The partition coaction of ``forest`` with alpha evaluated on the
-    word of parts, in integers: ``{quotient: c}`` with ``c`` the
-    coefficient of the quotient in ``a_alpha_dagger(alpha, forest)`` times
-    ``D ** |forest|``, where ``weight`` is alpha's ``integer_weights`` over
-    the scale ``D``.  ``memo`` holds each forest's map for one call of the
-    caller."""
-    out = memo.get(forest)
-    if out is None:
-        sums: dict = {}
-        for q, c in _contracted_terms(forest, weight, memo):
-            sums[q] = sums.get(q, 0) + c
-        out = memo[forest] = {q: c for q, c in sums.items() if c}
-    return out
-
-
-def _contracted_terms(forest: OrderedForest, weight: dict, memo: dict):
-    """The unsummed (quotient, c) pairs of :func:`_contracted`.
-
-    alpha is multiplicative over the parts, so the coaction's first-block
-    recursion (``_skeleton``) carries alpha's value where the word was:
-    each part weighs ``alpha(part) * D ** |part|``, an integer, and the
-    parts of a term cover the forest.  Blocks whose part alpha vanishes on
-    are skipped.
-    """
-    if forest.is_empty:
-        yield EMPTY_FOREST, 1
-        return
-    for rest, blocks in _skeleton(forest):
-        # the forests closed under the collapsed block, summed over the
-        # blocks of this run before the rest multiplies in
-        heads: dict = {}
-        for part, hanging in blocks:
-            a = weight.get(part)
-            if a is None:
-                continue
-            if hanging:
-                below = [(f, a * c) for f, c in _contracted(hanging[0], weight, memo).items()]
-                for h in hanging[1:]:
-                    below = _shuffled(below, _contracted(h, weight, memo))
-            else:
-                below = [(EMPTY_FOREST, a)]
-            for f, c in below:
-                heads[f] = heads.get(f, 0) + c
-        tail = _contracted(rest, weight, memo).items() if heads else ()
-        for fb, cb in heads.items():
-            if cb:
-                head = (b_plus(fb),)
-                for fr, cr in tail:
-                    yield OrderedForest(head + fr.trees), cb * cr
-
-
-def _shuffled(x, y: dict) -> list:
-    """Integer (forest, c) pairs times a combination: forests shuffle."""
-    sums: dict = {}
-    for fx, cx in x:
-        for fy, cy in y.items():
-            c = cx * cy
-            for w, m in shuffle(fx, fy).items():
-                # multiplicities are whole numbers: their numerators keep the sums int
-                sums[w] = sums.get(w, 0) + c * m.numerator
-    return [(w, c) for w, c in sums.items() if c]
-
-
 def star_w(alpha: CharacterMap, beta: CharacterMap) -> CharacterMap:
     """Substitution product on characters through the partition coaction.
 
     ``alpha`` must be logarithmic; it is extended multiplicatively over the
     commutative word of parts.  The coaction's words are never built: the
-    alpha-contracted recursion (``_contracted``) gives each forest's
-    quotients with integer coefficients, which ``pair_legs`` pairs with
-    beta.  Forests of the top order are paired as their terms come and are
-    not memoized.  Equal to ``convolve_through(delta_w, ...)`` (tested up
-    to order 7).
+    recursion that ``delta_w`` reads with its universal leg
+    (``_contracted``) carries alpha and gives each forest's quotients with
+    integer coefficients, which ``pair_legs`` pairs with beta.  Forests of
+    the top order are paired as their terms come and are not memoized.
+    Equal to ``convolve_through(delta_w, ...)`` (tested up to order 7).
     """
     _require_logarithmic(alpha)
     scale, weight = integer_weights(alpha.values)
@@ -563,8 +546,8 @@ def star_w(alpha: CharacterMap, beta: CharacterMap) -> CharacterMap:
 
     def legs(forest: OrderedForest, top: bool):
         if top:
-            return _contracted_terms(forest, weight, memo)
-        return _contracted(forest, weight, memo).items()
+            return _contracted_terms(forest, weight.get, memo)
+        return _contracted(forest, weight.get, memo).items()
 
     order = min(alpha.order, beta.order)
     return pair_legs(legs, scale, beta, enumerate_ordered_forests, order)

@@ -325,6 +325,8 @@ class Forest:
     def mul(self, other: "Forest") -> "Forest":
         return Forest(self.trees + other.trees)
 
+    __mul__ = mul
+
 
 EMPTY_NP_FOREST = Forest()
 

@@ -18,6 +18,8 @@ from lbseries import (
     parse_lincomb,
     tensor,
 )
+from lbseries.coeffalg import Monomials
+from lbseries.laws import random_logarithmic_character
 from lbseries.postlie import bracket, concat, gl_product, LiePoly
 from lbseries.trees import enumerate_ordered_forests
 
@@ -106,6 +108,33 @@ def test_logarithmic_examples():
     counit = CharacterMap(3, 1)
     assert is_exponential(counit)
     assert not is_logarithmic(CharacterMap(3, 0, [(pf("[] [[]]"), 1)]))
+
+
+def test_a_change_on_one_forest_is_seen_by_the_shuffle_checks():
+    """Each unordered pair of forests is shuffled once.  A logarithmic
+    character changed on one forest up to order 5 is still logarithmic iff
+    the forest is one tree, which no proper shuffle holds; the counit
+    changed on the empty forest or on a forest of two or more trees is not
+    exponential."""
+    alpha = random_logarithmic_character(5, random.Random(5))
+    assert is_logarithmic(alpha)
+    for n in range(6):
+        for f in enumerate_ordered_forests(n):
+            values = dict(alpha.values)
+            values[f] = alpha(f) + 1
+            changed = CharacterMap(5, alpha.empty_value, values)
+            assert is_logarithmic(changed) == (len(f) == 1), f
+            if len(f) != 1:
+                assert not is_exponential(CharacterMap(5, 1, {f: 2 if f.is_empty else 1})), f
+
+
+def test_monomials_multiply_their_keys_and_drop_cancelled_sums():
+    a, b = SymWord.of(pf("[]")), SymWord.of(pf("[[]]"))
+    x = Monomials({a: 2, b: -1})
+    assert x * Monomials({a: 1, b: 1}) == {a * a: 2, a * b: 1, b * b: -1}
+    assert 0 + x == x and 3 * x == x * 3 == {a: 6, b: -3}
+    assert x + Monomials({b: 1}) == {a: 2}
+    assert Monomials.terms({pf("[]"): x}) == LinComb([((a, pf("[]")), 2), ((b, pf("[]")), -1)])
 
 
 def test_character_calls_and_truncation():

@@ -34,6 +34,7 @@ from lbseries.laws import (
 from lbseries.trees import enumerate_forests, enumerate_nonplanar_trees
 
 from digests import character_digest, coproduct_digest
+from tree_coproduct_oracle import oracle_delta_ck, oracle_delta_h
 from worked_examples import CK_EXAMPLES, GRAFT_EXAMPLE, H_EXAMPLES, PRELIE_OPERAD_EXAMPLE
 
 pnf = parse_nonplanar_forest
@@ -119,6 +120,26 @@ def test_delta_h_and_delta_ck_are_pinned_to_order_7():
     assert coproduct_digest(delta_ck, enumerate_forests, 7) == DELTA_CK_DIGEST_7
 
 
+# computed by the term-building root recursions, before delta_h and
+# delta_ck became the contracted recursions read with the universal character
+DELTA_H_DIGEST_8 = "3023eb0f843abf6c32a2875539c327fce3d6b1add0abe1239c8eaf135ca6cd77"
+DELTA_CK_DIGEST_8 = "82c98efad13c50d15269bd3e7a4bbe48748d136b7c0a40bfda798c4648c79064"
+
+
+def test_delta_h_and_delta_ck_are_pinned_to_order_8():
+    assert coproduct_digest(delta_h, enumerate_forests, 8) == DELTA_H_DIGEST_8
+    assert coproduct_digest(delta_ck, enumerate_forests, 8) == DELTA_CK_DIGEST_8
+
+
+def test_delta_h_and_delta_ck_match_the_brute_force_oracle():
+    """Every edge subset (``delta_h``) and every admissible cut
+    (``delta_ck``) of every forest up to order 6."""
+    for n in range(7):
+        for forest in enumerate_forests(n):
+            assert delta_h(forest) == oracle_delta_h(forest), forest
+            assert delta_ck(forest) == oracle_delta_ck(forest), forest
+
+
 def test_delta_ck_coassoc_law():
     assert run_law("ck-coassoc", 4).passed
 
@@ -196,7 +217,7 @@ def _random_forest_character(order, rng, empty):
 
 
 def _convolve_through(a, b, delta):
-    """The convolution read term by term off the forest coproduct."""
+    """The convolution read term by term off a forest coproduct."""
 
     def left(forest):
         return a.eval_multiplicative([Forest((t,)) for t in forest.trees])
@@ -204,12 +225,20 @@ def _convolve_through(a, b, delta):
     return convolve_through(delta, left, b, enumerate_forests, a.order)
 
 
-@pytest.mark.parametrize("op,delta", [("h", delta_h), ("ck", delta_ck)])
+# each brute-force coproduct, with the id of the coproduct it stands for
+ORACLES = [
+    pytest.param("h", oracle_delta_h, id="h-delta_h"),
+    pytest.param("ck", oracle_delta_ck, id="ck-delta_ck"),
+]
+
+
+@pytest.mark.parametrize("op,delta", ORACLES)
 def test_convolve_agrees_with_the_coproduct_terms(op, delta):
     """The contraction of ``a`` through the root recursion equals the sum
-    over the terms of ``delta_h``/``delta_ck``, up to order 7, on ``a``
-    given on trees or on every forest (its values on forests of two or more
-    trees are not read) and on ``b`` given on trees or on every forest."""
+    over the terms of the brute-force ``delta_h``/``delta_ck``, which share
+    no code with it, up to order 7, on ``a`` given on trees or on every
+    forest (its values on forests of two or more trees are not read) and on
+    ``b`` given on trees or on every forest."""
     rng = random.Random(31)
     for order in (0, 1, 3, 6, 7):
         for a in (
@@ -239,11 +268,11 @@ def test_convolve_is_pinned_at_order_7(op):
     assert character_digest(convolve(a, b, op)) == CONVOLVE_DIGEST_7[op]
 
 
-@pytest.mark.parametrize("op,delta", [("h", delta_h), ("ck", delta_ck)])
+@pytest.mark.parametrize("op,delta", ORACLES)
 def test_convolve_does_not_build_the_tree_coproducts(op, delta, monkeypatch):
-    """``convolve`` builds no coproduct term: the tree coproducts and their
-    recursions are not called, and the result still equals the sum over
-    the terms."""
+    """``convolve`` builds no coproduct term: neither the tree coproducts
+    nor the universal character that they read the recursions with are
+    called, and the result still equals the sum over the terms."""
     rng = random.Random(41)
     a = _random_forest_character(5, rng, 0)
     b = _random_forest_character(5, rng, 1)
@@ -252,7 +281,7 @@ def test_convolve_does_not_build_the_tree_coproducts(op, delta, monkeypatch):
     def refuse(*args):
         raise AssertionError("convolve built a coproduct term")
 
-    for name in ("_delta_h_tree", "_delta_ck_tree", "_root_blocks", "_edge_antichains"):
+    for name in ("delta_h", "delta_ck", "_universal_leg"):
         monkeypatch.setattr(prelie, name, refuse)
     assert convolve(a, b, op) == expected
 

@@ -243,6 +243,19 @@ def test_rho_worked_examples():
         assert rho_oracle(forest, 5) == expected
 
 
+# computed by the term-building coaction recursion, before rho_oracle
+# became the contracted recursion read with its universal bracket leg
+RHO_DIGEST_5 = "c1b1ee230b82dfabc5d8af2326b9bcb22b3957f5ffe4073c808e30912e41b473"
+
+
+def test_rho_oracle_is_pinned_at_guard_5():
+    """The digest reads the printed bracket factors too: of two equal Lie
+    factors that print differently, the one kept is the first one met, so
+    the order in which the recursion sums shows here."""
+    digest = coproduct_digest(lambda f: rho_oracle(f, 5), enumerate_ordered_forests, 5)
+    assert digest == RHO_DIGEST_5
+
+
 def test_rho_guard():
     with pytest.raises(OracleGuardError):
         rho_oracle(pf("[] [] [] [] []"), 4)
@@ -378,10 +391,13 @@ def test_substitution_does_not_build_delta_w(monkeypatch):
     daggers = {f: dagger_through_delta_w(alpha, f) for f in enumerate_ordered_forests(5)}
 
     def refuse(forest):
-        raise AssertionError(f"delta_w called on {forest.serialize()}")
+        raise AssertionError(f"delta_w or its universal leg called on {forest.serialize()}")
 
-    monkeypatch.setattr(subst, "delta_w", refuse)
-    monkeypatch.setattr(seriesmorph, "delta_w", refuse, raising=False)
+    # a fresh memo, so that a read through the universal leg calls it
+    monkeypatch.setattr(subst, "_WORD_MEMO", {})
+    for name in ("delta_w", "_word_leg"):
+        monkeypatch.setattr(subst, name, refuse)
+        monkeypatch.setattr(seriesmorph, name, refuse, raising=False)
     assert substitute_lb(alpha, beta) == expected
     assert all(a_alpha_dagger(alpha, f) == d for f, d in daggers.items())
 
