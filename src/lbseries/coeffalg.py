@@ -3,10 +3,11 @@
 Every public coefficient in the package is a :class:`fractions.Fraction`;
 there is no floating point anywhere.  The contracted recursions behind the
 character products keep ``int`` coefficients internally, over one scale
-per character (``integer_weights``), and ``pair_legs`` divides them back
-into ``Fraction`` values once per forest.  ``LinComb`` is a sparse map from
-basis elements (any hashable values) to nonzero rationals.  Rank-two
-tensors are ``LinComb`` instances keyed by ``(left, right)`` pairs.
+per character (``integer_weights``, ``integer_values``), and ``pair_legs``
+divides them back into ``Fraction`` values once per forest.  ``LinComb`` is
+a sparse map from basis elements (any hashable values) to nonzero
+rationals.  Rank-two tensors are ``LinComb`` instances keyed by
+``(left, right)`` pairs.
 """
 
 from __future__ import annotations
@@ -477,31 +478,42 @@ def integer_weights(values: dict) -> tuple[int, dict]:
     }
 
 
+def integer_values(character: CharacterMap, empty) -> tuple[int, dict]:
+    """A character's values, its empty value on the basis element ``empty``
+    included, as integers over one scale: ``(E, weights)`` with ``E`` the
+    lcm of their denominators and ``weights[x]`` the integer
+    ``character(x) * E``.  Unlike :func:`integer_weights` the scale does not
+    grow with a basis element's size, so it fits a character that is read
+    linearly, whatever the sizes of its arguments."""
+    values = {empty: character.empty_value, **character.values}
+    scale = math.lcm(1, *(c.denominator for c in values.values()))
+    return scale, {x: c.numerator * (scale // c.denominator) for x, c in values.items()}
+
+
 def pair_legs(
-    legs: Callable, scale: int, right: CharacterMap, forests: Callable, order: int
+    legs: Callable, left_scale: Callable, right: CharacterMap, forests: Callable, order: int
 ) -> CharacterMap:
-    """The character ``w -> sum c * right(r) / scale ** |w|`` over the
+    """The character ``w -> sum c * right(r) / left_scale(|w|)`` over the
     integer pairs ``(r, c)`` of ``legs(w, top)``, for every ``w`` in
     ``forests(0..order)``.
 
-    This is the one pairing of the contracted character products
-    (``subst.star_w``, ``prelie.convolve``): ``legs`` carries the left
-    character through a coproduct's or coaction's recursion and gives each
-    forest its right legs with integer coefficients, scaled by
-    ``scale ** |w|`` (``integer_weights``).  ``right`` is scaled to
-    integers by the lcm of its denominators, and one division per forest
-    undoes both scalings.  ``top`` is true for the forests of the top
-    order, whose legs no later forest reads, so ``legs`` need not memoize
-    them.  ``forests(0)`` lists the empty forest, where ``right`` reads its
-    empty value.
+    This is the one pairing of the character products (``subst.star_w``,
+    ``prelie.convolve``, ``seriesmorph.compose_lb``): ``legs`` carries the
+    left character through a coproduct's or coaction's recursion and gives
+    each forest its right legs with integer coefficients, which are the
+    left values times ``left_scale`` of the forest's size: ``D ** n`` for
+    weights that multiply over parts (:func:`integer_weights`), one scale
+    ``E`` for a character read on whole left legs (:func:`integer_values`).
+    ``right`` is scaled to integers by the lcm of its denominators, and one
+    division per forest undoes both scalings.  ``top`` is true for the
+    forests of the top order, whose legs no later forest reads, so ``legs``
+    need not memoize them.  ``forests(0)`` lists the empty forest, where
+    ``right`` reads its empty value.
     """
-    values = dict.fromkeys(forests(0), right.empty_value)
-    values.update(right.values)
-    right_scale = math.lcm(1, *(c.denominator for c in values.values()))
-    weight = {r: c.numerator * (right_scale // c.denominator) for r, c in values.items()}
+    right_scale, weight = integer_values(right, forests(0)[0])
     out = []
     for size in range(order + 1):
-        denominator = scale**size * right_scale
+        denominator = left_scale(size) * right_scale
         top = size == order
         for w in forests(size):
             total = sum(c * weight.get(r, 0) for r, c in legs(w, top))
@@ -516,10 +528,13 @@ def convolve_through(
     ``c * (l, r)`` of ``delta(w)``, for every ``w`` in ``forests(0..order)``.
 
     Composition and substitution of series are convolutions through a
-    coproduct or a coaction.  ``prelie.convolve`` and ``subst.star_w``
-    build no terms: they carry their left character through the
-    coproduct's or coaction's recursion instead, pair it with the right
-    character through :func:`pair_legs`, and are tested against this.
+    coproduct or a coaction.  The production products (``star_w``,
+    ``convolve``, ``compose_lb``) build no terms: they carry their left
+    character through the recursion that the coproduct or coaction reads
+    with the universal character, pair it with the right character through
+    :func:`pair_legs`, and are tested against this.  It serves the
+    bracket-route oracle ``subst.star_rho`` and the deconcatenation
+    convolution of the laws.
     """
     values = []
     for size in range(order + 1):

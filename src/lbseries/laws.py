@@ -357,9 +357,14 @@ def law_h_coassoc(order: int, guard: int | None, seed: int) -> str | None:
     ce = _coassoc_check(delta_h, _up_to(enumerate_forests, order), _h_counit)
     if ce is not None:
         return ce
-    pieces = _up_to(enumerate_forests, min(4, order))
+    # every pair whose sizes add up to at most the order, and every pair up to 4
+    pieces = _up_to(enumerate_forests, order)
+    cap = min(4, order)
     for f in pieces:
         for g in pieces:
+            sizes = f.vertex_count, g.vertex_count
+            if sum(sizes) > order and max(sizes) > cap:
+                continue
             rhs = LinComb(
                 ((a.mul(a2), b.mul(b2)), c * c2)
                 for (a, b), c in delta_h(f).items()
@@ -721,19 +726,19 @@ REGISTRY: dict[str, tuple[Callable, int]] = {
     "dalgebra-axioms": (law_dalgebra_axioms, 3),
     "ck-coassoc": (law_ck_coassoc, 7),
     "h-coassoc": (law_h_coassoc, 6),
-    "n-coassoc": (law_n_coassoc, 5),
+    "n-coassoc": (law_n_coassoc, 7),
     "w-coassoc": (law_w_coassoc, 4),
     "shuffle-bialgebra": (law_shuffle_bialgebra, 4),
-    "gl-duality": (law_gl_duality, 6),
+    "gl-duality": (law_gl_duality, 7),
     "h-operad-duality": (law_h_operad_duality, 4),
     "operad-assoc": (law_operad_assoc, 6),
-    "cointeraction": (law_cointeraction, 6),
+    "cointeraction": (law_cointeraction, 7),
     "pi-morphism": (law_pi_morphism, 4),
     "grading": (law_grading, 6),
     "adjoint": (law_adjoint, 5),
     "substitution-theorem": (law_substitution_theorem, 5),
     "bseries-substitution": (law_bseries_substitution, 6),
-    "automorphism": (law_automorphism, 4),
+    "automorphism": (law_automorphism, 6),
 }
 
 

@@ -1,6 +1,7 @@
 """Planar-side algebra: left grafting, Lie polynomials, Grossman-Larson
-product, shuffle algebra and the planar left-cut coproduct, memoized and
-computed through the coproducts of the forests below each root.
+product, shuffle algebra and the planar left-cut coproduct, an integer
+recursion through the cuts of the forests below each root that
+``delta_n`` and ``seriesmorph.compose_lb`` both read.
 
 Left grafting attaches the root(s) of the first argument below a vertex of
 the second so that the new edge is leftmost there; with the stored child
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .coeffalg import LinComb, bilinear, format_lincomb
+from .coeffalg import LinComb, Monomials, bilinear, format_lincomb
 from .trees import EMPTY_FOREST, OrderedForest, PlanarTree
 
 
@@ -110,37 +111,57 @@ def delta_shuffle(forest: OrderedForest) -> LinComb:
     return LinComb(terms)
 
 
-@lru_cache(maxsize=None)
-def delta_n(forest: OrderedForest) -> LinComb:
-    """Planar left-cut coproduct, dual to the Grossman-Larson product.
+def _shuffled(x: dict, y: dict) -> dict:
+    """The shuffle product of two combinations of forests with ``int`` or
+    ``Monomials`` coefficients; a sum that cancels is dropped."""
+    sums: dict = {}
+    for fx, cx in x.items():
+        for fy, cy in y.items():
+            c = cx * cy
+            for w, m in shuffle(fx, fy).items():
+                # multiplicities are whole numbers: their numerators keep the sums int
+                sums[w] = sums.get(w, 0) + c * m.numerator
+    return {w: c for w, c in sums.items() if c}
+
+
+def _left_cuts(forest: OrderedForest, memo: dict) -> dict:
+    """The planar left cuts of ``forest`` as ``{right leg: {left leg: n}}``
+    with ``int`` multiplicities ``n``.
 
     The cut at the forest's (virtual) root takes a planar-left run
     ``trees[:j]`` whole; every later tree keeps its root and is cut through
-    ``delta_n`` of the forest below that root, ``b_plus`` closing its right
-    leg.  Left legs shuffle and right legs concatenate.
+    the forest below that root, ``b_plus`` closing its right leg.  Left legs
+    shuffle and right legs concatenate.  A right leg holds one tree per
+    kept root, so each is met once and only left legs sum.  ``memo`` holds
+    each forest's cuts for as long as the caller keeps it.
     """
-    trees = forest.trees
-    # the cuts of trees[j:], each keeping its root, as j falls
-    kept = LinComb.of((EMPTY_FOREST, EMPTY_FOREST))
-    terms = []
-    for j in range(len(trees), -1, -1):
-        run = LinComb.of((OrderedForest(trees[:j]), EMPTY_FOREST))
-        terms.extend(_shuffle_concat(run, kept).items())
-        if j:
-            below = delta_n(b_minus(trees[j - 1])).items()
-            closed = LinComb(((l, OrderedForest((b_plus(r),))), c) for (l, r), c in below)
-            kept = _shuffle_concat(closed, kept)
-    return LinComb(terms)
+    out = memo.get(forest)
+    if out is None:
+        trees = forest.trees
+        # the cuts of trees[j:], each keeping its root, as j falls
+        kept = {EMPTY_FOREST: {EMPTY_FOREST: 1}}
+        out = {}
+        for j in range(len(trees), -1, -1):
+            run = {OrderedForest(trees[:j]): 1}
+            for right, lefts in kept.items():
+                out[right] = _shuffled(run, lefts)
+            if j:
+                below = _left_cuts(b_minus(trees[j - 1]), memo)
+                kept = {
+                    OrderedForest((b_plus(rb),) + rk.trees): _shuffled(lb, lk)
+                    for rb, lb in below.items()
+                    for rk, lk in kept.items()
+                }
+        memo[forest] = out
+    return out
 
 
-def _shuffle_concat(x: LinComb, y: LinComb) -> LinComb:
-    """Product on tensors of forests: left legs shuffle, right legs concatenate."""
-    return LinComb(
-        ((w, rx.concat(ry)), cx * cy * cw)
-        for (lx, rx), cx in x.items()
-        for (ly, ry), cy in y.items()
-        for w, cw in shuffle(lx, ly).items()
-    )
+@lru_cache(maxsize=None)
+def delta_n(forest: OrderedForest) -> LinComb:
+    """Planar left-cut coproduct, dual to the Grossman-Larson product: the
+    recursion that ``seriesmorph.compose_lb`` runs (``_left_cuts``), read
+    with the universal character, which sends each left leg to itself."""
+    return Monomials.terms(_left_cuts(forest, {}))
 
 
 class LiePoly:

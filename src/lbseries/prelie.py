@@ -279,7 +279,8 @@ def convolve(a: CharacterMap, b: CharacterMap, coproduct: str) -> CharacterMap:
             del memo[forest.trees[0].rep]  # a tree of the top order is no other tree's subtree
         return out.items()
 
-    return pair_legs(legs, scale, b, enumerate_forests, min(a.order, b.order))
+    order = min(a.order, b.order)
+    return pair_legs(legs, lambda size: scale**size, b, enumerate_forests, order)
 
 
 def _multiplied(x: dict, y: dict, mul=Forest.mul) -> dict:

@@ -38,7 +38,7 @@ from .coeffalg import (
     is_logarithmic,
     pair_legs,
 )
-from .postlie import LiePoly, b_plus, bracket, concat, left_graft, shuffle
+from .postlie import LiePoly, _shuffled, b_plus, bracket, concat, left_graft
 from .prelie import delta_h
 from .trees import (
     EMPTY_FOREST,
@@ -396,12 +396,12 @@ def _contracted_terms(forest: OrderedForest, value, memo: dict):
             if a is None:
                 continue
             if hanging:
-                below = [(f, a * c) for f, c in _contracted(hanging[0], value, memo).items()]
+                below = {f: a * c for f, c in _contracted(hanging[0], value, memo).items()}
                 for h in hanging[1:]:
                     below = _shuffled(below, _contracted(h, value, memo))
             else:
-                below = [(EMPTY_FOREST, a)]
-            for f, c in below:
+                below = {EMPTY_FOREST: a}
+            for f, c in below.items():
                 heads[f] = heads.get(f, 0) + c
         tail = _contracted(rest, value, memo).items() if heads else ()
         for fb, cb in heads.items():
@@ -409,19 +409,6 @@ def _contracted_terms(forest: OrderedForest, value, memo: dict):
                 head = (b_plus(fb),)
                 for fr, cr in tail:
                     yield OrderedForest(head + fr.trees), cb * cr
-
-
-def _shuffled(x, y: dict) -> list:
-    """(forest, c) pairs times a combination, with ``int`` or
-    ``Monomials`` coefficients: forests shuffle."""
-    sums: dict = {}
-    for fx, cx in x:
-        for fy, cy in y.items():
-            c = cx * cy
-            for w, m in shuffle(fx, fy).items():
-                # multiplicities are whole numbers: their numerators keep the sums int
-                sums[w] = sums.get(w, 0) + c * m.numerator
-    return [(w, c) for w, c in sums.items() if c]
 
 
 _WORD_MEMO: dict = {}
@@ -550,7 +537,7 @@ def star_w(alpha: CharacterMap, beta: CharacterMap) -> CharacterMap:
         return _contracted(forest, weight.get, memo).items()
 
     order = min(alpha.order, beta.order)
-    return pair_legs(legs, scale, beta, enumerate_ordered_forests, order)
+    return pair_legs(legs, lambda size: scale**size, beta, enumerate_ordered_forests, order)
 
 
 def _lie_factor_value(alpha: CharacterMap, lp: LiePoly) -> Fraction:

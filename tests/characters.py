@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from lbseries import CharacterMap, LinComb
 from lbseries.coeffalg import convolve_through
-from lbseries.postlie import LiePoly, bracket
+from lbseries.postlie import LiePoly, bracket, delta_n
 from lbseries.subst import delta_w
 from lbseries.trees import OrderedForest, enumerate_ordered_forests, enumerate_planar_trees
 
@@ -46,6 +46,14 @@ def any_character(order: int, rng: random.Random) -> CharacterMap:
         (f, fraction(rng)) for size in range(order + 1) for f in enumerate_ordered_forests(size)
     ]
     return CharacterMap(order, 0, values)
+
+
+def compose_through_delta_n(beta: CharacterMap, alpha: CharacterMap) -> CharacterMap:
+    """The composition product as the convolution through ``delta_n``,
+    ``beta`` read on the left legs and ``alpha`` on the right legs."""
+    return convolve_through(
+        delta_n, beta, alpha, enumerate_ordered_forests, min(beta.order, alpha.order)
+    )
 
 
 def star_w_through_delta_w(alpha: CharacterMap, beta: CharacterMap) -> CharacterMap:

@@ -215,6 +215,15 @@ def test_delta_n_is_pinned_to_order_7():
     assert coproduct_digest(delta_n, enumerate_ordered_forests, 7) == DELTA_N_DIGEST_7
 
 
+# computed by the recursion that built Fraction terms, before delta_n
+# became the integer left-cut recursion read with the universal character
+DELTA_N_DIGEST_8 = "69a898ae85d45b2930c711bffa55f87303342305b149e8dc19b8098f8b8e29df"
+
+
+def test_delta_n_is_pinned_to_order_8():
+    assert coproduct_digest(delta_n, enumerate_ordered_forests, 8) == DELTA_N_DIGEST_8
+
+
 def test_delta_n_single_vertex():
     assert delta_n(pf("[]")) == LinComb(
         [((pf(""), pf("[]")), 1), ((pf("[]"), pf("")), 1)]

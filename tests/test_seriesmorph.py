@@ -21,7 +21,7 @@ from lbseries import (
     star_w,
     substitute_lb,
 )
-from lbseries import coeffalg
+from lbseries import coeffalg, postlie, seriesmorph
 from lbseries.laws import (
     random_character,
     random_exponential_character,
@@ -31,7 +31,8 @@ from lbseries.laws import (
 from lbseries.postlie import concat, left_graft
 from lbseries.trees import EMPTY_FOREST, enumerate_ordered_forests
 
-from characters import dagger_through_delta_w, lie_character
+from characters import any_character, compose_through_delta_n, dagger_through_delta_w, lie_character
+from digests import character_digest
 
 pf = parse_forest
 
@@ -241,6 +242,48 @@ def test_compose_lb_with_unequal_orders_truncates_to_the_smaller():
     result = compose_lb(beta, alpha)
     assert result.order == 2
     assert result == compose_lb(beta, alpha.truncated(2))
+
+
+def _with_empty(char: CharacterMap, rng: random.Random) -> CharacterMap:
+    """``char`` with a random empty value that is not an integer."""
+    empty = Fraction(rng.choice((-7, -3, -1, 1, 3, 7)), rng.choice((2, 4, 6)))
+    return CharacterMap(char.order, empty, char.values)
+
+
+def test_compose_lb_matches_the_convolution_through_delta_n():
+    """Up to order 7, with empty values that are fractions on both sides and
+    orders that differ both ways, ``compose_lb`` equals the sum over the
+    ``delta_n`` terms."""
+    rng = random.Random(15)
+    for beta_order, alpha_order in ((0, 2), (2, 0), (1, 1), (3, 2), (2, 3), (5, 5), (7, 6), (6, 7)):
+        beta = _with_empty(any_character(beta_order, rng), rng)
+        alpha = _with_empty(any_character(alpha_order, rng), rng)
+        assert compose_lb(beta, alpha) == compose_through_delta_n(beta, alpha)
+
+
+# computed by the convolution through delta_n, before compose_lb stopped
+# building its terms
+COMPOSE_DIGEST_7 = "002b3e945ecbd52695e527cec2c308b98311131b2a1901763267eff40108b372"
+
+
+def test_compose_lb_is_pinned_at_order_7():
+    beta = CharacterMap(7, Fraction(-5, 6), any_character(7, random.Random(72)).values)
+    alpha = CharacterMap(7, Fraction(7, 4), any_character(7, random.Random(73)).values)
+    assert character_digest(compose_lb(beta, alpha)) == COMPOSE_DIGEST_7
+
+
+def test_composition_does_not_build_delta_n(monkeypatch):
+    rng = random.Random(16)
+    beta = _with_empty(any_character(5, rng), rng)
+    alpha = _with_empty(any_character(5, rng), rng)
+    expected = compose_through_delta_n(beta, alpha)
+
+    def refuse(forest):
+        raise AssertionError(f"delta_n called on {forest.serialize()}")
+
+    for module in (postlie, seriesmorph):
+        monkeypatch.setattr(module, "delta_n", refuse, raising=False)
+    assert compose_lb(beta, alpha) == expected
 
 
 def test_exponential_group_closure():
