@@ -9,6 +9,7 @@ default; ``--format json`` emits machine-readable structures.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -292,7 +293,10 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: it holds no mutable
+    default, so every call parses into a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="lbseries",
         description="Exact computer algebra for series over rooted trees and forests.",

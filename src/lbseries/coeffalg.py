@@ -507,8 +507,10 @@ def pair_legs(
     ``right`` is scaled to integers by the lcm of its denominators, and one
     division per forest undoes both scalings.  ``top`` is true for the
     forests of the top order, whose legs no later forest reads, so ``legs``
-    need not memoize them.  ``forests(0)`` lists the empty forest, where
-    ``right`` reads its empty value.
+    need not memoize them (``star_w`` streams their terms and ``convolve``
+    drops them; ``compose_lb`` ignores ``top``, as it memoizes no forest's
+    own legs).  ``forests(0)`` lists the empty forest, where ``right``
+    reads its empty value.
     """
     right_scale, weight = integer_values(right, forests(0)[0])
     out = []

@@ -1,7 +1,8 @@
 """Planar-side algebra: left grafting, Lie polynomials, Grossman-Larson
 product, shuffle algebra and the planar left-cut coproduct, an integer
-recursion through the cuts of the forests below each root that
-``delta_n`` and ``seriesmorph.compose_lb`` both read.
+recursion through the cuts of the forests below each root and of the
+suffixes of each forest that ``delta_n`` and ``seriesmorph.compose_lb``
+both read.
 
 Left grafting attaches the root(s) of the first argument below a vertex of
 the second so that the new edge is leftmost there; with the stored child
@@ -124,44 +125,66 @@ def _shuffled(x: dict, y: dict) -> dict:
     return {w: c for w, c in sums.items() if c}
 
 
-def _left_cuts(forest: OrderedForest, memo: dict) -> dict:
-    """The planar left cuts of ``forest`` as ``{right leg: {left leg: n}}``
-    with ``int`` multiplicities ``n``.
+def _cuts_below(tree: PlanarTree, memo: dict) -> dict:
+    """The planar left cuts of the forest below ``tree``'s root, as
+    ``{right leg: {left leg: n}}`` with ``int`` multiplicities ``n``, kept
+    in ``memo[tree]``.
 
-    The cut at the forest's (virtual) root takes a planar-left run
-    ``trees[:j]`` whole; every later tree keeps its root and is cut through
-    the forest below that root, ``b_plus`` closing its right leg.  Left legs
-    shuffle and right legs concatenate.  A right leg holds one tree per
-    kept root, so each is met once and only left legs sum.  ``memo`` holds
-    each forest's cuts for as long as the caller keeps it.
+    For that forest ``trees``, the cut at the root takes a planar-left run
+    ``trees[:j]`` whole as a left leg, shuffled with the left legs of a kept
+    cut of the suffix ``trees[j:]`` (:func:`_kept_cuts`).  A right leg holds
+    one tree per kept root, so each is met once and only left legs sum.
+    ``memo`` holds every root's cuts and every suffix's kept cuts met, for
+    as long as the caller keeps it.
+    """
+    out = memo.get(tree)
+    if out is None:
+        trees = b_minus(tree).trees
+        out = {}
+        for j in range(len(trees) + 1):
+            run = {OrderedForest(trees[:j]): 1}
+            for right, lefts in _kept_cuts(OrderedForest(trees[j:]), memo).items():
+                out[right] = _shuffled(run, lefts) if j else lefts
+        memo[tree] = out
+    return out
+
+
+def _kept_cuts(forest: OrderedForest, memo: dict) -> dict:
+    """The planar left cuts of ``forest`` in which every tree keeps its
+    root, as ``{right leg: {left leg: n}}``, kept in ``memo[forest]`` as are
+    those of its suffixes.
+
+    Each tree is cut through the forest below its root
+    (:func:`_cuts_below`), ``b_plus`` closing its right leg: right legs
+    concatenate and left legs shuffle, so a right leg holds as many trees as
+    ``forest``.  The suffixes are met from the shortest, in a loop, so only
+    the depth of the trees nests calls.
     """
     out = memo.get(forest)
     if out is None:
         trees = forest.trees
-        # the cuts of trees[j:], each keeping its root, as j falls
-        kept = {EMPTY_FOREST: {EMPTY_FOREST: 1}}
-        out = {}
-        for j in range(len(trees), -1, -1):
-            run = {OrderedForest(trees[:j]): 1}
-            for right, lefts in kept.items():
-                out[right] = _shuffled(run, lefts)
-            if j:
-                below = _left_cuts(b_minus(trees[j - 1]), memo)
-                kept = {
-                    OrderedForest((b_plus(rb),) + rk.trees): _shuffled(lb, lk)
-                    for rb, lb in below.items()
-                    for rk, lk in kept.items()
+        out = {EMPTY_FOREST: {EMPTY_FOREST: 1}}
+        for j in range(len(trees) - 1, -1, -1):
+            suffix = OrderedForest(trees[j:])
+            kept = memo.get(suffix)
+            if kept is None:
+                # the unit left leg of the empty rest shuffles to lb itself
+                kept = memo[suffix] = {
+                    OrderedForest((b_plus(rb),) + rk.trees): _shuffled(lb, lk) if rk.trees else lb
+                    for rb, lb in _cuts_below(trees[j], memo).items()
+                    for rk, lk in out.items()
                 }
-        memo[forest] = out
+            out = kept
     return out
 
 
 @lru_cache(maxsize=None)
 def delta_n(forest: OrderedForest) -> LinComb:
     """Planar left-cut coproduct, dual to the Grossman-Larson product: the
-    recursion that ``seriesmorph.compose_lb`` runs (``_left_cuts``), read
-    with the universal character, which sends each left leg to itself."""
-    return Monomials.terms(_left_cuts(forest, {}))
+    cuts below the root of ``b_plus(forest)`` (``_cuts_below``), read with
+    the universal character, which sends each left leg to itself.
+    ``seriesmorph.compose_lb`` reads the same recursion with beta."""
+    return Monomials.terms(_cuts_below(b_plus(forest), {}))
 
 
 class LiePoly:

@@ -5,6 +5,7 @@ products on characters."""
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .coeffalg import (
     CharacterMap,
@@ -14,7 +15,7 @@ from .coeffalg import (
     integer_weights,
     pair_legs,
 )
-from .postlie import _left_cuts, b_minus, concat, left_graft
+from .postlie import _cuts_below, _kept_cuts, b_minus, b_plus, concat, left_graft, shuffle
 from .subst import _contracted, _require_logarithmic, star_w
 from .trees import EMPTY_FOREST, OrderedForest, enumerate_ordered_forests
 
@@ -162,24 +163,47 @@ def compose_lb(beta: CharacterMap, alpha: CharacterMap) -> CharacterMap:
     """Composition convolution of characters through the left-cut coproduct,
     truncated to the smaller of their orders.
 
-    No ``delta_n`` term is built: the recursion that ``delta_n`` reads with
-    the universal character (``postlie._left_cuts``, one memo per call)
-    gives each forest its right legs, each with its left legs and their
-    integer multiplicities.  A right leg carries ``sum n * beta(l) * E``
-    over its left legs ``l``, with ``E`` the lcm of beta's denominators, its
-    empty value included (``integer_values``), and ``pair_legs`` pairs it
-    with alpha.  Forests of the top order are not memoized.  Equal to
-    ``convolve_through(delta_n, ...)`` (tested up to order 7).
+    No ``delta_n`` term is built.  With ``E`` the lcm of beta's
+    denominators, its empty value included (``integer_values``), a forest
+    ``F = t1...tk`` has the right legs of ``delta_n(F)``, each carrying
+    ``E * beta`` on its left legs:
+
+    - the empty right leg, with ``E * beta(F)``;
+    - for ``1 <= j < k``, each kept cut ``(R, lefts)`` of the suffix
+      ``F[j:]`` (``postlie._kept_cuts``), with ``sum n * paired(F[:j], l)``;
+    - each cut ``(rb, lb)`` below ``t1``'s root and kept cut ``(R, lk)`` of
+      ``F[1:]``, the right leg ``b_plus(rb) R`` with
+      ``sum a * b * paired(l, m)``.
+
+    ``paired(u, v)`` is ``E * beta(u sh v)``, read once per pair and call;
+    so no left leg of ``F`` is expanded into shuffled words, and only
+    strictly smaller forests enter the cut recursion, whose memo lives for
+    the call.  ``pair_legs`` pairs the legs with alpha; ``top`` is not read.
+    Equal to ``convolve_through(delta_n, ...)`` (tested up to order 7).
     """
     scale, weight = integer_values(beta, EMPTY_FOREST)
     memo: dict = {}
 
+    @cache
+    def paired(u: OrderedForest, v: OrderedForest) -> int:
+        return sum(m.numerator * weight.get(w, 0) for w, m in shuffle(u, v).items())
+
     def legs(forest: OrderedForest, top: bool):
-        cuts = _left_cuts(forest, memo)
-        if top:
-            del memo[forest]  # a forest of the top order is below no other
-        for right, lefts in cuts.items():
-            yield right, sum(n * weight.get(left, 0) for left, n in lefts.items())
+        trees = forest.trees
+        yield EMPTY_FOREST, weight.get(forest, 0)
+        for j in range(1, len(trees)):
+            run = OrderedForest(trees[:j])
+            for right, lefts in _kept_cuts(OrderedForest(trees[j:]), memo).items():
+                yield right, sum(n * paired(run, l) for l, n in lefts.items())
+        if trees:
+            rest = _kept_cuts(OrderedForest(trees[1:]), memo)
+            for rb, lb in _cuts_below(trees[0], memo).items():
+                head = (b_plus(rb),)
+                for rk, lk in rest.items():
+                    total = sum(
+                        a * b * paired(l, m) for l, a in lb.items() for m, b in lk.items()
+                    )
+                    yield OrderedForest(head + rk.trees), total
 
     order = min(beta.order, alpha.order)
     return pair_legs(legs, lambda size: scale, alpha, enumerate_ordered_forests, order)

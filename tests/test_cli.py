@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import lbseries
 from lbseries import CharacterMap, parse_forest
 from lbseries.cli import run
 from lbseries.laws import law_names
@@ -171,6 +175,39 @@ def test_substitute_and_compose_files(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert "order 2" in out
+
+
+def test_runs_in_one_process_match_separate_processes(tmp_path, capsys):
+    """The parser is built once per process, so substitute, compose, a bad
+    input file and a usage error, run one after another in one process,
+    print and exit as each does in a process of its own."""
+    alpha = CharacterMap(3, 0, [(pf("[]"), 1), (pf("[[]]"), Fraction(1, 2)), (pf("[[][]]"), -2)])
+    beta = CharacterMap(3, Fraction(3, 2), [(pf("[]"), 1), (pf("[[]] []"), Fraction(-1, 3))])
+    alpha_path, beta_path, bad_path = (tmp_path / name for name in ("alpha", "beta", "bad"))
+    alpha_path.write_text(json.dumps(alpha.to_json()))
+    beta_path.write_text(json.dumps(beta.to_json()))
+    bad_path.write_text("{")
+    operands = ["--alpha", str(alpha_path), "--beta", str(beta_path)]
+    argvs = [
+        ["substitute", *operands, "--format", "json"],
+        ["compose", *operands],
+        ["compose", "--alpha", str(bad_path), "--beta", str(beta_path)],
+        ["compose", "--alpha", str(alpha_path)],
+    ]
+    in_process = []
+    for argv in argvs:
+        code = run(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lbseries.__file__)))
+    separate = []
+    for argv in argvs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lbseries.cli", *argv], capture_output=True, text=True, env=env
+        )
+        separate.append((proc.returncode, proc.stdout, proc.stderr))
+    assert in_process == separate
+    assert [code for code, _, _ in in_process] == [0, 0, 1, 1]
 
 
 @pytest.mark.parametrize("order", ["-1", "0"])

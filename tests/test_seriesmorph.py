@@ -261,15 +261,45 @@ def test_compose_lb_matches_the_convolution_through_delta_n():
         assert compose_lb(beta, alpha) == compose_through_delta_n(beta, alpha)
 
 
+_SPARSE_FORESTS = [f for n in range(1, 7) for f in enumerate_ordered_forests(n)]
+_FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+
+
+@st.composite
+def _sparse_characters(draw):
+    """A character of order 0..6 with values on a drawn few of its forests,
+    zero on the rest, and an empty value that is often not an integer."""
+    order = draw(st.integers(0, 6))
+    pool = [f for f in _SPARSE_FORESTS if f.vertex_count <= order]
+    values = draw(st.dictionaries(st.sampled_from(pool), _FRACTIONS, max_size=40)) if pool else {}
+    return CharacterMap(order, draw(_FRACTIONS), values)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_sparse_characters(), _sparse_characters())
+def test_compose_lb_is_the_convolution_through_delta_n_on_sparse_characters(beta, alpha):
+    """Beta vanishes on most shuffled words, so many pairs of legs read
+    nothing; their sums must still match the ``delta_n`` terms."""
+    assert compose_lb(beta, alpha) == compose_through_delta_n(beta, alpha)
+
+
 # computed by the convolution through delta_n, before compose_lb stopped
 # building its terms
 COMPOSE_DIGEST_7 = "002b3e945ecbd52695e527cec2c308b98311131b2a1901763267eff40108b372"
+# computed by compose_lb while it still expanded every forest's left legs
+COMPOSE_DIGEST_8 = "377c5fbc60386dfdc052cad595d1636af02bf77f98abc20088b201abeff1d2ae"
 
 
 def test_compose_lb_is_pinned_at_order_7():
     beta = CharacterMap(7, Fraction(-5, 6), any_character(7, random.Random(72)).values)
     alpha = CharacterMap(7, Fraction(7, 4), any_character(7, random.Random(73)).values)
     assert character_digest(compose_lb(beta, alpha)) == COMPOSE_DIGEST_7
+
+
+def test_compose_lb_is_pinned_at_order_8():
+    beta = CharacterMap(8, Fraction(5, 6), any_character(8, random.Random(82)).values)
+    alpha = CharacterMap(8, Fraction(-7, 4), any_character(8, random.Random(83)).values)
+    assert character_digest(compose_lb(beta, alpha)) == COMPOSE_DIGEST_8
 
 
 def test_composition_does_not_build_delta_n(monkeypatch):
@@ -284,6 +314,36 @@ def test_composition_does_not_build_delta_n(monkeypatch):
     for module in (postlie, seriesmorph):
         monkeypatch.setattr(module, "delta_n", refuse, raising=False)
     assert compose_lb(beta, alpha) == expected
+
+
+def test_composition_expands_no_top_order_forest(monkeypatch):
+    """``compose_lb`` reads beta on the shuffles of a forest's legs through
+    its pair memo, so the cut recursion meets only forests below the
+    truncation order: the forests below the roots of the top-order trees
+    and the proper suffixes of the top-order forests."""
+    order = 6
+    rng = random.Random(17)
+    beta = _with_empty(any_character(order, rng), rng)
+    alpha = _with_empty(any_character(order, rng), rng)
+    expected = compose_through_delta_n(beta, alpha)
+    reached = []
+
+    def spy(recursion, size):
+        def spied(x, memo):
+            reached.append(size(x))
+            return recursion(x, memo)
+
+        return spied
+
+    for name, size in (
+        ("_cuts_below", lambda tree: tree.vertex_count - 1),
+        ("_kept_cuts", lambda forest: forest.vertex_count),
+    ):
+        spied = spy(getattr(postlie, name), size)
+        for module in (postlie, seriesmorph):
+            monkeypatch.setattr(module, name, spied)
+    assert compose_lb(beta, alpha) == expected
+    assert max(reached) == order - 1
 
 
 def test_exponential_group_closure():
