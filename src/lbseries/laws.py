@@ -729,7 +729,7 @@ REGISTRY: dict[str, tuple[Callable, int]] = {
     "n-coassoc": (law_n_coassoc, 7),
     "w-coassoc": (law_w_coassoc, 4),
     "shuffle-bialgebra": (law_shuffle_bialgebra, 4),
-    "gl-duality": (law_gl_duality, 7),
+    "gl-duality": (law_gl_duality, 8),
     "h-operad-duality": (law_h_operad_duality, 4),
     "operad-assoc": (law_operad_assoc, 6),
     "cointeraction": (law_cointeraction, 7),

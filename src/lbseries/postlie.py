@@ -6,11 +6,16 @@ both read.
 
 Left grafting attaches the root(s) of the first argument below a vertex of
 the second so that the new edge is leftmost there; with the stored child
-order of :mod:`lbseries.trees` that is an append.  It extends to ordered
-forests by the usual recursions (derivation in the right argument, the
-associator rule in the left argument) and to linear combinations
-bilinearly.  The basis-level product is memoized: ``LinComb`` has no
-in-place operation, so a cached result is safe to share.
+order of :mod:`lbseries.trees` that is an append.  On ordered forests it is
+one closed sum: ``f1 > f2`` adds, for every map from the trees of ``f1`` to
+the vertices of ``f2``, the forest ``f2`` with each tree grafted at its
+vertex, trees that share a vertex keeping their order in ``f1``, so no tree
+lands on another grafted tree and nothing cancels.  One integer recursion
+over (trees still to place, target tree) counts the terms
+(``_grafted``), and ``left_graft`` and ``gl_product`` turn the counts into
+a ``LinComb``; grafting extends to linear combinations bilinearly.  The
+basis-level graft is memoized: ``LinComb`` has no in-place operation, so a
+cached result is safe to share.
 """
 
 from __future__ import annotations
@@ -21,35 +26,71 @@ from .coeffalg import LinComb, Monomials, bilinear, format_lincomb
 from .trees import EMPTY_FOREST, OrderedForest, PlanarTree
 
 
-def _tree_onto_tree(t1: PlanarTree, t2: PlanarTree) -> LinComb:
-    return LinComb((OrderedForest((t,)), 1) for t in t2.graftings(t1))
+def _grafted(trees: tuple, target: PlanarTree, memo: dict, root: bool = True) -> dict:
+    """Every way of grafting each of ``trees`` at a vertex of ``target``, as
+    ``{tree: n}`` with ``int`` counts ``n``, kept in ``memo[(trees, target)]``.
+
+    Each child of the root takes a subsequence of ``trees`` and grafts it
+    through this recursion; the trees left over are appended to the root's
+    children in reverse order, so the first of them is leftmost.  With
+    ``root`` false none is left over: the target is ``b_plus`` of a forest
+    whose own vertices take every tree.  The children are met in a loop, so
+    only the depth of ``target`` nests calls.
+    """
+    key = (trees, target)
+    out = memo.get(key)
+    if out is None:
+        k = len(trees)
+        # {trees not yet placed, as a bit mask: {new children so far: n}}
+        placed = {(1 << k) - 1: {(): 1}}
+        last = len(target.children) - 1
+        for j, child in enumerate(target.children):
+            whole = not root and j == last  # the last child takes what is left
+            step: dict = {}
+            for mask, partial in placed.items():
+                sub = mask
+                while True:
+                    # ``sub``: the trees that go below ``child``
+                    if sub:
+                        picked = tuple(trees[i] for i in range(k) if sub >> i & 1)
+                        below = _grafted(picked, child, memo)
+                    else:
+                        below = {child: 1}
+                    into = step.setdefault(mask ^ sub, {})
+                    for kids, n in partial.items():
+                        for grafted, m in below.items():
+                            kids_m = kids + (grafted,)
+                            into[kids_m] = into.get(kids_m, 0) + n * m
+                    if not sub or whole:
+                        break
+                    sub = (sub - 1) & mask
+            placed = step
+        out = {}
+        for mask, partial in placed.items():
+            if mask and not root:
+                continue
+            at_root = tuple(trees[i] for i in range(k - 1, -1, -1) if mask >> i & 1)
+            for kids, n in partial.items():
+                tree = PlanarTree(kids + at_root)
+                out[tree] = out.get(tree, 0) + n
+        memo[key] = out
+    return out
 
 
 @lru_cache(maxsize=None)
 def _graft_forests(f1: OrderedForest, f2: OrderedForest) -> LinComb:
-    if f1.is_empty:
-        return LinComb.of(f2)
-    if len(f1.trees) == 1:
-        t1 = f1.trees[0]
-        if f2.is_empty:
-            return LinComb.zero()
-        head, tail = f2.trees[0], OrderedForest(f2.trees[1:])
-        grafted = _tree_onto_tree(t1, head)
-        left = grafted.map_basis(lambda w: w.concat(tail))
-        right = _graft_forests(OrderedForest((t1,)), tail).map_basis(
-            lambda w: OrderedForest((head,)).concat(w)
-        )
-        return left + right
-    head = OrderedForest(f1.trees[:1])
-    rest = OrderedForest(f1.trees[1:])
-    inner = _graft_forests(rest, f2)
-    first = left_graft(LinComb.of(head), inner)
-    outer = left_graft(_graft_forests(head, rest), LinComb.of(f2))
-    return first - outer
+    """``f1 > f2``: the grafts of ``f1`` onto the vertices of ``f2``, the
+    vertices of ``b_plus(f2)`` below its root."""
+    grafted = _grafted(f1.trees, b_plus(f2), {}, root=False)
+    return LinComb((b_minus(t), n) for t, n in grafted.items())
 
 
 def left_graft(x: LinComb, y: LinComb) -> LinComb:
-    """Bilinear left grafting on linear combinations of ordered forests."""
+    """Bilinear left grafting on linear combinations of ordered forests: on
+    forests ``f1 > f2``, the sum over every map from the trees of ``f1`` to
+    the vertices of ``f2`` of ``f2`` with each tree grafted leftmost at its
+    vertex, trees at one vertex in their ``f1`` order (``f1 > 1`` is zero
+    unless ``f1`` is empty)."""
     return bilinear(x, y, _graft_forests)
 
 
@@ -69,9 +110,12 @@ def b_minus(tree: PlanarTree) -> OrderedForest:
 
 
 def gl_product(f1: OrderedForest, f2: OrderedForest) -> LinComb:
-    """Grossman-Larson product of ordered forests."""
-    grafted = _graft_forests(f1, OrderedForest((b_plus(f2),)))
-    return grafted.map_basis(lambda w: b_minus(w.trees[0]))
+    """Grossman-Larson product of ordered forests, ``b_minus(f1 > b_plus(f2))``:
+    the trees of ``f1`` also graft at the new root, where they become trees
+    of the product's forest, left of ``f2``'s.  The ``LinComb`` is built once,
+    from the integer counts."""
+    grafted = _grafted(f1.trees, b_plus(f2), {})
+    return LinComb((b_minus(t), n) for t, n in grafted.items())
 
 
 @lru_cache(maxsize=None)

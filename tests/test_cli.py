@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -451,6 +452,30 @@ def test_deeply_nested_input_is_an_input_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: input is nested too deeply\n"
+
+
+# sha256 of the output printed by the associator recursion that grafting
+# ran before it became the closed sum over vertex assignments
+DEEP_CHAIN_OUTPUTS = {
+    "graft": "86e19543c3099457cf00f223d8e6abda64a47456cb74fbbe4253919cfba31d2e",
+    "gl": "be4146af52a119d88f6e6aacb4533370da13bb1c2c70870d4b68fc6e89b337be",
+}
+
+
+@pytest.mark.parametrize(
+    "name, argv, depth",
+    [("graft", ["graft", "--mode", "postlie"], 499), ("gl", ["product", "--op", "gl"], 498)],
+    ids=["graft", "gl"],
+)
+def test_grafting_a_vertex_onto_a_deep_chain(capsys, name, argv, depth):
+    """One frame per tree level: a vertex grafts onto a chain hundreds of
+    vertices deep (``gl`` adds a root above it) without running out of
+    nesting depth."""
+    chain = "[" * depth + "]" * depth
+    assert run(argv + ["[]", chain]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == DEEP_CHAIN_OUTPUTS[name]
 
 
 def test_verify_reports_documented_defect(capsys):

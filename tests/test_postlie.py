@@ -18,7 +18,8 @@ from lbseries.coeffalg import is_primitive_shuffle, tensor
 from lbseries.laws import run_law
 from lbseries.trees import EMPTY_FOREST, enumerate_ordered_forests, enumerate_planar_trees
 
-from digests import coproduct_digest
+from digests import coproduct_digest, forest_pairs, product_digest
+from graft_oracle import oracle_gl_product, oracle_left_graft
 from worked_examples import (
     B_PLUS_EXAMPLE,
     GL_EXAMPLE,
@@ -245,6 +246,36 @@ def test_shuffle_bialgebra_law():
 def test_concat_is_associative_on_combs():
     a, b, c = one("[]"), one("[[]]"), one("[] []")
     assert concat(concat(a, b), c) == concat(a, concat(b, c))
+
+
+def test_left_graft_matches_the_associator_oracle():
+    pairs = list(forest_pairs(enumerate_ordered_forests, 7))
+    assert len(pairs) == 2055
+    for f1, f2 in pairs:
+        x, y = LinComb.of(f1), LinComb.of(f2)
+        assert left_graft(x, y) == oracle_left_graft(x, y), (f1, f2)
+
+
+def test_gl_product_matches_the_associator_oracle():
+    for f1, f2 in forest_pairs(enumerate_ordered_forests, 7):
+        assert gl_product(f1, f2) == oracle_gl_product(f1, f2), (f1, f2)
+
+
+# computed by the associator recursion, before grafting became the closed
+# sum over vertex assignments
+GRAFT_DIGEST_7 = "7ad94b04fc15c949d9b15d522dd01e2fe821cfd83f44ab03d61283cfe1776803"
+GL_DIGEST_7 = "6b1f1fa8203cc94eca27c02fe2ff35b65a7baeac3a431fe727ecf84643575918"
+
+
+def test_left_graft_is_pinned_to_order_7():
+    def graft(f1, f2):
+        return left_graft(LinComb.of(f1), LinComb.of(f2))
+
+    assert product_digest(graft, enumerate_ordered_forests, 7) == GRAFT_DIGEST_7
+
+
+def test_gl_product_is_pinned_to_order_7():
+    assert product_digest(gl_product, enumerate_ordered_forests, 7) == GL_DIGEST_7
 
 
 def test_grafting_results_are_unchanged_by_what_callers_build_from_them():
