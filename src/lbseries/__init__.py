@@ -56,7 +56,6 @@ from .postlie import (
     left_graft,
     lie_graft,
     shuffle,
-    shuffle_comb,
 )
 from .prelie import (
     check_h_operad_duality,

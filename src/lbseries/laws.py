@@ -630,7 +630,7 @@ def law_grading(order: int, guard: int | None, seed: int) -> str | None:
                 return f"{forest.serialize()} -> {word.serialize()}"
     # nested-partition closure: refining a partition by admissible partitions
     # of its parts stays admissible
-    for forest in _up_to(enumerate_ordered_forests, min(order, 4), 1):
+    for forest in _up_to(enumerate_ordered_forests, order, 1):
         partitions = admissible_partitions(forest)
         signatures = {
             tuple(sorted(tuple(sorted(b)) for b in p.blocks)) for p in partitions

@@ -12,8 +12,9 @@ the vertices of ``f2``, the forest ``f2`` with each tree grafted at its
 vertex, trees that share a vertex keeping their order in ``f1``, so no tree
 lands on another grafted tree and nothing cancels.  One integer recursion
 over (trees still to place, target tree) counts the terms
-(``_grafted``), and ``left_graft`` and ``gl_product`` turn the counts into
-a ``LinComb``; grafting extends to linear combinations bilinearly.  The
+(``trees._grafted``, which the pre-Lie side reads too), and ``left_graft``
+and ``gl_product`` turn the counts into a ``LinComb``; grafting extends to
+linear combinations bilinearly.  The
 basis-level graft is memoized: ``LinComb`` has no in-place operation, so a
 cached result is safe to share.
 """
@@ -23,58 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .coeffalg import LinComb, Monomials, bilinear, format_lincomb
-from .trees import EMPTY_FOREST, OrderedForest, PlanarTree
-
-
-def _grafted(trees: tuple, target: PlanarTree, memo: dict, root: bool = True) -> dict:
-    """Every way of grafting each of ``trees`` at a vertex of ``target``, as
-    ``{tree: n}`` with ``int`` counts ``n``, kept in ``memo[(trees, target)]``.
-
-    Each child of the root takes a subsequence of ``trees`` and grafts it
-    through this recursion; the trees left over are appended to the root's
-    children in reverse order, so the first of them is leftmost.  With
-    ``root`` false none is left over: the target is ``b_plus`` of a forest
-    whose own vertices take every tree.  The children are met in a loop, so
-    only the depth of ``target`` nests calls.
-    """
-    key = (trees, target)
-    out = memo.get(key)
-    if out is None:
-        k = len(trees)
-        # {trees not yet placed, as a bit mask: {new children so far: n}}
-        placed = {(1 << k) - 1: {(): 1}}
-        last = len(target.children) - 1
-        for j, child in enumerate(target.children):
-            whole = not root and j == last  # the last child takes what is left
-            step: dict = {}
-            for mask, partial in placed.items():
-                sub = mask
-                while True:
-                    # ``sub``: the trees that go below ``child``
-                    if sub:
-                        picked = tuple(trees[i] for i in range(k) if sub >> i & 1)
-                        below = _grafted(picked, child, memo)
-                    else:
-                        below = {child: 1}
-                    into = step.setdefault(mask ^ sub, {})
-                    for kids, n in partial.items():
-                        for grafted, m in below.items():
-                            kids_m = kids + (grafted,)
-                            into[kids_m] = into.get(kids_m, 0) + n * m
-                    if not sub or whole:
-                        break
-                    sub = (sub - 1) & mask
-            placed = step
-        out = {}
-        for mask, partial in placed.items():
-            if mask and not root:
-                continue
-            at_root = tuple(trees[i] for i in range(k - 1, -1, -1) if mask >> i & 1)
-            for kids, n in partial.items():
-                tree = PlanarTree(kids + at_root)
-                out[tree] = out.get(tree, 0) + n
-        memo[key] = out
-    return out
+from .trees import EMPTY_FOREST, OrderedForest, PlanarTree, _grafted
 
 
 @lru_cache(maxsize=None)
@@ -137,10 +87,6 @@ def _shuffle_words(a: tuple, b: tuple):
         yield OrderedForest((a[0],) + rest.trees)
     for rest in _shuffle_words(a, b[1:]):
         yield OrderedForest((b[0],) + rest.trees)
-
-
-def shuffle_comb(x: LinComb, y: LinComb) -> LinComb:
-    return bilinear(x, y, shuffle)
 
 
 @lru_cache(maxsize=None)

@@ -25,6 +25,7 @@ from .trees import (
     NonPlanarTree,
     PlanarTree,
     _ForestIndex,
+    _grafted,
     canonicalize,
     enumerate_forests,
 )
@@ -32,7 +33,7 @@ from .trees import (
 
 def graft(t1: NonPlanarTree, t2: NonPlanarTree) -> LinComb:
     """Sum over all ways to add an edge from a vertex of ``t2`` to ``t1``'s root."""
-    return LinComb((canonicalize(t), 1) for t in t2.rep.graftings(t1.rep))
+    return LinComb((canonicalize(t), n) for t, n in _grafted((t1.rep,), t2.rep, {}).items())
 
 
 def graft_comb(x: LinComb, y: LinComb) -> LinComb:
@@ -62,7 +63,8 @@ def compose_prelie_operad(
     canonical representative of ``base`` (identity when omitted).  The
     incoming edge of a vertex moves to the root of its replacement; each
     outgoing edge may reattach to any vertex of the replacement, and the sum
-    ranges over all such choices.
+    ranges over all such choices: the trees built below a vertex's children
+    graft onto its replacement through ``trees._grafted``, one memo per call.
     """
     n = base.vertex_count
     if len(inputs) != n:
@@ -72,23 +74,20 @@ def compose_prelie_operad(
     if sorted(assignment) != list(range(n)):
         raise ValueError("assignment must be a bijection onto the inputs")
 
-    base_index = _ForestIndex((base.rep,))
+    slots = iter(assignment)  # read in preorder, as ``build`` meets the vertices
+    memo: dict = {}
 
-    def build(vertex: int) -> LinComb:
-        slot = _ForestIndex((inputs[assignment[vertex]].rep,))
-        child_results = [build(c) for c in base_index.children[vertex]]
-        terms = []
-        for picks in itertools.product(*(list(c.items()) for c in child_results)):
+    def build(vertex: PlanarTree) -> dict:
+        slot = inputs[next(slots)].rep
+        child_terms = [build(c) for c in vertex.children]
+        out: dict = {}
+        for picks in itertools.product(*(c.items() for c in child_terms)):
             coeff = math.prod(c for _, c in picks)
-            subtrees = [t for t, _ in picks]
-            for targets in itertools.product(range(slot.n), repeat=len(subtrees)):
-                extras: dict[int, list[PlanarTree]] = {}
-                for sub, tgt in zip(subtrees, targets):
-                    extras.setdefault(tgt, []).append(sub)
-                terms.append((slot.grafted_tree(extras), coeff))
-        return LinComb(terms)
+            for tree, m in _grafted(tuple(t for t, _ in picks), slot, memo).items():
+                out[tree] = out.get(tree, 0) + coeff * m
+        return out
 
-    return build(0).map_basis(canonicalize)
+    return LinComb((canonicalize(t), c) for t, c in build(base.rep).items())
 
 
 def _universal_leg(tree: NonPlanarTree) -> Monomials:

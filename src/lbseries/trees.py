@@ -6,6 +6,8 @@ Conventions used throughout the package:
   which is the order the children appear in the bracket notation.  The
   planar left-to-right order is the reverse of the stored tuple: grafting
   a new subtree "leftmost" at a vertex appends it to the stored tuple.
+  ``_grafted`` is the package's one routine that grafts trees at vertices,
+  for the planar and the non-planar products and the pre-Lie operad.
   (All products, coproducts and worked identities in this package are
   consistent with this single orientation.)
 * Serialization is the nested-bracket form.  The single vertex is ``[]``,
@@ -63,17 +65,6 @@ class PlanarTree:
     def serialize(self) -> str:
         return self._text
 
-    def graftings(self, sub: "PlanarTree"):
-        """Yield copies with ``sub`` grafted leftmost below each vertex, in preorder.
-
-        "Leftmost" appends ``sub`` to the vertex's stored child tuple.
-        """
-        children = self.children
-        yield PlanarTree(children + (sub,))
-        for i, child in enumerate(children):
-            for grafted in child.graftings(sub):
-                yield PlanarTree(children[:i] + (grafted,) + children[i + 1 :])
-
     def to_json(self):
         return [c.to_json() for c in self.children]
 
@@ -83,6 +74,57 @@ class PlanarTree:
 
 
 LEAF = PlanarTree()
+
+
+def _grafted(trees: tuple, target: PlanarTree, memo: dict, root: bool = True) -> dict:
+    """Every way of grafting each of ``trees`` at a vertex of ``target``, as
+    ``{tree: n}`` with ``int`` counts ``n``, kept in ``memo[(trees, target)]``.
+
+    Each child of the root takes a subsequence of ``trees`` and grafts it
+    through this recursion; the trees left over are appended to the root's
+    children in reverse order, so the first of them is leftmost.  With
+    ``root`` false none is left over: the target is ``b_plus`` of a forest
+    whose own vertices take every tree.  The children are met in a loop, so
+    only the depth of ``target`` nests calls.
+    """
+    key = (trees, target)
+    out = memo.get(key)
+    if out is None:
+        k = len(trees)
+        # {trees not yet placed, as a bit mask: {new children so far: n}}
+        placed = {(1 << k) - 1: {(): 1}}
+        last = len(target.children) - 1
+        for j, child in enumerate(target.children):
+            whole = not root and j == last  # the last child takes what is left
+            step: dict = {}
+            for mask, partial in placed.items():
+                sub = mask
+                while True:
+                    # ``sub``: the trees that go below ``child``
+                    if sub:
+                        picked = tuple(trees[i] for i in range(k) if sub >> i & 1)
+                        below = _grafted(picked, child, memo)
+                    else:
+                        below = {child: 1}
+                    into = step.setdefault(mask ^ sub, {})
+                    for kids, n in partial.items():
+                        for grafted, m in below.items():
+                            kids_m = kids + (grafted,)
+                            into[kids_m] = into.get(kids_m, 0) + n * m
+                    if not sub or whole:
+                        break
+                    sub = (sub - 1) & mask
+            placed = step
+        out = {}
+        for mask, partial in placed.items():
+            if mask and not root:
+                continue
+            at_root = tuple(trees[i] for i in range(k - 1, -1, -1) if mask >> i & 1)
+            for kids, n in partial.items():
+                tree = PlanarTree(kids + at_root)
+                out[tree] = out.get(tree, 0) + n
+        memo[key] = out
+    return out
 
 
 class OrderedForest:
@@ -212,17 +254,6 @@ class _ForestIndex:
         for sibs in self.children + [self.roots]:
             for i, c in enumerate(sibs):
                 self.position[c] = i
-
-    def grafted_tree(self, extras: dict[int, list[PlanarTree]]) -> PlanarTree:
-        """The first tree with ``extras[v]`` appended to the stored children
-        of each vertex ``v``."""
-
-        def rec(v: int) -> PlanarTree:
-            return PlanarTree(
-                tuple(rec(c) for c in self.children[v]) + tuple(extras.get(v, ()))
-            )
-
-        return rec(0)
 
     def parent_map(self, offset: int = 0) -> dict[int, int | None]:
         """Vertex id to parent id (``None`` at roots), all ids shifted by ``offset``."""

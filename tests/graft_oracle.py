@@ -1,12 +1,12 @@
 """Left grafting and the Grossman-Larson product by the associator rule.
 
 A single tree grafts onto a forest as a derivation: onto each tree in turn,
-at each vertex (``PlanarTree.graftings``).  A forest ``t1 rest`` grafts by
+at each vertex (``_graftings``).  A forest ``t1 rest`` grafts by
 ``t1 > (rest > f2) - (t1 > rest) > f2``, which builds every graft of ``t1``
 onto the trees of ``rest`` and subtracts it again.  Of ``lbseries.postlie``
 it uses only ``b_plus``/``b_minus``, not the closed sum over vertex
-assignments; it is kept only to cross-check ``left_graft`` and
-``gl_product``.
+assignments (``trees._grafted``); it is kept only to cross-check
+``left_graft``, ``gl_product`` and the pre-Lie ``graft``.
 """
 
 from __future__ import annotations
@@ -19,8 +19,19 @@ from lbseries.postlie import b_minus, b_plus
 from lbseries.trees import OrderedForest, PlanarTree
 
 
+def _graftings(tree: PlanarTree, sub: PlanarTree):
+    """Yield copies of ``tree`` with ``sub`` grafted leftmost below each
+    vertex, in preorder.  "Leftmost" appends ``sub`` to the vertex's stored
+    child tuple."""
+    children = tree.children
+    yield PlanarTree(children + (sub,))
+    for i, child in enumerate(children):
+        for grafted in _graftings(child, sub):
+            yield PlanarTree(children[:i] + (grafted,) + children[i + 1 :])
+
+
 def _tree_onto_tree(t1: PlanarTree, t2: PlanarTree) -> LinComb:
-    return LinComb((OrderedForest((t,)), 1) for t in t2.graftings(t1))
+    return LinComb((OrderedForest((t,)), 1) for t in _graftings(t2, t1))
 
 
 @lru_cache(maxsize=None)

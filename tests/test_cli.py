@@ -454,18 +454,24 @@ def test_deeply_nested_input_is_an_input_error(capsys, argv):
     assert captured.err == "error: input is nested too deeply\n"
 
 
-# sha256 of the output printed by the associator recursion that grafting
-# ran before it became the closed sum over vertex assignments
+# sha256 of the output printed before grafting became the closed sum over
+# vertex assignments: by the associator recursion (planar) and by the
+# single-vertex generator that is now ``graft_oracle._graftings`` (pre-Lie)
 DEEP_CHAIN_OUTPUTS = {
     "graft": "86e19543c3099457cf00f223d8e6abda64a47456cb74fbbe4253919cfba31d2e",
     "gl": "be4146af52a119d88f6e6aacb4533370da13bb1c2c70870d4b68fc6e89b337be",
+    "prelie": "5c37e2414fa23bfcdc9d8ef0372c085e2d6caaac8f9026bae034b27a552e35d1",
 }
 
 
 @pytest.mark.parametrize(
     "name, argv, depth",
-    [("graft", ["graft", "--mode", "postlie"], 499), ("gl", ["product", "--op", "gl"], 498)],
-    ids=["graft", "gl"],
+    [
+        ("graft", ["graft", "--mode", "postlie"], 499),
+        ("gl", ["product", "--op", "gl"], 498),
+        ("prelie", ["graft", "--mode", "prelie"], 499),
+    ],
+    ids=["graft", "gl", "prelie"],
 )
 def test_grafting_a_vertex_onto_a_deep_chain(capsys, name, argv, depth):
     """One frame per tree level: a vertex grafts onto a chain hundreds of

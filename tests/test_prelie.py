@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 from fractions import Fraction
 
@@ -31,9 +32,10 @@ from lbseries.laws import (
     random_tree_character,
     run_law,
 )
-from lbseries.trees import enumerate_forests, enumerate_nonplanar_trees
+from lbseries.trees import _ForestIndex, enumerate_forests, enumerate_nonplanar_trees
 
 from digests import character_digest, coproduct_digest
+from graft_oracle import _graftings
 from tree_coproduct_oracle import oracle_delta_ck, oracle_delta_h
 from worked_examples import CK_EXAMPLES, GRAFT_EXAMPLE, H_EXAMPLES, PRELIE_OPERAD_EXAMPLE
 
@@ -60,6 +62,15 @@ def test_graft_onto_cherry_collects_isomorphic_results():
     # independent oracle: attach at each vertex of every planar embedding
     total = sum(result.coeff(t) for t in result.support())
     assert total == 3
+
+
+def test_graft_matches_the_single_vertex_oracle():
+    trees = [t for n in range(1, 6) for t in enumerate_nonplanar_trees(n)]
+    assert len(trees) ** 2 == 289
+    for t1 in trees:
+        for t2 in trees:
+            expected = LinComb((canonicalize(t), 1) for t in _graftings(t2.rep, t1.rep))
+            assert graft(t1, t2) == expected, (t1, t2)
 
 
 def test_prelie_identity_exhaustive():
@@ -97,6 +108,30 @@ def test_operad_assignment_permutes_inputs():
     swapped = compose_prelie_operad([a, b], base, assignment=[1, 0])
     direct = compose_prelie_operad([b, a], base)
     assert swapped == direct
+
+
+def test_operad_matches_the_labeled_composition():
+    """The unlabeled image of ``_labeled_compose`` over preorder parent maps,
+    as ``operad-assoc`` computes it, on every base up to 4 vertices and every
+    tuple of inputs up to 3, with the identity and the reversed assignment."""
+    pool = [t for n in range(1, 4) for t in enumerate_nonplanar_trees(n)]
+    cases = 0
+    for n in range(1, 5):
+        for base in enumerate_nonplanar_trees(n):
+            base_map = _ForestIndex((base.rep,)).parent_map(1000)
+            # keyed by the inputs at the preorder vertices of ``base``
+            expected = {}
+            for placed in itertools.product(pool, repeat=n):
+                maps = [_ForestIndex((t.rep,)).parent_map(10 * v) for v, t in enumerate(placed)]
+                labeled = prelie._labeled_compose(maps, base_map)
+                expected[placed] = LinComb((prelie._parent_map_shape(m), 1) for m in labeled)
+            reverse = list(range(n - 1, -1, -1))
+            for inputs, composed in expected.items():
+                cases += 1
+                assert compose_prelie_operad(inputs, base) == composed, (base, inputs)
+                flipped = compose_prelie_operad(inputs, base, reverse)  # last input at vertex 0
+                assert flipped == expected[inputs[::-1]], (base, inputs)
+    assert cases == 1172
 
 
 def test_delta_ck_worked_examples():

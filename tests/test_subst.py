@@ -288,7 +288,7 @@ def test_delta_w_matches_rho_on_tree_parts():
 
 
 def test_grading_and_closure_law():
-    assert run_law("grading", 4).passed
+    assert run_law("grading", 5).passed
 
 
 def test_w_coassoc_law_documents_the_defect():
