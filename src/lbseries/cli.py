@@ -172,20 +172,15 @@ def cmd_coproduct(args) -> int:
 
 def cmd_operad(args) -> int:
     inputs = [chunk for chunk in args.inputs.split(";") if chunk.strip()]
+    assignment = [int(x) for x in args.assign.split(",")] if args.assign else None
     if args.mode == "prelie":
         base = canonicalize(parse_tree(args.base))
         trees = [canonicalize(parse_tree(c)) for c in inputs]
-        assignment = (
-            [int(x) for x in args.assign.split(",")] if args.assign else None
-        )
         result = compose_prelie_operad(trees, base, assignment)
         _emit(args, _comb_payload(result), format_lincomb(result))
     else:
         expr = _parse_bracket(args.base, itertools.count())
         polys = [_lie_poly(c) for c in inputs]
-        assignment = (
-            [int(x) for x in args.assign.split(",")] if args.assign else None
-        )
         result = compose_postlie_operad(polys, expr, assignment)
         _emit(
             args,

@@ -1,13 +1,13 @@
 """Exact-rational linear combinations, tensors, symmetric words and characters.
 
-Every public coefficient in the package is a :class:`fractions.Fraction`;
-there is no floating point anywhere.  The contracted recursions behind the
-character products keep ``int`` coefficients internally, over one scale
-per character (``integer_weights``, ``integer_values``), and ``pair_legs``
-divides them back into ``Fraction`` values once per forest.  ``LinComb`` is
-a sparse map from basis elements (any hashable values) to nonzero
-rationals.  Rank-two tensors are ``LinComb`` instances keyed by
-``(left, right)`` pairs.
+``LinComb`` coefficients are exact ``int``s or ``Fraction``s, and character
+values are ``Fraction``s; there is no floating point anywhere.  The
+contracted recursions behind the character products keep ``int``
+coefficients, over one scale per character (``integer_weights``,
+``integer_values``), and ``pair_legs`` divides them back into ``Fraction``
+values once per forest.  ``LinComb`` is a sparse map from basis elements
+(any hashable values) to nonzero exact coefficients.  Rank-two tensors are
+``LinComb`` instances keyed by ``(left, right)`` pairs.
 """
 
 from __future__ import annotations
@@ -27,15 +27,17 @@ from .trees import (
 
 Rational = Fraction
 _ZERO = Fraction(0)
+_EXACT = {int, Fraction}  # the coefficient types kept as they are
 
 
-def _as_fraction(c) -> Fraction:
-    """Exact rational from a Fraction, an int or a ``"p/q"`` string; a float
-    (such as a JSON number with a fraction part), a bool or a zero
-    denominator is rejected."""
-    if isinstance(c, Fraction):
+def _exact(c):
+    """An exact coefficient as given: an ``int`` stays an ``int``, a
+    Fraction or a ``"p/q"`` string is a ``Fraction``; a float (such as a
+    JSON number with a fraction part), a bool or a zero denominator is
+    rejected."""
+    if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
         return c
-    if isinstance(c, (int, str)) and not isinstance(c, bool):
+    if isinstance(c, str):
         try:
             return Fraction(c)
         except ZeroDivisionError:
@@ -43,28 +45,38 @@ def _as_fraction(c) -> Fraction:
     raise ValueError(f"not an exact rational: {c!r}")
 
 
+def _as_fraction(c) -> Fraction:
+    """Exact rational from a Fraction, an int or a ``"p/q"`` string, with
+    :func:`_exact`'s refusals."""
+    c = _exact(c)
+    return c if isinstance(c, Fraction) else Fraction(c)
+
+
 class LinComb:
-    """A finite linear combination of basis elements with Fraction coefficients.
+    """A finite linear combination of basis elements with exact coefficients:
+    an ``int`` stays an ``int`` and a Fraction or a ``"p/q"`` string is a
+    ``Fraction`` (:func:`_exact`), so integer recursions stay integer.
 
     Zero coefficients are never stored.  Addition, subtraction and scalar
-    multiplication are basis-wise; ``coeff`` extracts a coefficient.
+    multiplication are basis-wise, and ``0 + x`` is ``x``; ``coeff``
+    extracts a coefficient.  Two combinations of commuting monomials (a
+    ``Forest`` of parts, a ``SymWord``, a ``SymLieWord``) multiply by ``*``,
+    their keys multiplying.  Of two equal keys whose sum stays nonzero the
+    first is kept, so a ``SymLieWord`` prints its first brackets.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for b, c in terms.items() if isinstance(terms, dict) else terms:
-                c = _as_fraction(c)
-                if c:
-                    acc = data.get(b)
-                    total = c if acc is None else acc + c
-                    if total:
-                        data[b] = total
-                    elif acc is not None:
-                        del data[b]
-        self._terms = data
+        self._terms = _summed({}, terms.items() if isinstance(terms, dict) else terms or ())
+
+    @staticmethod
+    def _over(data: dict) -> "LinComb":
+        """The combination that takes over ``data``, a map to nonzero exact
+        coefficients."""
+        out = object.__new__(LinComb)
+        out._terms = data
+        return out
 
     @staticmethod
     def zero() -> "LinComb":
@@ -72,7 +84,8 @@ class LinComb:
 
     @staticmethod
     def of(basis, coeff=1) -> "LinComb":
-        return LinComb([(basis, coeff)])
+        c = _exact(coeff)
+        return LinComb._over({basis: c} if c else {})
 
     def items(self):
         return self._terms.items()
@@ -98,36 +111,30 @@ class LinComb:
     def __add__(self, other: "LinComb") -> "LinComb":
         if not isinstance(other, LinComb):
             return NotImplemented
-        data = dict(self._terms)
-        for b, c in other._terms.items():
-            total = data.get(b, _ZERO) + c
-            if total:
-                data[b] = total
-            elif b in data:
-                del data[b]
-        out = LinComb()
-        out._terms = data
-        return out
+        return LinComb._over(_summed(dict(self._terms), other._terms.items()))
+
+    def __radd__(self, other) -> "LinComb":
+        return self if other == 0 else NotImplemented
 
     def __neg__(self) -> "LinComb":
-        out = LinComb()
-        out._terms = {b: -c for b, c in self._terms.items()}
-        return out
+        return LinComb._over({b: -c for b, c in self._terms.items()})
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         return self + (-other)
 
     def scale(self, c) -> "LinComb":
-        c = _as_fraction(c)
-        out = LinComb()
-        if c:
-            out._terms = {b: v * c for b, v in self._terms.items()}
-        return out
+        c = _exact(c)
+        return LinComb._over({b: v * c for b, v in self._terms.items()} if c else {})
 
-    def __mul__(self, c):
-        return self.scale(c)
+    def __mul__(self, other) -> "LinComb":
+        if not isinstance(other, LinComb):
+            return self.scale(other)
+        y = other._terms.items()
+        return LinComb._over(
+            _summed({}, ((ka * kb, ca * cb) for ka, ca in self._terms.items() for kb, cb in y))
+        )
 
-    __rmul__ = __mul__
+    __rmul__ = scale
 
     def __eq__(self, other):
         return isinstance(other, LinComb) and self._terms == other._terms
@@ -139,16 +146,30 @@ class LinComb:
         """Push forward along ``f``; colliding images accumulate."""
         return LinComb((f(b), c) for b, c in self._terms.items())
 
-    def sorted_items(self, key=None):
-        if key is None:
-            key = _default_term_key
-        return sorted(self._terms.items(), key=lambda bc: key(bc[0]))
+    def sorted_items(self):
+        return sorted(self._terms.items(), key=lambda bc: _default_term_key(bc[0]))
 
     def __repr__(self):
         if not self._terms:
             return "LinComb(0)"
         body = " + ".join(f"{c}*{b!r}" for b, c in self.sorted_items())
         return f"LinComb({body})"
+
+
+def _summed(data: dict, terms) -> dict:
+    """``data`` with the ``terms`` added in, key by key, each coefficient
+    read by :func:`_exact`; a key whose sum cancels is dropped.  A new key
+    takes its coefficient as it is, so a ``Fraction`` is not added to 0."""
+    for b, c in terms:
+        if type(c) not in _EXACT:
+            c = _exact(c)
+        acc = data.get(b)
+        total = c if acc is None else acc + c
+        if total:
+            data[b] = total
+        elif acc is not None:
+            del data[b]
+    return data
 
 
 def _default_term_key(basis):
@@ -174,7 +195,7 @@ def bilinear(x: LinComb, y: LinComb, f: Callable) -> LinComb:
             val = f(bx, by)
             if isinstance(val, LinComb):
                 c = cx * cy
-                terms.extend((b, v * c) for b, v in val.items())
+                terms.extend((b, c * v) for b, v in val.items())
             else:
                 terms.append((val, cx * cy))
     return LinComb(terms)
@@ -248,48 +269,10 @@ class SymWord:
         return f"SymWord({self.serialize()!r})"
 
 
-class Monomials(dict):
-    """An integer combination of commuting monomials (a ``Forest`` of parts,
-    a ``SymWord``, a ``SymLieWord``) that multiply by ``*``: the universal
-    character's value in a contracted recursion, where a character product
-    carries an ``int``; ``0 + m`` and ``n * m`` take the recursion's ``int``.
-    A sum that cancels is dropped, as in ``LinComb``, so of two equal keys
-    the same one is kept and prints the same (a ``SymLieWord``'s brackets)."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def terms(legs: dict) -> LinComb:
-        """A coproduct from its legs read with the universal character: the
-        terms ``c * (left, right)``, one per right leg and monomial."""
-        return LinComb(((left, right), c) for right, m in legs.items() for left, c in m.items())
-
-    def add_term(self, key, c) -> None:
-        total = self.get(key, 0) + c
-        if total:
-            self[key] = total
-        else:
-            self.pop(key, None)
-
-    def __add__(self, other: "Monomials") -> "Monomials":
-        out = Monomials(self)
-        for k, c in other.items():
-            out.add_term(k, c)
-        return out
-
-    def __radd__(self, other: int) -> "Monomials":
-        return self if other == 0 else NotImplemented
-
-    def __mul__(self, other) -> "Monomials":
-        if isinstance(other, int):
-            return Monomials({k: c * other for k, c in self.items()})
-        out = Monomials()
-        for ka, ca in self.items():
-            for kb, cb in other.items():
-                out.add_term(ka * kb, ca * cb)
-        return out
-
-    __rmul__ = __mul__
+def leg_terms(legs: dict) -> LinComb:
+    """A coproduct from its legs read with the universal character: the
+    terms ``c * (left, right)``, one per right leg and left monomial."""
+    return LinComb(((left, right), c) for right, m in legs.items() for left, c in m.items())
 
 
 class CharacterMap:
@@ -571,7 +554,7 @@ def format_lincomb(x: LinComb) -> str:
     return "".join(chunks)
 
 
-def parse_lincomb(text: str, word_parser: Callable = parse_forest) -> LinComb:
+def parse_lincomb(text: str) -> LinComb:
     """Parse ``c1 * <word> + c2 * <word>`` with rational literals ``p/q``.
 
     The word ``1`` denotes the empty forest.  A missing coefficient means 1.
@@ -587,7 +570,7 @@ def parse_lincomb(text: str, word_parser: Callable = parse_forest) -> LinComb:
         else:
             coeff, word_text = Fraction(1), chunk
         word_text = word_text.strip()
-        word = word_parser("" if word_text == "1" else word_text)
+        word = parse_forest("" if word_text == "1" else word_text)
         terms.append((word, sign * coeff))
     return LinComb(terms)
 

@@ -180,7 +180,7 @@ def matrix_rank(rows: list[list[Fraction]]) -> int:
         pr = rows[rank]
         for i in range(len(rows)):
             if i != rank and rows[i][col]:
-                factor = rows[i][col] / pr[col]
+                factor = Fraction(rows[i][col], pr[col])
                 rows[i] = [a - factor * b for a, b in zip(rows[i], pr)]
         rank += 1
         col += 1

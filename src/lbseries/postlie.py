@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .coeffalg import LinComb, Monomials, bilinear, format_lincomb
+from .coeffalg import LinComb, bilinear, format_lincomb, leg_terms
 from .trees import EMPTY_FOREST, OrderedForest, PlanarTree, _grafted
 
 
@@ -104,14 +104,13 @@ def delta_shuffle(forest: OrderedForest) -> LinComb:
 
 def _shuffled(x: dict, y: dict) -> dict:
     """The shuffle product of two combinations of forests with ``int`` or
-    ``Monomials`` coefficients; a sum that cancels is dropped."""
+    ``LinComb`` coefficients; a sum that cancels is dropped."""
     sums: dict = {}
     for fx, cx in x.items():
         for fy, cy in y.items():
             c = cx * cy
             for w, m in shuffle(fx, fy).items():
-                # multiplicities are whole numbers: their numerators keep the sums int
-                sums[w] = sums.get(w, 0) + c * m.numerator
+                sums[w] = sums.get(w, 0) + c * m
     return {w: c for w, c in sums.items() if c}
 
 
@@ -174,7 +173,7 @@ def delta_n(forest: OrderedForest) -> LinComb:
     cuts below the root of ``b_plus(forest)`` (``_cuts_below``), read with
     the universal character, which sends each left leg to itself.
     ``seriesmorph.compose_lb`` reads the same recursion with beta."""
-    return Monomials.terms(_cuts_below(b_plus(forest), {}))
+    return leg_terms(_cuts_below(b_plus(forest), {}))
 
 
 class LiePoly:

@@ -7,8 +7,9 @@ Each coproduct is one recursion at a tree's root (``_h_terms``,
 multiplicatively over the trees of a forest.  The recursion carries a left
 character: ``convolve`` passes its left argument's values as integers and
 builds no coproduct term, and ``delta_h``/``delta_ck`` pass the universal
-character, whose value on a tree is the tree itself (``Monomials``), so
-the summed values are the left legs.
+character, whose value on a tree is the tree itself (a ``LinComb`` of
+one-tree forests, which multiply as forests), so the summed values are the
+left legs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .coeffalg import CharacterMap, LinComb, Monomials, bilinear, integer_weights, pair_legs
+from .coeffalg import CharacterMap, LinComb, bilinear, integer_weights, leg_terms, pair_legs
 from .trees import (
     EMPTY_NP_FOREST,
     Forest,
@@ -90,19 +91,19 @@ def compose_prelie_operad(
     return LinComb((canonicalize(t), c) for t, c in build(base.rep).items())
 
 
-def _universal_leg(tree: NonPlanarTree) -> Monomials:
+def _universal_leg(tree: NonPlanarTree) -> LinComb:
     """The universal character on trees: a tree is its own one-tree forest."""
-    return Monomials({Forest((tree,)): 1})
+    return LinComb.of(Forest((tree,)))
 
 
-_UNIT = Monomials({EMPTY_NP_FOREST: 1})
+_UNIT = LinComb.of(EMPTY_NP_FOREST)
 
 
 def delta_ck(forest: Forest) -> LinComb:
     """Admissible-cut coproduct: ``_ck_legs`` read with the universal character."""
     memo: dict = {}
     legs = _forest_legs(forest, lambda rep: _ck_legs(rep, _UNIT, _universal_leg, memo), _UNIT)
-    return Monomials.terms(legs)
+    return leg_terms(legs)
 
 
 def delta_h(forest: Forest) -> LinComb:
@@ -110,7 +111,7 @@ def delta_h(forest: Forest) -> LinComb:
     universal character."""
     memo: dict = {}
     legs = _forest_legs(forest, lambda rep: _h_terms(rep, _universal_leg, memo)[1], _UNIT)
-    return Monomials.terms(legs)
+    return leg_terms(legs)
 
 
 def _forest_legs(forest: Forest, tree_legs, one) -> dict:
@@ -284,7 +285,7 @@ def convolve(a: CharacterMap, b: CharacterMap, coproduct: str) -> CharacterMap:
 
 def _multiplied(x: dict, y: dict, mul=Forest.mul) -> dict:
     """The product of two combinations under ``mul``; equal products sum.
-    The coefficients are ``int``s or ``Monomials``."""
+    The coefficients are ``int``s or ``LinComb``s."""
     out: dict = {}
     for bx, cx in x.items():
         for by, cy in y.items():

@@ -186,7 +186,7 @@ def compose_lb(beta: CharacterMap, alpha: CharacterMap) -> CharacterMap:
 
     @cache
     def paired(u: OrderedForest, v: OrderedForest) -> int:
-        return sum(m.numerator * weight.get(w, 0) for w, m in shuffle(u, v).items())
+        return sum(m * weight.get(w, 0) for w, m in shuffle(u, v).items())
 
     def legs(forest: OrderedForest, top: bool):
         trees = forest.trees

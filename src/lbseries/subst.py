@@ -31,11 +31,11 @@ from typing import Sequence
 from .coeffalg import (
     CharacterMap,
     LinComb,
-    Monomials,
     SymWord,
     convolve_through,
     integer_weights,
     is_logarithmic,
+    leg_terms,
     pair_legs,
 )
 from .postlie import LiePoly, _shuffled, b_plus, bracket, concat, left_graft
@@ -414,9 +414,9 @@ def _contracted_terms(forest: OrderedForest, value, memo: dict):
 _WORD_MEMO: dict = {}
 
 
-def _word_leg(part: OrderedForest) -> Monomials:
+def _word_leg(part: OrderedForest) -> LinComb:
     """The universal leg of ``delta_w``: a part is its own one-part word."""
-    return Monomials({SymWord.of(part): 1})
+    return LinComb.of(SymWord.of(part))
 
 
 @lru_cache(maxsize=None)
@@ -426,7 +426,7 @@ def delta_w(forest: OrderedForest) -> LinComb:
     process."""
     if forest.is_empty:
         return LinComb.of((SymWord.unit(), EMPTY_FOREST))
-    return Monomials.terms(_contracted(forest, _word_leg, _WORD_MEMO))
+    return leg_terms(_contracted(forest, _word_leg, _WORD_MEMO))
 
 
 # ---------------------------------------------------------------------------
@@ -491,20 +491,17 @@ def _rho(forest: OrderedForest) -> LinComb:
     meets is smaller than the one it started from."""
     if forest.is_empty:
         return LinComb.of((SymLieWord.unit(), EMPTY_FOREST))
-    return Monomials.terms(_contracted(forest, _bracket_leg, _RHO_MEMO))
+    return leg_terms(_contracted(forest, _bracket_leg, _RHO_MEMO))
 
 
 _RHO_MEMO: dict = {}
 
 
-def _bracket_leg(part: OrderedForest) -> Monomials:
+def _bracket_leg(part: OrderedForest) -> LinComb:
     """The universal leg of :func:`rho_oracle`: the signed sum of a part's
     sign-normalized nonzero in-order bracketings, one left factor each."""
-    out = Monomials()
-    for lp in _nonzero_bracketings(part):
-        sign, canonical = lp.sign_normalized()
-        out.add_term(SymLieWord((canonical,)), sign)
-    return out
+    signed = (lp.sign_normalized() for lp in _nonzero_bracketings(part))
+    return LinComb((SymLieWord((canonical,)), sign) for sign, canonical in signed)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ from lbseries import (
     parse_lincomb,
     tensor,
 )
-from lbseries.coeffalg import Monomials
+from lbseries.coeffalg import leg_terms
 from lbseries.laws import random_logarithmic_character
-from lbseries.postlie import bracket, concat, gl_product, LiePoly
+from lbseries.postlie import bracket, concat, delta_n, gl_product, LiePoly, shuffle
 from lbseries.trees import enumerate_ordered_forests
 
 pf = parse_forest
@@ -129,12 +129,39 @@ def test_a_change_on_one_forest_is_seen_by_the_shuffle_checks():
 
 
 def test_monomials_multiply_their_keys_and_drop_cancelled_sums():
+    """Combinations of commuting monomials multiply their keys, ``0 + x``
+    is ``x``, and a sum that cancels is dropped; ``leg_terms`` reads a map
+    of right legs to such combinations as coproduct terms."""
     a, b = SymWord.of(pf("[]")), SymWord.of(pf("[[]]"))
-    x = Monomials({a: 2, b: -1})
-    assert x * Monomials({a: 1, b: 1}) == {a * a: 2, a * b: 1, b * b: -1}
-    assert 0 + x == x and 3 * x == x * 3 == {a: 6, b: -3}
-    assert x + Monomials({b: 1}) == {a: 2}
-    assert Monomials.terms({pf("[]"): x}) == LinComb([((a, pf("[]")), 2), ((b, pf("[]")), -1)])
+    x = LinComb({a: 2, b: -1})
+    assert x * LinComb({a: 1, b: 1}) == LinComb({a * a: 2, a * b: 1, b * b: -1})
+    assert 0 + x == x and 3 * x == x * 3 == LinComb({a: 6, b: -3})
+    assert x + LinComb.of(b) == LinComb.of(a, 2)
+    assert leg_terms({pf("[]"): x}) == LinComb([((a, pf("[]")), 2), ((b, pf("[]")), -1)])
+
+
+def test_integer_coefficients_stay_integers():
+    """Integer products and coproducts keep ``int`` coefficients; a
+    Fraction or a ``"p/q"`` string gives a ``Fraction``, and a float or a
+    bool is refused."""
+    f = pf("[[]]")
+    combs = [
+        gl_product(pf("[]"), pf("[] [[]]")),
+        shuffle(pf("[] []"), pf("[[]]")),
+        delta_n(pf("[[][]] []")),
+        LinComb.of(f, 2),
+        LinComb.of(f, 2).scale(3) + LinComb.of(f),
+    ]
+    for comb in combs:
+        assert comb and all(type(c) is int for _, c in comb.items()), comb
+    for half in (Fraction(1, 2), "1/2"):
+        c = LinComb.of(f, half).coeff(f)
+        assert type(c) is Fraction and c == Fraction(1, 2)
+    for bad in (0.5, True):
+        with pytest.raises(ValueError):
+            LinComb.of(f, bad)
+        with pytest.raises(ValueError):
+            LinComb.of(f).scale(bad)
 
 
 def test_character_calls_and_truncation():

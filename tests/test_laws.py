@@ -53,6 +53,17 @@ def test_cointeraction_law_passes_its_guard_and_names_failing_checks(monkeypatch
     assert calls == [(2, 0, 5), (2, 3, 0)]
 
 
+def test_matrix_rank_divides_exactly():
+    """The third row is an integer combination of the first two, which a
+    float division of the integer entries misses."""
+    rows = [
+        [906691060, 413654000, 813847340],
+        [955892129, 451585302, 43469774],
+        [758625467813959, 354404426916522, 244259293734874],
+    ]
+    assert laws.matrix_rank(rows) == 2
+
+
 def _imported_modules(tree: ast.Module) -> set[str]:
     """Sibling modules named by the relative or ``lbseries.`` imports."""
     names = set()
@@ -72,7 +83,9 @@ def _imported_modules(tree: ast.Module) -> set[str]:
 def test_only_the_law_and_cli_layers_import_them():
     """No kernel module imports ``laws`` or ``cli``; every import sits at
     module top except ``coeffalg``'s of ``postlie``, which imports
-    ``coeffalg``; ``laws`` builds ``LawResult`` only in ``run_law``."""
+    ``coeffalg``; no class subclasses ``dict``, so ``LinComb`` stays the
+    one coefficient container; ``laws`` builds ``LawResult`` only in
+    ``run_law``."""
     for path in SOURCES:
         tree = ast.parse(path.read_text())
         if path.stem not in ("laws", "cli", "__init__"):
@@ -86,6 +99,13 @@ def test_only_the_law_and_cli_layers_import_them():
             and not (path.stem == "coeffalg" and _imported_modules(node) == {"postlie"})
         ]
         assert nested == [], f"{path.name} imports inside a function at lines {nested}"
+        dicts = [
+            cls.name
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            and any(getattr(base, "id", None) == "dict" for base in cls.bases)
+        ]
+        assert dicts == [], f"{path.name} subclasses dict in {dicts}"
         if path.stem != "laws":
             continue
         builders = [
