@@ -474,7 +474,12 @@ def integer_values(character: CharacterMap, empty) -> tuple[int, dict]:
 
 
 def pair_legs(
-    legs: Callable, left_scale: Callable, right: CharacterMap, forests: Callable, order: int
+    legs: Callable,
+    left_scale: Callable,
+    right: CharacterMap,
+    forests: Callable,
+    order: int,
+    paired_top: Callable | None = None,
 ) -> CharacterMap:
     """The character ``w -> sum c * right(r) / left_scale(|w|)`` over the
     integer pairs ``(r, c)`` of ``legs(w, top)``, for every ``w`` in
@@ -490,18 +495,24 @@ def pair_legs(
     ``right`` is scaled to integers by the lcm of its denominators, and one
     division per forest undoes both scalings.  ``top`` is true for the
     forests of the top order, whose legs no later forest reads, so ``legs``
-    need not memoize them (``star_w`` streams their terms and ``convolve``
-    drops them; ``compose_lb`` ignores ``top``, as it memoizes no forest's
-    own legs).  ``forests(0)`` lists the empty forest, where ``right``
-    reads its empty value.
+    need not memoize them (``convolve`` drops them; ``compose_lb`` ignores
+    ``top``, as it memoizes no forest's own legs).  A caller that sums a
+    top-order forest's pairs faster than one by one passes
+    ``paired_top(w, read)``, which gives that sum from the right
+    character's integer reader ``read`` (``star_w``).  ``forests(0)``
+    lists the empty forest, where ``right`` reads its empty value.
     """
     right_scale, weight = integer_values(right, forests(0)[0])
+    read = weight.get
     out = []
     for size in range(order + 1):
         denominator = left_scale(size) * right_scale
         top = size == order
         for w in forests(size):
-            total = sum(c * weight.get(r, 0) for r, c in legs(w, top))
+            if top and paired_top is not None:
+                total = paired_top(w, read)
+            else:
+                total = sum(c * read(r, 0) for r, c in legs(w, top))
             out.append((w, Fraction(total, denominator)))
     return CharacterMap(order, 0, out)
 

@@ -2,7 +2,8 @@
 product, shuffle algebra and the planar left-cut coproduct, an integer
 recursion through the cuts of the forests below each root and of the
 suffixes of each forest that ``delta_n`` and ``seriesmorph.compose_lb``
-both read.
+both read from one memo for the process (``_CUTS``), as the cuts carry no
+character.
 
 Left grafting attaches the root(s) of the first argument below a vertex of
 the second so that the new edge is leftmost there; with the stored child
@@ -114,34 +115,37 @@ def _shuffled(x: dict, y: dict) -> dict:
     return {w: c for w, c in sums.items() if c}
 
 
-def _cuts_below(tree: PlanarTree, memo: dict) -> dict:
+_CUTS: dict = {}
+
+
+def _cuts_below(tree: PlanarTree) -> dict:
     """The planar left cuts of the forest below ``tree``'s root, as
     ``{right leg: {left leg: n}}`` with ``int`` multiplicities ``n``, kept
-    in ``memo[tree]``.
+    in ``_CUTS[tree]``.
 
     For that forest ``trees``, the cut at the root takes a planar-left run
     ``trees[:j]`` whole as a left leg, shuffled with the left legs of a kept
     cut of the suffix ``trees[j:]`` (:func:`_kept_cuts`).  A right leg holds
     one tree per kept root, so each is met once and only left legs sum.
-    ``memo`` holds every root's cuts and every suffix's kept cuts met, for
-    as long as the caller keeps it.
+    The cuts carry no character, so ``_CUTS`` is one memo for the process:
+    ``delta_n`` and every ``compose_lb`` call read the same tables.
     """
-    out = memo.get(tree)
+    out = _CUTS.get(tree)
     if out is None:
         trees = b_minus(tree).trees
         out = {}
         for j in range(len(trees) + 1):
             run = {OrderedForest(trees[:j]): 1}
-            for right, lefts in _kept_cuts(OrderedForest(trees[j:]), memo).items():
+            for right, lefts in _kept_cuts(OrderedForest(trees[j:])).items():
                 out[right] = _shuffled(run, lefts) if j else lefts
-        memo[tree] = out
+        _CUTS[tree] = out
     return out
 
 
-def _kept_cuts(forest: OrderedForest, memo: dict) -> dict:
+def _kept_cuts(forest: OrderedForest) -> dict:
     """The planar left cuts of ``forest`` in which every tree keeps its
-    root, as ``{right leg: {left leg: n}}``, kept in ``memo[forest]`` as are
-    those of its suffixes.
+    root, as ``{right leg: {left leg: n}}``, kept in ``_CUTS[forest]`` as
+    are those of its suffixes.
 
     Each tree is cut through the forest below its root
     (:func:`_cuts_below`), ``b_plus`` closing its right leg: right legs
@@ -149,18 +153,18 @@ def _kept_cuts(forest: OrderedForest, memo: dict) -> dict:
     ``forest``.  The suffixes are met from the shortest, in a loop, so only
     the depth of the trees nests calls.
     """
-    out = memo.get(forest)
+    out = _CUTS.get(forest)
     if out is None:
         trees = forest.trees
         out = {EMPTY_FOREST: {EMPTY_FOREST: 1}}
         for j in range(len(trees) - 1, -1, -1):
             suffix = OrderedForest(trees[j:])
-            kept = memo.get(suffix)
+            kept = _CUTS.get(suffix)
             if kept is None:
                 # the unit left leg of the empty rest shuffles to lb itself
-                kept = memo[suffix] = {
+                kept = _CUTS[suffix] = {
                     OrderedForest((b_plus(rb),) + rk.trees): _shuffled(lb, lk) if rk.trees else lb
-                    for rb, lb in _cuts_below(trees[j], memo).items()
+                    for rb, lb in _cuts_below(trees[j]).items()
                     for rk, lk in out.items()
                 }
             out = kept
@@ -172,8 +176,9 @@ def delta_n(forest: OrderedForest) -> LinComb:
     """Planar left-cut coproduct, dual to the Grossman-Larson product: the
     cuts below the root of ``b_plus(forest)`` (``_cuts_below``), read with
     the universal character, which sends each left leg to itself.
-    ``seriesmorph.compose_lb`` reads the same recursion with beta."""
-    return leg_terms(_cuts_below(b_plus(forest), {}))
+    ``seriesmorph.compose_lb`` reads the same recursion, and the same memo
+    of cut tables (``_CUTS``), with beta."""
+    return leg_terms(_cuts_below(b_plus(forest)))
 
 
 class LiePoly:

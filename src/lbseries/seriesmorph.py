@@ -177,12 +177,13 @@ def compose_lb(beta: CharacterMap, alpha: CharacterMap) -> CharacterMap:
 
     ``paired(u, v)`` is ``E * beta(u sh v)``, read once per pair and call;
     so no left leg of ``F`` is expanded into shuffled words, and only
-    strictly smaller forests enter the cut recursion, whose memo lives for
-    the call.  ``pair_legs`` pairs the legs with alpha; ``top`` is not read.
-    Equal to ``convolve_through(delta_n, ...)`` (tested up to order 7).
+    strictly smaller forests enter the cut recursion.  Its tables carry no
+    character, so they stay in the one memo that ``delta_n`` reads too
+    (``postlie._CUTS``) and later calls read them again.  ``pair_legs``
+    pairs the legs with alpha; ``top`` is not read.  Equal to
+    ``convolve_through(delta_n, ...)`` (tested up to order 7).
     """
     scale, weight = integer_values(beta, EMPTY_FOREST)
-    memo: dict = {}
 
     @cache
     def paired(u: OrderedForest, v: OrderedForest) -> int:
@@ -193,11 +194,11 @@ def compose_lb(beta: CharacterMap, alpha: CharacterMap) -> CharacterMap:
         yield EMPTY_FOREST, weight.get(forest, 0)
         for j in range(1, len(trees)):
             run = OrderedForest(trees[:j])
-            for right, lefts in _kept_cuts(OrderedForest(trees[j:]), memo).items():
+            for right, lefts in _kept_cuts(OrderedForest(trees[j:])).items():
                 yield right, sum(n * paired(run, l) for l, n in lefts.items())
         if trees:
-            rest = _kept_cuts(OrderedForest(trees[1:]), memo)
-            for rb, lb in _cuts_below(trees[0], memo).items():
+            rest = _kept_cuts(OrderedForest(trees[1:]))
+            for rb, lb in _cuts_below(trees[0]).items():
                 head = (b_plus(rb),)
                 for rk, lk in rest.items():
                     total = sum(

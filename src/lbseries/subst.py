@@ -14,7 +14,10 @@ the forests each leaves, from one coefficient-free cache per forest
 parts.  Substitution (``star_w``, and ``a_alpha_dagger`` in
 :mod:`lbseries.seriesmorph`) passes the logarithmic character's values as
 integers and builds no word of parts; ``coeffalg.pair_legs`` pairs the
-result with the right character.  ``delta_w`` and ``rho_oracle`` pass a
+result with the right character.  At the top order ``star_w`` builds no
+forest's map either: ``_paired_top`` pairs beta once per call with each
+(hanging forests, rest) pair that a block of a top-order forest leaves,
+and weighs it by the block's part.  ``delta_w`` and ``rho_oracle`` pass a
 universal leg, whose summed values are the words; they serve
 ``coproduct --op w``, the laws and the tests.
 """
@@ -365,50 +368,93 @@ def _contracted(forest: OrderedForest, value, memo: dict) -> dict:
     ``a_alpha_dagger``), ``c`` is the quotient's coefficient in
     ``a_alpha_dagger(alpha, forest)`` times ``D ** |forest|``; with a
     universal leg (``delta_w``, ``rho_oracle``), it is the quotient's words.
-    ``memo`` holds each forest's map for as long as the caller keeps it."""
-    out = memo.get(forest)
-    if out is None:
-        sums: dict = {}
-        for q, c in _contracted_terms(forest, value, memo):
-            sums[q] = sums.get(q, 0) + c
-        out = memo[forest] = {q: c for q, c in sums.items() if c}
-    return out
+    ``memo`` holds each forest's map for as long as the caller keeps it.
 
-
-def _contracted_terms(forest: OrderedForest, value, memo: dict):
-    """The unsummed (quotient, c) pairs of :func:`_contracted`, by
-    recursion on the block that holds the forest's first vertex
-    (``_skeleton``): the values of the forests the block leaves multiply
-    in, the forests hanging below the block shuffle and ``b_plus`` closes
-    them under the collapsed block, and the rest concatenates.  With
-    alpha's weights each part weighs ``alpha(part) * D ** |part|``, and the
-    parts of a term cover the forest.  A part without a value is skipped.
+    The map is a recursion on the block that holds the forest's first
+    vertex (``_skeleton``): the values of the forests the block leaves
+    multiply in, the forests hanging below the block shuffle and ``b_plus``
+    closes them under the collapsed block (``_hung``), and the rest
+    concatenates.  With alpha's weights each part weighs
+    ``alpha(part) * D ** |part|``, and the parts of a term cover the
+    forest.  A part without a value is skipped.
     """
+    out = memo.get(forest)
+    if out is not None:
+        return out
+    sums: dict = {}
     if forest.is_empty:
-        yield EMPTY_FOREST, 1
-        return
+        sums[EMPTY_FOREST] = 1
     for rest, blocks in _skeleton(forest):
         # the forests closed under the collapsed block, summed over the
         # blocks of this run before the rest multiplies in
         heads: dict = {}
         for part, hanging in blocks:
             a = value(part)
-            if a is None:
-                continue
-            if hanging:
-                below = {f: a * c for f, c in _contracted(hanging[0], value, memo).items()}
-                for h in hanging[1:]:
-                    below = _shuffled(below, _contracted(h, value, memo))
-            else:
-                below = {EMPTY_FOREST: a}
-            for f, c in below.items():
-                heads[f] = heads.get(f, 0) + c
+            if a is not None:
+                for f, c in _hung(hanging, value, memo, a).items():
+                    heads[f] = heads.get(f, 0) + c
         tail = _contracted(rest, value, memo).items() if heads else ()
         for fb, cb in heads.items():
             if cb:
                 head = (b_plus(fb),)
                 for fr, cr in tail:
-                    yield OrderedForest(head + fr.trees), cb * cr
+                    q = OrderedForest(head + fr.trees)
+                    sums[q] = sums.get(q, 0) + cb * cr
+    out = memo[forest] = {q: c for q, c in sums.items() if c}
+    return out
+
+
+def _hung(hanging: tuple, value, memo: dict, a=1) -> dict:
+    """The shuffle of the ``_contracted`` maps of the forests that hang
+    below a block, times ``a``; ``{EMPTY_FOREST: a}`` when none hangs."""
+    if not hanging:
+        return {EMPTY_FOREST: a}
+    below = {f: a * c for f, c in _contracted(hanging[0], value, memo).items()}
+    for h in hanging[1:]:
+        below = _shuffled(below, _contracted(h, value, memo))
+    return below
+
+
+def _paired_top(forest: OrderedForest, read, value, memo: dict, pairings: dict) -> int:
+    """The pairing of ``_contracted(forest, value, memo)`` with the integer
+    reader ``read``, for a forest whose map no other forest reads: the map
+    is not built.
+
+    Each kept block ``(part, hanging)`` of a run with rest ``rest``
+    (``_skeleton``) adds ``value(part) * S(hanging, rest)``.  ``S`` sums
+    ``cb * T(fb, rest)`` over the hanging forests' shuffle ``{fb: cb}``
+    (``_hung``), and ``T`` pairs ``read`` with every ``b_plus(fb) fr``,
+    ``fr`` over the map of ``rest``.  Neither depends on the part, so
+    ``pairings[rest]`` keeps both, ``S`` under the tuple ``hanging`` and
+    ``T`` under the forest ``fb``, for every block and every forest that
+    meets them while the caller keeps ``pairings``.
+    """
+    if forest.is_empty:
+        return read(EMPTY_FOREST, 0)
+    total = 0
+    for rest, blocks in _skeleton(forest):
+        known = pairings.get(rest)
+        if known is None:
+            known = pairings[rest] = {}
+        for part, hanging in blocks:
+            a = value(part)
+            if a is None:
+                continue
+            s = known.get(hanging)
+            if s is None:
+                s = 0
+                for fb, cb in _hung(hanging, value, memo).items():
+                    t = known.get(fb)
+                    if t is None:
+                        head = (b_plus(fb),)
+                        t = known[fb] = sum(
+                            cr * read(OrderedForest(head + fr.trees), 0)
+                            for fr, cr in _contracted(rest, value, memo).items()
+                        )
+                    s += cb * t
+                known[hanging] = s
+            total += a * s
+    return total
 
 
 _WORD_MEMO: dict = {}
@@ -520,21 +566,29 @@ def star_w(alpha: CharacterMap, beta: CharacterMap) -> CharacterMap:
     commutative word of parts.  The coaction's words are never built: the
     recursion that ``delta_w`` reads with its universal leg
     (``_contracted``) carries alpha and gives each forest's quotients with
-    integer coefficients, which ``pair_legs`` pairs with beta.  Forests of
-    the top order are paired as their terms come and are not memoized.
-    Equal to ``convolve_through(delta_w, ...)`` (tested up to order 7).
+    integer coefficients, which ``pair_legs`` pairs with beta.  A forest of
+    the top order gets no map: ``_paired_top`` sums its pairing block by
+    block, as ``alpha(part)`` times beta paired with what the block's
+    hanging forests and the rest of the forest contract to, which is summed
+    once per call for each (hanging, rest) pair.  Equal to
+    ``convolve_through(delta_w, ...)`` (tested up to order 7, and on a
+    sample of order-8 forests).
     """
     _require_logarithmic(alpha)
     scale, weight = integer_weights(alpha.values)
     memo: dict = {}
+    pairings: dict = {}
 
     def legs(forest: OrderedForest, top: bool):
-        if top:
-            return _contracted_terms(forest, weight.get, memo)
         return _contracted(forest, weight.get, memo).items()
 
+    def paired_top(forest: OrderedForest, read) -> int:
+        return _paired_top(forest, read, weight.get, memo, pairings)
+
     order = min(alpha.order, beta.order)
-    return pair_legs(legs, lambda size: scale**size, beta, enumerate_ordered_forests, order)
+    return pair_legs(
+        legs, lambda size: scale**size, beta, enumerate_ordered_forests, order, paired_top
+    )
 
 
 def _lie_factor_value(alpha: CharacterMap, lp: LiePoly) -> Fraction:

@@ -1,4 +1,6 @@
 import os
 import sys
 
-sys.path.insert(0, os.path.dirname(__file__))
+TESTS = os.path.dirname(os.path.abspath(__file__))
+# the tests' helpers, and the repository root for perfbench's seeded inputs
+sys.path[:0] = [TESTS, os.path.dirname(TESTS)]

@@ -118,6 +118,34 @@ def test_only_the_law_and_cli_layers_import_them():
         assert builders == ["run_law"]
 
 
+# the true divisions on Fraction values: character values are Fractions
+DIVISIONS = [
+    ("laws", "random_exponential_character"),
+    ("numericdemo", "_weighted_differentials"),
+    ("subst", "_lie_factor_value"),
+]
+
+
+def test_true_divisions_only_where_the_values_are_fractions():
+    """``LinComb`` keeps integer coefficients as ``int``s, and ``int / int``
+    is a float: a ``/`` in ``src/lbseries`` may stand only in the functions
+    above, once each, where a ``Fraction`` is divided."""
+    sites = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        owner = {}
+        # breadth first, so an inner function's nodes take its name last
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), func.name) for node in ast.walk(func))
+        sites += [
+            (path.stem, owner.get(id(node), "<module>"))
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+        ]
+    assert sorted(sites) == DIVISIONS
+
+
 def test_interned_values_compare_by_identity():
     """The tree, forest and word constructors return one object per value,
     so no class in ``trees`` and not ``SymWord`` defines ``__eq__`` or

@@ -1,6 +1,9 @@
 import itertools
+import random
+from fractions import Fraction
 
 from lbseries import (
+    CharacterMap,
     LinComb,
     OrderedForest,
     b_minus,
@@ -13,11 +16,14 @@ from lbseries import (
     parse_tree,
     shuffle,
 )
+from lbseries import postlie
 from lbseries.postlie import LiePoly, bracket, concat, lie_graft
 from lbseries.coeffalg import is_primitive_shuffle, tensor
 from lbseries.laws import run_law
+from lbseries.seriesmorph import compose_lb
 from lbseries.trees import EMPTY_FOREST, enumerate_ordered_forests, enumerate_planar_trees
 
+from characters import any_character, compose_through_delta_n
 from digests import coproduct_digest, forest_pairs, product_digest
 from graft_oracle import oracle_gl_product, oracle_left_graft
 from worked_examples import (
@@ -214,6 +220,25 @@ DELTA_N_DIGEST_7 = "d68eb8bbf697398a30652d466827c4d6ac4650ddf11071bd1396374e1b75
 
 def test_delta_n_is_pinned_to_order_7():
     assert coproduct_digest(delta_n, enumerate_ordered_forests, 7) == DELTA_N_DIGEST_7
+
+
+def test_the_cuts_memo_carries_no_character(monkeypatch):
+    """``compose_lb`` and ``delta_n`` read one memo of cut tables: after
+    two compositions of order-7 characters fill it, ``delta_n`` read from
+    it keeps its digest, and composition still is the convolution through
+    ``delta_n``."""
+    monkeypatch.setattr(postlie, "_CUTS", {})
+    delta_n.cache_clear()
+    rng = random.Random(75)
+    beta = CharacterMap(7, Fraction(3, 5), any_character(7, rng).values)
+    alpha = CharacterMap(7, Fraction(-2, 7), any_character(7, rng).values)
+    first = compose_lb(beta, alpha)
+    second = compose_lb(alpha, beta)
+    assert postlie._CUTS
+    delta_n.cache_clear()
+    assert coproduct_digest(delta_n, enumerate_ordered_forests, 7) == DELTA_N_DIGEST_7
+    assert first == compose_through_delta_n(beta, alpha)
+    assert second == compose_through_delta_n(alpha, beta)
 
 
 # computed by the recursion that built Fraction terms, before delta_n

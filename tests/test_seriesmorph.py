@@ -329,9 +329,9 @@ def test_composition_expands_no_top_order_forest(monkeypatch):
     reached = []
 
     def spy(recursion, size):
-        def spied(x, memo):
+        def spied(x):
             reached.append(size(x))
-            return recursion(x, memo)
+            return recursion(x)
 
         return spied
 

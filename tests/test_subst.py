@@ -39,6 +39,7 @@ from lbseries.subst import (
     eval_expr,
 )
 from lbseries import seriesmorph, subst
+from lbseries.coeffalg import convolve_through
 from lbseries.seriesmorph import a_alpha, a_alpha_dagger, substitute_lb
 from lbseries.trees import enumerate_ordered_forests, enumerate_planar_trees
 
@@ -46,6 +47,7 @@ from characters import any_character, dagger_through_delta_w, lie_character, sta
 from digests import character_digest, coproduct_digest
 from partition_oracle import oracle_delta_w, oracle_partitions
 from worked_examples import RHO_EXAMPLE_1, RHO_EXAMPLE_2, RHO_EXAMPLE_3, W_EXAMPLE
+from perfbench import gen
 
 pf = parse_forest
 
@@ -226,6 +228,39 @@ def test_star_w_is_pinned_to_order_7():
     alpha = lie_character(7, random.Random(70))
     beta = any_character(7, random.Random(71))
     assert character_digest(star_w(alpha, beta)) == STAR_W_DIGEST_7
+
+
+# computed by star_w while it still built every forest's contracted map
+# below the top order and streamed the top order's terms
+STAR_W_DIGEST_8 = "b1b77ade23c1a554dd8506584a6ce472441d5b2623d48541449d3c8aa4cf3853"
+
+
+def test_star_w_is_pinned_to_order_8():
+    """The headline recipe of the benchmark's generator at order 8."""
+    rng = random.Random("order-8:1")
+    alpha = CharacterMap.from_json(gen.logarithmic_character(rng, 8, 8))
+    beta = CharacterMap.from_json(gen.character(rng, 8))
+    assert character_digest(star_w(alpha, beta)) == STAR_W_DIGEST_8
+
+
+def test_star_w_matches_delta_w_on_a_sample_of_order_8_forests():
+    """The top-order pairing, summed once per (hanging, rest), against the
+    convolution through ``delta_w`` on a seeded sample of top forests."""
+    rng = random.Random(80)
+    alpha = lie_character(8, rng)
+    beta = any_character(8, rng)
+    assert any(len(f.trees) > 1 for f in alpha.values)
+    sample = rng.sample(enumerate_ordered_forests(8), 20)
+    expected = convolve_through(
+        delta_w,
+        lambda word: alpha.eval_multiplicative(word.parts),
+        beta,
+        lambda size: sample if size == 8 else [],
+        8,
+    )
+    product = star_w(alpha, beta)
+    assert [product(f) for f in sample] == [expected(f) for f in sample]
+    assert any(expected(f) for f in sample)
 
 
 def test_delta_w_worked_example():
