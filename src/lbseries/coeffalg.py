@@ -1,13 +1,14 @@
 """Exact-rational linear combinations, tensors, symmetric words and characters.
 
-``LinComb`` coefficients are exact ``int``s or ``Fraction``s, and character
-values are ``Fraction``s; there is no floating point anywhere.  The
-contracted recursions behind the character products keep ``int``
-coefficients, over one scale per character (``integer_weights``,
-``integer_values``), and ``pair_legs`` divides them back into ``Fraction``
-values once per forest.  ``LinComb`` is a sparse map from basis elements
-(any hashable values) to nonzero exact coefficients.  Rank-two tensors are
-``LinComb`` instances keyed by ``(left, right)`` pairs.
+``LinComb`` coefficients are exact ``int``s or ``Fraction``s (``coeff``
+reads either as a ``Fraction``), and character values are ``Fraction``s;
+there is no floating point anywhere.  The contracted recursions behind the
+character products keep ``int`` coefficients, over one scale per character
+(``integer_weights``, ``integer_values``): each product sums a forest's
+integer pairing, and ``pair_legs`` divides it once per forest.  ``LinComb``
+is a sparse map from basis elements (any hashable values) to nonzero exact
+coefficients.  Rank-two tensors are ``LinComb`` instances keyed by
+``(left, right)`` pairs.
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ class LinComb:
 
     Zero coefficients are never stored.  Addition, subtraction and scalar
     multiplication are basis-wise, and ``0 + x`` is ``x``; ``coeff``
-    extracts a coefficient.  Two combinations of commuting monomials (a
-    ``Forest`` of parts, a ``SymWord``, a ``SymLieWord``) multiply by ``*``,
-    their keys multiplying.  Of two equal keys whose sum stays nonzero the
+    extracts a coefficient as a ``Fraction``.  Two combinations of commuting
+    monomials (a ``Forest`` of parts, a ``SymWord``, a ``SymLieWord``)
+    multiply by ``*``, their keys multiplying.  Of two equal keys whose sum stays nonzero the
     first is kept, so a ``SymLieWord`` prints its first brackets.
     """
 
@@ -103,7 +104,8 @@ class LinComb:
         return not self._terms
 
     def coeff(self, basis) -> Fraction:
-        return self._terms.get(basis, _ZERO)
+        c = self._terms.get(basis, _ZERO)
+        return c if type(c) is Fraction else Fraction(c)
 
     def support(self):
         return self._terms.keys()
@@ -474,46 +476,30 @@ def integer_values(character: CharacterMap, empty) -> tuple[int, dict]:
 
 
 def pair_legs(
-    legs: Callable,
-    left_scale: Callable,
-    right: CharacterMap,
-    forests: Callable,
-    order: int,
-    paired_top: Callable | None = None,
+    paired: Callable, left_scale: Callable, right: CharacterMap, forests: Callable, order: int
 ) -> CharacterMap:
-    """The character ``w -> sum c * right(r) / left_scale(|w|)`` over the
-    integer pairs ``(r, c)`` of ``legs(w, top)``, for every ``w`` in
-    ``forests(0..order)``.
+    """The character ``w -> paired(w, read) / (left_scale(|w|) * E)`` for
+    every ``w`` in ``forests(0..order)``, ``read`` being the right
+    character's integer reader over the lcm ``E`` of its denominators
+    (:func:`integer_values`).
 
     This is the one pairing of the character products (``subst.star_w``,
-    ``prelie.convolve``, ``seriesmorph.compose_lb``): ``legs`` carries the
-    left character through a coproduct's or coaction's recursion and gives
-    each forest its right legs with integer coefficients, which are the
-    left values times ``left_scale`` of the forest's size: ``D ** n`` for
-    weights that multiply over parts (:func:`integer_weights`), one scale
-    ``E`` for a character read on whole left legs (:func:`integer_values`).
-    ``right`` is scaled to integers by the lcm of its denominators, and one
-    division per forest undoes both scalings.  ``top`` is true for the
-    forests of the top order, whose legs no later forest reads, so ``legs``
-    need not memoize them (``convolve`` drops them; ``compose_lb`` ignores
-    ``top``, as it memoizes no forest's own legs).  A caller that sums a
-    top-order forest's pairs faster than one by one passes
-    ``paired_top(w, read)``, which gives that sum from the right
-    character's integer reader ``read`` (``star_w``).  ``forests(0)``
-    lists the empty forest, where ``right`` reads its empty value.
+    ``prelie.convolve``, ``seriesmorph.compose_lb``): ``paired`` carries the
+    left character through a coproduct's or coaction's recursion and sums
+    a forest's right legs, read by ``read``, times their integer
+    coefficients, the left values times ``left_scale`` of the forest's
+    size: ``D ** n`` for weights that multiply over parts
+    (:func:`integer_weights`), one scale for a character read on whole left
+    legs (:func:`integer_values`).  Each caller states its own rule for the
+    top order, whose forests no later forest reads.  ``forests(0)`` lists
+    the empty forest, where ``right`` reads its empty value.
     """
     right_scale, weight = integer_values(right, forests(0)[0])
     read = weight.get
     out = []
     for size in range(order + 1):
         denominator = left_scale(size) * right_scale
-        top = size == order
-        for w in forests(size):
-            if top and paired_top is not None:
-                total = paired_top(w, read)
-            else:
-                total = sum(c * read(r, 0) for r, c in legs(w, top))
-            out.append((w, Fraction(total, denominator)))
+        out.extend((w, Fraction(paired(w, read), denominator)) for w in forests(size))
     return CharacterMap(order, 0, out)
 
 
@@ -569,7 +555,10 @@ def parse_lincomb(text: str) -> LinComb:
     """Parse ``c1 * <word> + c2 * <word>`` with rational literals ``p/q``.
 
     The word ``1`` denotes the empty forest.  A missing coefficient means 1.
+    ``0`` is the zero combination, as :func:`format_lincomb` prints it.
     """
+    if text.strip() == "0":
+        return LinComb()
     terms = []
     for sign, chunk in _split_terms(text):
         chunk = chunk.strip()

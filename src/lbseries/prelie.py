@@ -260,7 +260,8 @@ def convolve(a: CharacterMap, b: CharacterMap, coproduct: str) -> CharacterMap:
     ``delta_ck`` read with the universal character (``_h_terms``,
     ``_ck_legs``), which gives each tree a map from right legs to their
     summed left values, in integers.  A forest's map is the product of its
-    trees' maps, which ``pair_legs`` pairs with ``b``.  Equal to
+    trees' maps, paired with ``b`` through ``pair_legs``; a top-order tree
+    leaves the memo.  Equal to
     ``convolve_through`` of a brute-force coproduct (tested up to order 7).
     """
     if coproduct not in ("ck", "h"):
@@ -273,14 +274,15 @@ def convolve(a: CharacterMap, b: CharacterMap, coproduct: str) -> CharacterMap:
             return _h_terms(rep, weight.get, memo)[1]
         return _ck_legs(rep, scale, weight.get, memo)
 
-    def legs(forest: Forest, top: bool):
-        out = _forest_legs(forest, tree_legs, 1)
-        if top and len(forest) == 1:
-            del memo[forest.trees[0].rep]  # a tree of the top order is no other tree's subtree
-        return out.items()
-
     order = min(a.order, b.order)
-    return pair_legs(legs, lambda size: scale**size, b, enumerate_forests, order)
+
+    def paired(forest: Forest, read) -> int:
+        legs = _forest_legs(forest, tree_legs, 1)
+        if forest.vertex_count == order and len(forest) == 1:
+            del memo[forest.trees[0].rep]  # a tree of the top order is no other tree's subtree
+        return sum(c * read(r, 0) for r, c in legs.items())
+
+    return pair_legs(paired, lambda size: scale**size, b, enumerate_forests, order)
 
 
 def _multiplied(x: dict, y: dict, mul=Forest.mul) -> dict:

@@ -170,44 +170,45 @@ def compose_lb(beta: CharacterMap, alpha: CharacterMap) -> CharacterMap:
 
     - the empty right leg, with ``E * beta(F)``;
     - for ``1 <= j < k``, each kept cut ``(R, lefts)`` of the suffix
-      ``F[j:]`` (``postlie._kept_cuts``), with ``sum n * paired(F[:j], l)``;
+      ``F[j:]`` (``postlie._kept_cuts``), with ``sum n * shuffled(F[:j], l)``;
     - each cut ``(rb, lb)`` below ``t1``'s root and kept cut ``(R, lk)`` of
       ``F[1:]``, the right leg ``b_plus(rb) R`` with
-      ``sum a * b * paired(l, m)``.
+      ``sum a * b * shuffled(l, m)``.
 
-    ``paired(u, v)`` is ``E * beta(u sh v)``, read once per pair and call;
+    ``shuffled(u, v)`` is ``E * beta(u sh v)``, read once per pair and call;
     so no left leg of ``F`` is expanded into shuffled words, and only
     strictly smaller forests enter the cut recursion.  Its tables carry no
     character, so they stay in the one memo that ``delta_n`` reads too
-    (``postlie._CUTS``) and later calls read them again.  ``pair_legs``
-    pairs the legs with alpha; ``top`` is not read.  Equal to
+    (``postlie._CUTS``) and later calls read them again.  Each right leg's
+    total is paired with alpha through ``pair_legs``.  Equal to
     ``convolve_through(delta_n, ...)`` (tested up to order 7).
     """
     scale, weight = integer_values(beta, EMPTY_FOREST)
 
     @cache
-    def paired(u: OrderedForest, v: OrderedForest) -> int:
+    def shuffled(u: OrderedForest, v: OrderedForest) -> int:
         return sum(m * weight.get(w, 0) for w, m in shuffle(u, v).items())
 
-    def legs(forest: OrderedForest, top: bool):
+    def paired(forest: OrderedForest, read) -> int:
         trees = forest.trees
-        yield EMPTY_FOREST, weight.get(forest, 0)
+        out = read(EMPTY_FOREST, 0) * weight.get(forest, 0)
         for j in range(1, len(trees)):
             run = OrderedForest(trees[:j])
             for right, lefts in _kept_cuts(OrderedForest(trees[j:])).items():
-                yield right, sum(n * paired(run, l) for l, n in lefts.items())
+                out += read(right, 0) * sum(n * shuffled(run, l) for l, n in lefts.items())
         if trees:
             rest = _kept_cuts(OrderedForest(trees[1:]))
             for rb, lb in _cuts_below(trees[0]).items():
                 head = (b_plus(rb),)
                 for rk, lk in rest.items():
                     total = sum(
-                        a * b * paired(l, m) for l, a in lb.items() for m, b in lk.items()
+                        a * b * shuffled(l, m) for l, a in lb.items() for m, b in lk.items()
                     )
-                    yield OrderedForest(head + rk.trees), total
+                    out += read(OrderedForest(head + rk.trees), 0) * total
+        return out
 
     order = min(beta.order, alpha.order)
-    return pair_legs(legs, lambda size: scale, alpha, enumerate_ordered_forests, order)
+    return pair_legs(paired, lambda size: scale, alpha, enumerate_ordered_forests, order)
 
 
 def substitute_lb(alpha: CharacterMap, beta: CharacterMap) -> CharacterMap:

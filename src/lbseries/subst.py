@@ -18,8 +18,8 @@ result with the right character.  At the top order ``star_w`` builds no
 forest's map either: ``_paired_top`` pairs beta once per call with each
 (hanging forests, rest) pair that a block of a top-order forest leaves,
 and weighs it by the block's part.  ``delta_w`` and ``rho_oracle`` pass a
-universal leg, whose summed values are the words; they serve
-``coproduct --op w``, the laws and the tests.
+universal leg, whose summed values are the words, over one memo each for
+the process; they serve ``coproduct --op w``, the laws and the tests.
 """
 
 from __future__ import annotations
@@ -528,13 +528,6 @@ def rho_oracle(forest: OrderedForest, max_size_guard: int = 4) -> LinComb:
         raise OracleGuardError(
             f"forest has {forest.vertex_count} vertices, guard is {max_size_guard}"
         )
-    return _rho(forest)
-
-
-@lru_cache(maxsize=None)
-def _rho(forest: OrderedForest) -> LinComb:
-    """:func:`rho_oracle` past its guard check; every forest the recursion
-    meets is smaller than the one it started from."""
     if forest.is_empty:
         return LinComb.of((SymLieWord.unit(), EMPTY_FOREST))
     return leg_terms(_contracted(forest, _bracket_leg, _RHO_MEMO))
@@ -578,17 +571,14 @@ def star_w(alpha: CharacterMap, beta: CharacterMap) -> CharacterMap:
     scale, weight = integer_weights(alpha.values)
     memo: dict = {}
     pairings: dict = {}
-
-    def legs(forest: OrderedForest, top: bool):
-        return _contracted(forest, weight.get, memo).items()
-
-    def paired_top(forest: OrderedForest, read) -> int:
-        return _paired_top(forest, read, weight.get, memo, pairings)
-
     order = min(alpha.order, beta.order)
-    return pair_legs(
-        legs, lambda size: scale**size, beta, enumerate_ordered_forests, order, paired_top
-    )
+
+    def paired(forest: OrderedForest, read) -> int:
+        if forest.vertex_count == order:
+            return _paired_top(forest, read, weight.get, memo, pairings)
+        return sum(c * read(q, 0) for q, c in _contracted(forest, weight.get, memo).items())
+
+    return pair_legs(paired, lambda size: scale**size, beta, enumerate_ordered_forests, order)
 
 
 def _lie_factor_value(alpha: CharacterMap, lp: LiePoly) -> Fraction:

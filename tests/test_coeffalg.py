@@ -18,10 +18,16 @@ from lbseries import (
     parse_lincomb,
     tensor,
 )
-from lbseries.coeffalg import leg_terms
-from lbseries.laws import random_logarithmic_character
+from lbseries.coeffalg import convolve_through, leg_terms
+from lbseries.laws import random_logarithmic_character, random_tree_character
 from lbseries.postlie import bracket, concat, delta_n, gl_product, LiePoly, shuffle
-from lbseries.trees import enumerate_ordered_forests
+from lbseries.prelie import convolve
+from lbseries.seriesmorph import compose_lb
+from lbseries.subst import star_w
+from lbseries.trees import Forest, enumerate_forests, enumerate_ordered_forests
+
+from characters import any_character, compose_through_delta_n, lie_character, star_w_through_delta_w
+from tree_coproduct_oracle import oracle_delta_ck, oracle_delta_h
 
 pf = parse_forest
 
@@ -84,6 +90,12 @@ def test_pairing_examples():
     assert pairing(LinComb.of(pf(""), Fraction(5, 7)), pf("")) == Fraction(5, 7)
     gl = gl_product(pf("[[][]]"), pf("[] [[]]"))
     assert pairing(gl, pf("[[][]] [] [[]]")) == 1
+    # an int that an integer product stores reads back as a Fraction, so a
+    # division of it stays exact
+    third = gl_product(pf("[]"), pf("[] []")).coeff(pf("[] [] []")) / 3
+    half = pairing(delta_n(pf("[[]]")), (pf("[]"), pf("[]"))) / 2
+    for value, exact in ((third, Fraction(1, 3)), (half, Fraction(1, 2)), (pairing(gl, pf("[]")), 0)):
+        assert type(value) is Fraction and value == exact
 
 
 def test_primitive_shuffle_examples():
@@ -197,8 +209,8 @@ def test_lincomb_text_round_trip():
             (pf("[] [[]]"), Fraction(5, 3)),
         ]
     )
-    text = format_lincomb(x)
-    assert parse_lincomb(text) == x
+    for comb in (x, LinComb()):
+        assert parse_lincomb(format_lincomb(comb)) == comb
     assert parse_lincomb("3/2 * [[]] - [] ") == LinComb(
         [(pf("[[]]"), Fraction(3, 2)), (pf("[]"), -1)]
     )
@@ -214,3 +226,33 @@ def test_bilinear_with_comb_values():
     y = LinComb.of(pf("[]"), 3)
     assert bilinear(x, y, lambda a, b: a.concat(b)) == LinComb.of(pf("[] []"), 6)
     assert concat(x, y) == LinComb.of(pf("[] []"), 6)
+
+
+# the truncation orders of the two arguments: the top order is then the
+# empty forest or the single vertex, or one argument is far below the other
+EDGE_ORDERS = [(0, 0), (1, 1), (0, 3), (3, 0), (1, 3), (3, 1)]
+
+
+@pytest.mark.parametrize("left_order,right_order", EDGE_ORDERS)
+def test_products_at_the_lowest_top_orders(left_order, right_order):
+    """Each character product states its own top-order rule; at a top
+    order of 0 or 1 it still equals the convolution through its coproduct
+    or coaction."""
+    rng = random.Random(f"edge-{left_order}-{right_order}")
+    order = min(left_order, right_order)
+    alpha, beta = lie_character(left_order, rng), any_character(right_order, rng)
+    product = star_w(alpha, beta)
+    assert product.order == order and product == star_w_through_delta_w(alpha, beta)
+    beta, alpha = any_character(left_order, rng), any_character(right_order, rng)
+    product = compose_lb(beta, alpha)
+    assert product.order == order and product == compose_through_delta_n(beta, alpha)
+    for op, delta in (("h", oracle_delta_h), ("ck", oracle_delta_ck)):
+        a = random_tree_character(left_order, rng, empty=Fraction(2, 3))
+        b = random_tree_character(right_order, rng, empty=Fraction(-1, 5))
+
+        def left(forest):
+            return a.eval_multiplicative([Forest((t,)) for t in forest.trees])
+
+        product = convolve(a, b, op)
+        assert product.order == order
+        assert product == convolve_through(delta, left, b, enumerate_forests, order), op
