@@ -16,12 +16,14 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from .trees import (
     EMPTY_FOREST,
     OrderedForest,
     enumerate_ordered_forests,
+    enumerate_planar_trees,
     parse_forest,
     parse_nonplanar_forest,
 )
@@ -284,11 +286,15 @@ class CharacterMap:
     most ``order`` vertices, missing entries are zero.  The value on the
     empty forest is kept separately.  Works over either planar
     (:class:`OrderedForest`) or non-planar (:class:`Forest`) bases.  A
-    character is not changed after construction, so :func:`is_logarithmic`
-    caches its answer on it.
+    character is not changed after construction, so what depends on it
+    alone is kept on it: :func:`is_logarithmic` caches its answer, and
+    substitution (``subst.star_w``, ``seriesmorph.a_alpha_dagger``) keeps
+    a logarithmic character's contraction, ``(scale, weights, memo)``: its
+    :func:`integer_weights` and the memo of its contracted forest maps,
+    built on first use and freed with the character.
     """
 
-    __slots__ = ("order", "empty_value", "values", "_logarithmic")
+    __slots__ = ("order", "empty_value", "values", "_logarithmic", "_contraction")
 
     def __init__(self, order: int, empty_value=0, values=None):
         if type(order) is not int or order < 0:
@@ -299,6 +305,7 @@ class CharacterMap:
         self.empty_value = _as_fraction(empty_value)
         self.values = {}
         self._logarithmic = None
+        self._contraction = None
         if values:
             for basis, c in values.items() if isinstance(values, dict) else values:
                 if basis.vertex_count > self.order:
@@ -318,19 +325,6 @@ class CharacterMap:
 
     def on_comb(self, x: LinComb) -> Fraction:
         return evaluate(self, x)
-
-    def eval_multiplicative(self, factors) -> Fraction:
-        """Product of the values on a sequence of basis elements (1 on none).
-        The product starts from the first value, so k factors cost k - 1
-        multiplications, and it stops at a zero."""
-        if not factors:
-            return Fraction(1)
-        value = self(factors[0])
-        for f in factors[1:]:
-            if not value:
-                break
-            value *= self(f)
-        return value
 
     def truncated(self, order: int) -> "CharacterMap":
         """The character cut to truncation ``order``: its values on larger
@@ -407,7 +401,7 @@ def is_primitive_shuffle(x: LinComb, order: int) -> bool:
 
 def _shuffle_pairs(order: int):
     """Each unordered pair of non-empty forests up to ``order`` in all, once:
-    shuffle commutes, and both predicates are symmetric in the pair."""
+    shuffle commutes, and :func:`is_exponential` is symmetric in the pair."""
     for total in range(2, order + 1):
         for left_size in range(1, total // 2 + 1):
             lefts = enumerate_ordered_forests(left_size)
@@ -426,14 +420,64 @@ def is_logarithmic(alpha: CharacterMap) -> bool:
 
 
 def _vanishes_on_shuffles(alpha: CharacterMap) -> bool:
-    from .postlie import shuffle
+    """Zero on the empty forest and on a basis of the proper shuffles up to
+    the order, in ``int``.
 
+    The shuffle algebra over Q is the polynomial algebra on Lyndon words
+    (Radford; Reutenauer, *Free Lie Algebras*, 1993, ch. 6), here words of
+    planar trees ordered by ``(vertex_count, serialize())``.  So the
+    products ``L1 sh ... sh Lk`` of the Lyndon factorizations
+    ``w = L1 ... Lk`` with ``k >= 2``, one per forest ``w``, span the
+    proper shuffles of each size: alpha is checked on those alone.  A
+    product is the first factor shuffled with the product of the rest,
+    kept below the top order; alpha is scaled once (:func:`integer_values`).
+    """
     if alpha.empty_value != 0:
         return False
-    for left, right in _shuffle_pairs(alpha.order):
-        if alpha.on_comb(shuffle(left, right)) != 0:
-            return False
+    order = alpha.order
+    # each size's trees are listed by serialization
+    trees = (t for n in range(1, order + 1) for t in enumerate_planar_trees(n))
+    letter = {t: i for i, t in enumerate(trees)}
+    _, weight = integer_values(alpha, EMPTY_FOREST)
+    # every proper shuffle has two or more trees
+    value = {tuple(map(letter.get, f.trees)): c for f, c in weight.items() if len(f) > 1}
+    products: dict = {}
+    for size in range(2, order + 1):
+        for forest in enumerate_ordered_forests(size):
+            word = tuple(map(letter.get, forest.trees))
+            cut = _lyndon_prefix(word)
+            if cut == len(word):
+                continue
+            head, rest = word[:cut], word[cut:]
+            terms = _shuffled_words(head, products.get(rest, {rest: 1}))
+            if size < order:
+                products[word] = _summed({}, terms)
+                terms = products[word].items()
+            if sum(c * value.get(w, 0) for w, c in terms):
+                return False
     return True
+
+
+def _lyndon_prefix(word: tuple) -> int:
+    """The length of the first factor of ``word``'s Lyndon factorization,
+    its longest Lyndon prefix (Duval's scan)."""
+    j, k = 1, 0
+    while j < len(word) and word[k] <= word[j]:
+        k = 0 if word[k] < word[j] else k + 1
+        j += 1
+    return j - k
+
+
+def _shuffled_words(head: tuple, x: dict):
+    """The terms ``(w, c)`` of ``head`` shuffled with the combination ``x``
+    of words, one per interleaving: ``head``'s letters go to the positions
+    of each ``combinations`` pick, the other word's fill the rest."""
+    for b, c in x.items():
+        for picks in combinations(range(len(head) + len(b)), len(head)):
+            w = list(b)
+            for p, a in zip(picks, head):
+                w.insert(p, a)
+            yield tuple(w), c
 
 
 def is_exponential(alpha: CharacterMap) -> bool:

@@ -12,11 +12,10 @@ from .coeffalg import (
     LinComb,
     format_lincomb,
     integer_values,
-    integer_weights,
     pair_legs,
 )
 from .postlie import _cuts_below, _kept_cuts, b_minus, b_plus, concat, left_graft, shuffle
-from .subst import _contracted, _require_logarithmic, star_w
+from .subst import _alpha_contraction, _contracted, _require_logarithmic, star_w
 from .trees import EMPTY_FOREST, OrderedForest, enumerate_ordered_forests
 
 
@@ -124,24 +123,13 @@ def a_alpha_dagger(alpha: CharacterMap, forest: OrderedForest) -> LinComb:
     ``forest`` with ``alpha`` evaluated multiplicatively on each word of
     parts.  The alpha-contracted recursion of :mod:`lbseries.subst` gives the
     quotients with integer coefficients, so ``delta_w``'s words are never
-    built; one division undoes alpha's scaling.  A loop over forests should
-    use ``_dagger_map``, which shares the recursion's memo between them."""
-    return _dagger_map(alpha)(forest)
-
-
-def _dagger_map(alpha: CharacterMap):
-    """``forest -> a_alpha_dagger(alpha, forest)`` over one memo of the
-    alpha-contracted recursion (``subst._contracted``)."""
-    _require_logarithmic(alpha)
-    scale, weight = integer_weights(alpha.values)
-    memo: dict = {}
-
-    def dagger(forest: OrderedForest) -> LinComb:
-        denominator = scale**forest.vertex_count
-        contracted = _contracted(forest, weight.get, memo)
-        return LinComb((q, Fraction(c, denominator)) for q, c in contracted.items())
-
-    return dagger
+    built; one division undoes alpha's scaling.  The recursion's memo is
+    kept on alpha (``subst._alpha_contraction``), so the calls of a loop
+    over forests, and ``star_w`` with alpha, share it."""
+    scale, weight, memo = _alpha_contraction(alpha)
+    denominator = scale**forest.vertex_count
+    contracted = _contracted(forest, weight.get, memo)
+    return LinComb((q, Fraction(c, denominator)) for q, c in contracted.items())
 
 
 def check_adjoint(alpha: CharacterMap, order: int) -> bool:
@@ -150,8 +138,7 @@ def check_adjoint(alpha: CharacterMap, order: int) -> bool:
     for size in range(1, order + 1):
         forests.extend(enumerate_ordered_forests(size))
     images = {w: a_alpha(alpha, w) for w in forests}
-    dagger = _dagger_map(alpha)
-    daggers = {w: dagger(w) for w in forests}
+    daggers = {w: a_alpha_dagger(alpha, w) for w in forests}
     for w1 in forests:
         for w2 in forests:
             if images[w1].coeff(w2) != daggers[w2].coeff(w1):

@@ -13,11 +13,12 @@ the forests each leaves, from one coefficient-free cache per forest
 (``_skeleton``).  It carries a left character, multiplicative over the
 parts.  Substitution (``star_w``, and ``a_alpha_dagger`` in
 :mod:`lbseries.seriesmorph`) passes the logarithmic character's values as
-integers and builds no word of parts; ``coeffalg.pair_legs`` pairs the
-result with the right character.  At the top order ``star_w`` builds no
-forest's map either: ``_paired_top`` pairs beta once per call with each
-(hanging forests, rest) pair that a block of a top-order forest leaves,
-and weighs it by the block's part.  ``delta_w`` and ``rho_oracle`` pass a
+integers and builds no word of parts, over one memo kept on the character
+(``_alpha_contraction``); ``coeffalg.pair_legs`` pairs the result with the
+right character.  At the top order ``star_w`` builds no forest's map
+either: ``_paired_top`` pairs beta once per call with each (hanging
+forests, rest) pair that a block of a top-order forest leaves, and weighs
+it by the block's part.  ``delta_w`` and ``rho_oracle`` pass a
 universal leg, whose summed values are the words, over one memo each for
 the process; they serve ``coproduct --op w``, the laws and the tests.
 """
@@ -368,7 +369,9 @@ def _contracted(forest: OrderedForest, value, memo: dict) -> dict:
     ``a_alpha_dagger``), ``c`` is the quotient's coefficient in
     ``a_alpha_dagger(alpha, forest)`` times ``D ** |forest|``; with a
     universal leg (``delta_w``, ``rho_oracle``), it is the quotient's words.
-    ``memo`` holds each forest's map for as long as the caller keeps it.
+    ``memo`` holds each forest's map for as long as the caller keeps it:
+    for alpha's weights, as long as alpha (:func:`_alpha_contraction`); for
+    a universal leg, the process.
 
     The map is a recursion on the block that holds the forest's first
     vertex (``_skeleton``): the values of the forests the block leaves
@@ -552,6 +555,18 @@ def _require_logarithmic(alpha: CharacterMap) -> None:
         raise ValueError("character is not logarithmic")
 
 
+def _alpha_contraction(alpha: CharacterMap) -> tuple[int, dict, dict]:
+    """A logarithmic character's contraction ``(D, weights, memo)``: its
+    ``integer_weights`` and the memo of its ``_contracted`` forest maps.
+    None of it depends on what alpha is substituted into, so it is built on
+    first use and kept on alpha (``CharacterMap._contraction``): every
+    ``star_w`` and ``a_alpha_dagger`` with alpha reads and fills one memo."""
+    _require_logarithmic(alpha)
+    if alpha._contraction is None:
+        alpha._contraction = (*integer_weights(alpha.values), {})
+    return alpha._contraction
+
+
 def star_w(alpha: CharacterMap, beta: CharacterMap) -> CharacterMap:
     """Substitution product on characters through the partition coaction.
 
@@ -559,17 +574,17 @@ def star_w(alpha: CharacterMap, beta: CharacterMap) -> CharacterMap:
     commutative word of parts.  The coaction's words are never built: the
     recursion that ``delta_w`` reads with its universal leg
     (``_contracted``) carries alpha and gives each forest's quotients with
-    integer coefficients, which ``pair_legs`` pairs with beta.  A forest of
-    the top order gets no map: ``_paired_top`` sums its pairing block by
-    block, as ``alpha(part)`` times beta paired with what the block's
-    hanging forests and the rest of the forest contract to, which is summed
-    once per call for each (hanging, rest) pair.  Equal to
+    integer coefficients, which ``pair_legs`` pairs with beta.  Those maps
+    do not depend on beta, so they live in alpha's memo
+    (:func:`_alpha_contraction`) and a later call with alpha reads them
+    again.  A forest of the top order gets no map: ``_paired_top`` sums its
+    pairing block by block, as ``alpha(part)`` times beta paired with what
+    the block's hanging forests and the rest of the forest contract to,
+    which is summed once per call for each (hanging, rest) pair.  Equal to
     ``convolve_through(delta_w, ...)`` (tested up to order 7, and on a
     sample of order-8 forests).
     """
-    _require_logarithmic(alpha)
-    scale, weight = integer_weights(alpha.values)
-    memo: dict = {}
+    scale, weight, memo = _alpha_contraction(alpha)
     pairings: dict = {}
     order = min(alpha.order, beta.order)
 

@@ -1,13 +1,14 @@
 """Seeded characters for substitution tests: logarithmic ones with values on
 trees of every size and on multi-tree forests, and arbitrary ones, all with
-denominators other than one."""
+denominators other than one; and the term-by-term oracles that read them."""
 
+import math
 import random
 from fractions import Fraction
 
 from lbseries import CharacterMap, LinComb
-from lbseries.coeffalg import convolve_through
-from lbseries.postlie import LiePoly, bracket, delta_n
+from lbseries.coeffalg import _shuffle_pairs, convolve_through
+from lbseries.postlie import LiePoly, bracket, delta_n, shuffle
 from lbseries.subst import delta_w
 from lbseries.trees import OrderedForest, enumerate_ordered_forests, enumerate_planar_trees
 
@@ -48,6 +49,22 @@ def any_character(order: int, rng: random.Random) -> CharacterMap:
     return CharacterMap(order, 0, values)
 
 
+def eval_multiplicative(character: CharacterMap, factors) -> Fraction:
+    """Product of a character's values on a sequence of basis elements (1 on
+    none)."""
+    return math.prod(map(character, factors), start=Fraction(1))
+
+
+def vanishes_on_shuffle_pairs(alpha: CharacterMap) -> bool:
+    """The pairwise oracle of ``is_logarithmic``: zero on the empty forest
+    and on the shuffle of each unordered pair of non-empty forests up to the
+    order."""
+    if alpha.empty_value != 0:
+        return False
+    pairs = _shuffle_pairs(alpha.order)
+    return all(alpha.on_comb(shuffle(left, right)) == 0 for left, right in pairs)
+
+
 def compose_through_delta_n(beta: CharacterMap, alpha: CharacterMap) -> CharacterMap:
     """The composition product as the convolution through ``delta_n``,
     ``beta`` read on the left legs and ``alpha`` on the right legs."""
@@ -61,7 +78,7 @@ def star_w_through_delta_w(alpha: CharacterMap, beta: CharacterMap) -> Character
     ``alpha`` multiplicative over the word of parts."""
     return convolve_through(
         delta_w,
-        lambda word: alpha.eval_multiplicative(word.parts),
+        lambda word: eval_multiplicative(alpha, word.parts),
         beta,
         enumerate_ordered_forests,
         min(alpha.order, beta.order),
@@ -72,7 +89,7 @@ def dagger_through_delta_w(alpha: CharacterMap, forest: OrderedForest) -> LinCom
     """The adjoint of the substitution endomorphism as the ``delta_w``
     terms paired with ``alpha`` on their words."""
     return LinComb(
-        (quotient, c * alpha.eval_multiplicative(word.parts))
+        (quotient, c * eval_multiplicative(alpha, word.parts))
         for (word, quotient), c in delta_w(forest).items()
     )
 

@@ -1,9 +1,12 @@
+import ast
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import lbseries
 from lbseries import (
     CharacterMap,
     LinComb,
@@ -24,9 +27,22 @@ from lbseries.postlie import bracket, concat, delta_n, gl_product, LiePoly, shuf
 from lbseries.prelie import convolve
 from lbseries.seriesmorph import compose_lb
 from lbseries.subst import star_w
-from lbseries.trees import Forest, enumerate_forests, enumerate_ordered_forests
+from lbseries.trees import (
+    Forest,
+    OrderedForest,
+    enumerate_forests,
+    enumerate_ordered_forests,
+    enumerate_planar_trees,
+)
 
-from characters import any_character, compose_through_delta_n, lie_character, star_w_through_delta_w
+from characters import (
+    any_character,
+    compose_through_delta_n,
+    eval_multiplicative,
+    lie_character,
+    star_w_through_delta_w,
+    vanishes_on_shuffle_pairs,
+)
 from tree_coproduct_oracle import oracle_delta_ck, oracle_delta_h
 
 pf = parse_forest
@@ -123,11 +139,10 @@ def test_logarithmic_examples():
 
 
 def test_a_change_on_one_forest_is_seen_by_the_shuffle_checks():
-    """Each unordered pair of forests is shuffled once.  A logarithmic
-    character changed on one forest up to order 5 is still logarithmic iff
-    the forest is one tree, which no proper shuffle holds; the counit
-    changed on the empty forest or on a forest of two or more trees is not
-    exponential."""
+    """A logarithmic character changed on one forest up to order 5 is still
+    logarithmic iff the forest is one tree, which no proper shuffle holds;
+    the counit changed on the empty forest or on a forest of two or more
+    trees is not exponential."""
     alpha = random_logarithmic_character(5, random.Random(5))
     assert is_logarithmic(alpha)
     for n in range(6):
@@ -138,6 +153,66 @@ def test_a_change_on_one_forest_is_seen_by_the_shuffle_checks():
             assert is_logarithmic(changed) == (len(f) == 1), f
             if len(f) != 1:
                 assert not is_exponential(CharacterMap(5, 1, {f: 2 if f.is_empty else 1})), f
+
+
+def test_the_lyndon_check_rejects_what_the_pairwise_check_rejects():
+    """A logarithmic character changed on one forest at a time, up to order
+    6: ``is_logarithmic``, which checks the products of Lyndon factors, and
+    the pairwise oracle reject the same characters."""
+    for alpha in (
+        lie_character(6, random.Random(18)),
+        random_logarithmic_character(5, random.Random(19)),
+    ):
+        assert is_logarithmic(alpha) and vanishes_on_shuffle_pairs(alpha)
+        for n in range(alpha.order + 1):
+            for f in enumerate_ordered_forests(n):
+                values = dict(alpha.values)
+                values[f] = alpha(f) + 1
+                changed = CharacterMap(alpha.order, alpha.empty_value, values)
+                assert is_logarithmic(changed) == vanishes_on_shuffle_pairs(changed), f
+
+
+def _kernel(rows: list, columns: tuple) -> list[dict]:
+    """A basis of the functionals on ``columns`` that vanish on every row (a
+    combination of columns), by exact row reduction."""
+    matrix = [[Fraction(row.coeff(c)) for c in columns] for row in rows]
+    pivots = []
+    for col in range(len(columns)):
+        k = len(pivots)
+        p = next((i for i in range(k, len(matrix)) if matrix[i][col]), None)
+        if p is None:
+            continue
+        matrix[k], matrix[p] = matrix[p], matrix[k]
+        matrix[k] = [v / matrix[k][col] for v in matrix[k]]
+        for i, row in enumerate(matrix):
+            if i != k and row[col]:
+                matrix[i] = [a - row[col] * b for a, b in zip(row, matrix[k])]
+        pivots.append(col)
+    return [
+        {columns[free]: 1, **{columns[p]: -matrix[k][free] for k, p in enumerate(pivots)}}
+        for free in range(len(columns))
+        if free not in pivots
+    ]
+
+
+def test_the_lyndon_check_sees_what_tree_with_forest_shuffles_miss():
+    """At six vertices the shuffles of one tree with a forest span less than
+    all proper shuffles.  On every functional of that size that vanishes on
+    the former, ``is_logarithmic`` answers as the pairwise oracle, and it
+    rejects some."""
+    forests = enumerate_ordered_forests(6)
+    rows = [
+        shuffle(OrderedForest((t,)), v)
+        for k in range(1, 6)
+        for t in enumerate_planar_trees(k)
+        for v in enumerate_ordered_forests(6 - k)
+    ]
+    answers = []
+    for values in _kernel(rows, forests):
+        alpha = CharacterMap(6, 0, values)
+        answers.append(is_logarithmic(alpha))
+        assert answers[-1] == vanishes_on_shuffle_pairs(alpha)
+    assert not all(answers)
 
 
 def test_monomials_multiply_their_keys_and_drop_cancelled_sums():
@@ -251,8 +326,38 @@ def test_products_at_the_lowest_top_orders(left_order, right_order):
         b = random_tree_character(right_order, rng, empty=Fraction(-1, 5))
 
         def left(forest):
-            return a.eval_multiplicative([Forest((t,)) for t in forest.trees])
+            return eval_multiplicative(a, [Forest((t,)) for t in forest.trees])
 
         product = convolve(a, b, op)
         assert product.order == order
         assert product == convolve_through(delta, left, b, enumerate_forests, order), op
+
+
+# the true divisions in the package, each of a Fraction character value by
+# an integer: (module, enclosing function)
+_FRACTION_DIVISIONS = {
+    ("laws.py", "random_exponential_character"),
+    ("numericdemo.py", "_weighted_differentials"),
+    ("subst.py", "_lie_factor_value"),
+}
+
+
+def test_no_floating_point_in_the_package():
+    """No float literal, no ``float`` and no true division in
+    ``src/lbseries`` but the divisions of Fraction values listed above."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        op = getattr(node, "op", None)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(op, ast.Div):
+            found.add((path.name, where))
+        literal = type(getattr(node, "value", None)) is float
+        assert not literal and getattr(node, "id", None) != "float", (path.name, node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(Path(lbseries.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), None)
+    assert found <= _FRACTION_DIVISIONS, found - _FRACTION_DIVISIONS

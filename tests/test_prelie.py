@@ -34,6 +34,7 @@ from lbseries.laws import (
 )
 from lbseries.trees import _ForestIndex, enumerate_forests, enumerate_nonplanar_trees
 
+from characters import eval_multiplicative
 from digests import character_digest, coproduct_digest
 from graft_oracle import _graftings
 from tree_coproduct_oracle import oracle_delta_ck, oracle_delta_h
@@ -255,7 +256,7 @@ def _convolve_through(a, b, delta):
     """The convolution read term by term off a forest coproduct."""
 
     def left(forest):
-        return a.eval_multiplicative([Forest((t,)) for t in forest.trees])
+        return eval_multiplicative(a, [Forest((t,)) for t in forest.trees])
 
     return convolve_through(delta, left, b, enumerate_forests, a.order)
 
@@ -340,9 +341,9 @@ def test_convolve_frees_its_memo_on_return(op):
 
 @pytest.mark.parametrize("product", ["star_w", "a_alpha_dagger"])
 def test_star_w_frees_its_memo_on_return(product):
-    """The memo of the alpha-contracted recursion dies with the call of
-    ``star_w`` or ``a_alpha_dagger``: no reference cycle leaves it to the
-    cyclic garbage collector."""
+    """The memo of the alpha-contracted recursion dies with alpha, which
+    keeps it between calls of ``star_w`` or ``a_alpha_dagger``: no
+    reference cycle leaves it to the cyclic garbage collector."""
     rng = random.Random(47)
     alpha = random_logarithmic_character(5, rng)
     beta = random_character(5, rng)

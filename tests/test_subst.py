@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -43,7 +44,13 @@ from lbseries.coeffalg import convolve_through
 from lbseries.seriesmorph import a_alpha, a_alpha_dagger, substitute_lb
 from lbseries.trees import enumerate_ordered_forests, enumerate_planar_trees
 
-from characters import any_character, dagger_through_delta_w, lie_character, star_w_through_delta_w
+from characters import (
+    any_character,
+    dagger_through_delta_w,
+    eval_multiplicative,
+    lie_character,
+    star_w_through_delta_w,
+)
 from digests import character_digest, coproduct_digest
 from partition_oracle import oracle_delta_w, oracle_partitions
 from worked_examples import RHO_EXAMPLE_1, RHO_EXAMPLE_2, RHO_EXAMPLE_3, W_EXAMPLE
@@ -253,7 +260,7 @@ def test_star_w_matches_delta_w_on_a_sample_of_order_8_forests():
     sample = rng.sample(enumerate_ordered_forests(8), 20)
     expected = convolve_through(
         delta_w,
-        lambda word: alpha.eval_multiplicative(word.parts),
+        lambda word: eval_multiplicative(alpha, word.parts),
         beta,
         lambda size: sample if size == 8 else [],
         8,
@@ -435,6 +442,61 @@ def test_substitution_does_not_build_delta_w(monkeypatch):
         monkeypatch.setattr(seriesmorph, name, refuse, raising=False)
     assert substitute_lb(alpha, beta) == expected
     assert all(a_alpha_dagger(alpha, f) == d for f, d in daggers.items())
+
+
+def test_alpha_keeps_its_contraction_across_products():
+    """One alpha substituted into betas of orders 3, 6 and 5 and then read
+    by ``a_alpha_dagger`` gives, every time, what a fresh copy of alpha
+    gives: the maps kept on alpha do not depend on what it meets."""
+    rng = random.Random(15)
+    alpha = lie_character(6, rng)
+    for order in (3, 6, 5):
+        beta = any_character(order, rng)
+        fresh = CharacterMap(alpha.order, alpha.empty_value, alpha.values)
+        assert star_w(alpha, beta) == star_w(fresh, beta), order
+    fresh = CharacterMap(alpha.order, alpha.empty_value, alpha.values)
+    for forest in enumerate_ordered_forests(6):
+        assert a_alpha_dagger(alpha, forest) == a_alpha_dagger(fresh, forest), forest
+
+
+def test_a_second_substitution_computes_no_map_below_the_top_order(monkeypatch):
+    """The second ``star_w`` with one alpha reads every forest map below the
+    top order from alpha's memo."""
+    rng = random.Random(16)
+    alpha = lie_character(6, rng)
+    beta, gamma = any_character(6, rng), any_character(6, rng)
+    computed = []
+    contracted = subst._contracted
+
+    def counted(forest, value, memo):
+        if forest not in memo:
+            computed.append(forest)
+        return contracted(forest, value, memo)
+
+    monkeypatch.setattr(subst, "_contracted", counted)
+    star_w(alpha, beta)
+    assert computed and max(f.vertex_count for f in computed) == 5
+    computed.clear()
+    star_w(alpha, gamma)
+    assert computed == []
+
+
+def test_alpha_frees_its_contraction_with_it():
+    """The memo kept on alpha dies with alpha: no reference cycle leaves it
+    to the cyclic garbage collector."""
+    rng = random.Random(17)
+    alpha = lie_character(5, rng)
+    beta = any_character(5, rng)
+    star_w(alpha, beta)
+    a_alpha_dagger(alpha, pf("[[]] [] [[[]]]"))
+    assert alpha._contraction[2]
+    gc.collect()
+    gc.disable()
+    try:
+        del alpha
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_star_rho_agrees_with_star_w():
