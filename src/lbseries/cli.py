@@ -205,7 +205,12 @@ def cmd_series_product(args) -> int:
             raise CliError(f"order {args.order} is above the characters' orders {alpha} and {beta}")
         chars = [char.truncated(args.order) for char in chars]
     result = args.product(*chars)
-    _emit(args, result.to_json(), _character_text(result))
+    # rendered in the format asked for only: at order 11 the text alone
+    # takes about 0.2 s
+    if args.format == "json":
+        print(json.dumps(result.to_json(), sort_keys=True))
+    else:
+        print(_character_text(result))
     return 0
 
 
@@ -288,75 +293,50 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 2
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: it holds no mutable
-    default, so every call parses into a fresh namespace."""
-    parser = argparse.ArgumentParser(
-        prog="lbseries",
-        description="Exact computer algebra for series over rooted trees and forests.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("parse", help="parse and echo an ordered forest")
+def _forest_args(p):
     p.add_argument("input")
-    add_format(p)
-    p.set_defaults(func=cmd_parse)
 
-    p = sub.add_parser("canon", help="canonical non-planar form of a forest")
-    p.add_argument("input")
-    add_format(p)
-    p.set_defaults(func=cmd_canon)
 
-    p = sub.add_parser("enumerate", help="enumerate trees of a given size")
+def _enumerate_args(p):
     p.add_argument("--order", "-n", type=int, required=True)
     p.add_argument("--mode", choices=("planar", "nonplanar"), default="planar")
-    add_format(p)
-    p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("graft", help="grafting products")
+
+def _graft_args(p):
     p.add_argument("--mode", choices=("prelie", "postlie"), default="prelie")
     p.add_argument("left")
     p.add_argument("right")
-    add_format(p)
-    p.set_defaults(func=cmd_graft)
 
-    p = sub.add_parser("product", help="concatenation, shuffle or GL product")
+
+def _product_args(p):
     p.add_argument("--op", choices=("concat", "shuffle", "gl"), required=True)
     p.add_argument("left")
     p.add_argument("right")
-    add_format(p)
-    p.set_defaults(func=cmd_product)
 
-    p = sub.add_parser("coproduct", help="coproducts on forests")
+
+def _coproduct_args(p):
     p.add_argument("--op", choices=("ck", "h", "n", "shuffle", "w"), required=True)
     p.add_argument("input")
-    add_format(p)
-    p.set_defaults(func=cmd_coproduct)
 
-    p = sub.add_parser("operad", help="vertex-replacement composition")
+
+def _operad_args(p):
     p.add_argument("--mode", choices=("prelie", "postlie"), default="prelie")
     p.add_argument("--base", required=True)
     p.add_argument("--inputs", required=True, help="inputs separated by ';'")
     p.add_argument("--assign", help="comma-separated input index per vertex")
-    add_format(p)
-    p.set_defaults(func=cmd_operad)
 
-    for name, help_text, product, operands in (
-        ("substitute", "substitution product of characters", substitute_lb, ("alpha", "beta")),
-        ("compose", "composition product of characters", compose_lb, ("beta", "alpha")),
-    ):
-        p = sub.add_parser(name, help=help_text)
+
+def _series_args(product, operands):
+    def add(p):
         p.add_argument("--alpha", required=True)
         p.add_argument("--beta", required=True)
         p.add_argument("--order", type=int)
-        add_format(p)
-        p.set_defaults(func=cmd_series_product, product=product, operands=operands)
+        p.set_defaults(product=product, operands=operands)
 
-    p = sub.add_parser("bseries", help="evaluate or verify tree-indexed series")
+    return add
+
+
+def _bseries_args(p):
     p.add_argument("action", choices=("eval", "verify"))
     p.add_argument("--field", required=True)
     p.add_argument("--alpha", required=True)
@@ -364,24 +344,70 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int)
     p.add_argument("--y0", default="1")
     p.add_argument("--step", help="rational step; omit to keep it formal")
-    add_format(p)
-    p.set_defaults(func=cmd_bseries)
 
-    p = sub.add_parser("verify", help="run a registered verification law")
+
+def _verify_args(p):
     p.add_argument("law", nargs="?", help="law name; see --list")
     p.add_argument("--all", action="store_true")
     p.add_argument("--list", action="store_true")
     p.add_argument("--order", "-n", type=int)
     p.add_argument("--guard", type=int)
     p.add_argument("--seed", type=int, default=0)
-    add_format(p)
-    p.set_defaults(func=cmd_verify)
 
+
+# command -> (help line, handler, the function that adds its arguments);
+# every command also takes --format, added last
+COMMANDS = {
+    "parse": ("parse and echo an ordered forest", cmd_parse, _forest_args),
+    "canon": ("canonical non-planar form of a forest", cmd_canon, _forest_args),
+    "enumerate": ("enumerate trees of a given size", cmd_enumerate, _enumerate_args),
+    "graft": ("grafting products", cmd_graft, _graft_args),
+    "product": ("concatenation, shuffle or GL product", cmd_product, _product_args),
+    "coproduct": ("coproducts on forests", cmd_coproduct, _coproduct_args),
+    "operad": ("vertex-replacement composition", cmd_operad, _operad_args),
+    "substitute": (
+        "substitution product of characters",
+        cmd_series_product,
+        _series_args(substitute_lb, ("alpha", "beta")),
+    ),
+    "compose": (
+        "composition product of characters",
+        cmd_series_product,
+        _series_args(compose_lb, ("beta", "alpha")),
+    ),
+    "bseries": ("evaluate or verify tree-indexed series", cmd_bseries, _bseries_args),
+    "verify": ("run a registered verification law", cmd_verify, _verify_args),
+}
+
+
+@functools.cache
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, built once per process and ``command``: with a
+    command name it holds that command's subparser alone, else every one.
+    A parser holds no mutable default, so every call parses into a fresh
+    namespace."""
+    parser = argparse.ArgumentParser(
+        prog="lbseries",
+        description="Exact computer algebra for series over rooted trees and forests.",
+    )
+    # one command's parser still lists every command in its usage line (the
+    # full parser derives the same list from its choices)
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        help_text, func, add_arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(func=func)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a command named first needs only its own subparser
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

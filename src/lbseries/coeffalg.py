@@ -55,6 +55,19 @@ def _as_fraction(c) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
 
 
+def _check_keys(data: dict, what: str, allowed: tuple, required: tuple = ()) -> None:
+    """Refuse a JSON object ``data`` read as ``what`` that has a key outside
+    ``allowed`` (a misspelled key would read as its default) or lacks a key
+    of ``required``."""
+    for key in data:
+        if key not in allowed:
+            known = ", ".join(f'"{k}"' for k in allowed)
+            raise ValueError(f"unknown key {key!r} in {what}; the keys are {known}")
+    for key in required:
+        if key not in data:
+            raise ValueError(f'{what} has no "{key}"')
+
+
 class LinComb:
     """A finite linear combination of basis elements with exact coefficients:
     an ``int`` stays an ``int`` and a Fraction or a ``"p/q"`` string is a
@@ -355,11 +368,12 @@ class CharacterMap:
         """Read ``{"order": n, "empty": c, "values": {forest: c}}``; every
         value is a ``"p/q"`` string or an integer.  Each forest gets one
         value: two keys naming one forest, or a key naming the empty forest
-        beside ``"empty"``, are an error."""
+        beside ``"empty"``, are an error, and so is any other key."""
         parse = parse_forest if planar else parse_nonplanar_forest
         values = data.get("values", {}) if isinstance(data, dict) else None
         if not isinstance(values, dict):
             raise ValueError('a character is an object with a "values" object')
+        _check_keys(data, "a character", ("order", "empty", "values"), ("order",))
         parsed = {}
         for key, value in values.items():
             forest = parse(key)

@@ -16,7 +16,7 @@ import operator
 from fractions import Fraction
 from typing import Sequence
 
-from .coeffalg import CharacterMap, LinComb, _as_fraction, bilinear, evaluate
+from .coeffalg import CharacterMap, LinComb, _as_fraction, _check_keys, bilinear, evaluate
 from .prelie import convolve
 from .trees import Forest, NonPlanarTree, enumerate_nonplanar_trees, symmetry_factor
 
@@ -80,6 +80,7 @@ class PolyVectorField:
         and ``hpower`` a non-negative integer."""
         if not isinstance(data, dict) or type(data.get("dim")) is not int:
             raise ValueError('a field is an object with an integer "dim"')
+        _check_keys(data, "a field", ("dim", "components"), ("components",))
         dim = data["dim"]
         components = data["components"]
         if not isinstance(components, list) or len(components) != dim:
@@ -88,10 +89,12 @@ class PolyVectorField:
         for comp in components:
             if not isinstance(comp, dict):
                 raise ValueError(f"a field component is an object, not {comp!r}")
+            _check_keys(comp, "a field component", ("monomials",))
             terms = []
             for mono in comp.get("monomials", []):
                 if not isinstance(mono, dict):
                     raise ValueError(f"a monomial is an object, not {mono!r}")
+                _check_keys(mono, "a monomial", ("coeff", "powers", "hpower"), ("coeff",))
                 powers = mono.get("powers", [0] * dim)
                 if not isinstance(powers, list):
                     raise ValueError(f'"powers" is a list, not {powers!r}')

@@ -174,12 +174,26 @@ class OrderedForest:
 EMPTY_FOREST = OrderedForest()
 
 
+# bracket text -> the tree it names, for every tree the parser has built.
+# Each key is the tree's own ``_text``, and the intern table keeps every
+# tree, so an entry lives as long as its tree.
+_PARSED: dict = {}
+
+
 def parse_forest(text: str) -> OrderedForest:
     """Parse nested-bracket notation into an :class:`OrderedForest`.
 
     Grammar: ``forest := tree*``, ``tree := "[" tree* "]"``; whitespace
     separates top-level trees and is ignored elsewhere between trees.
+
+    A text whose every whitespace-separated word is the bracket text of a
+    tree parsed before is read from ``_PARSED``: such a word holds no
+    whitespace (``str.split`` and ``str.isspace`` agree on it), so it is
+    one whole tree.  Any other text is read one character at a time.
     """
+    trees = [_PARSED.get(word) for word in text.split()]
+    if None not in trees:
+        return OrderedForest(trees)
     pos = 0
     n = len(text)
 
@@ -197,7 +211,9 @@ def parse_forest(text: str) -> OrderedForest:
         if pos >= n:
             raise ForestParseError("unbalanced brackets: missing ']'", pos)
         pos += 1
-        return PlanarTree(children)
+        tree = PlanarTree(children)
+        _PARSED[tree._text] = tree
+        return tree
 
     trees = []
     while pos < n:

@@ -9,7 +9,7 @@ import pytest
 
 import lbseries
 from lbseries import CharacterMap, parse_forest
-from lbseries.cli import run
+from lbseries.cli import COMMANDS, build_parser, run
 from lbseries.laws import law_names
 
 pf = parse_forest
@@ -176,6 +176,32 @@ def test_substitute_and_compose_files(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert "order 2" in out
+
+
+@pytest.mark.parametrize("command", ["substitute", "compose"])
+def test_a_series_product_is_rendered_in_the_format_asked_for_only(
+    tmp_path, capsys, monkeypatch, command
+):
+    alpha, beta = tmp_path / "alpha.json", tmp_path / "beta.json"
+    alpha.write_text(json.dumps(CharacterMap(2, 0, [(pf("[]"), 1), (pf("[[]]"), 2)]).to_json()))
+    beta.write_text(json.dumps(CharacterMap(2, 1, [(pf("[]"), 3)]).to_json()))
+    rendered = []
+
+    def spy(name, render):
+        def wrapped(*args):
+            rendered.append(name)
+            return render(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(lbseries.cli, "_character_text", spy("text", lbseries.cli._character_text))
+    monkeypatch.setattr(CharacterMap, "to_json", spy("json", CharacterMap.to_json))
+    for fmt in ("text", "json"):
+        assert run([command, "--alpha", str(alpha), "--beta", str(beta), "--format", fmt]) == 0
+    assert rendered == ["text", "json"]
+    out = capsys.readouterr().out
+    assert out.startswith("order 2\n")
+    assert json.loads(out.splitlines()[-1])["order"] == 2
 
 
 def test_runs_in_one_process_match_separate_processes(tmp_path, capsys):
@@ -607,6 +633,18 @@ CHARACTER = {"order": 1, "empty": "1", "values": {"[]": "1/2"}}
         ("character", {**CHARACTER, "values": {"": "3", "[]": "1/2"}}),
         ("tree character", {"order": 4, "values": {"[[][[]]]": "2", "[[[]][]]": "2"}}),
         ("character", {"order": -1, "empty": "1", "values": {}}),
+        # a refused value beside accepted ones
+        ("character", {"order": 2, "values": {"[]": "1/2", "[[]]": "0x10", "[] []": "1/2"}}),
+        ("character", {"order": 2, "values": {"[]": 1, "[[]]": True}}),
+        # a misspelled or missing key is not read as its default
+        ("character", {"order": 2, "emtpy": "1", "values": {"[]": "1"}}),
+        ("character", {"empty": "1", "values": {"[]": "1"}}),
+        ("tree character", {**CHARACTER, "valeus": {}}),
+        ("field", {"dim": 1, "components": [{"monomials": [{"coeff": "1", "power": [2]}]}]}),
+        ("field", {"dim": 1, "components": [{"monomial": MONOMIALS[0]["monomials"]}]}),
+        ("field", {"dim": 1, "components": MONOMIALS, "order": 2}),
+        ("field", {"dim": 1}),
+        ("field", {"dim": 1, "components": [{"monomials": [{"powers": [2]}]}]}),
     ],
 )
 def test_inexact_or_malformed_json_is_an_input_error(tmp_path, capsys, kind, doc):
@@ -626,3 +664,83 @@ def test_inexact_or_malformed_json_is_an_input_error(tmp_path, capsys, kind, doc
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot read {kind.split()[-1]} file")
+
+
+@pytest.mark.parametrize(
+    "kind, doc, message",
+    [
+        ("character", {"values": {"[]": "1"}}, 'a character has no "order"'),
+        ("character", {**CHARACTER, "emtpy": "1"}, "unknown key 'emtpy' in a character"),
+        (
+            "field",
+            {"dim": 1, "components": [{"monomials": [{"coeff": "1", "power": [2]}]}]},
+            "unknown key 'power' in a monomial",
+        ),
+        ("field", {"dim": 1}, 'a field has no "components"'),
+    ],
+)
+def test_a_bad_key_is_named(tmp_path, capsys, kind, doc, message):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    good.write_text(json.dumps(CHARACTER))
+    if kind == "character":
+        argv = ["substitute", "--alpha", str(bad), "--beta", str(good)]
+    else:
+        argv = ["bseries", "eval", "--field", str(bad), "--alpha", str(good), "--order", "1"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {kind} file {bad}: {message}")
+
+
+def _parse_outcome(parser, argv, capsys):
+    try:
+        parser.parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_command_parser_prints_what_the_full_parser_prints(capsys, command):
+    for argv in ([command, "--help"], [command], [command, "--format", "xml"], [command, "--zzz"]):
+        alone = _parse_outcome(build_parser(command), argv, capsys)
+        assert alone == _parse_outcome(build_parser(), argv, capsys), argv
+    help_text = _parse_outcome(build_parser(command), [command, "-h"], capsys)[1]
+    assert help_text.startswith(f"usage: lbseries {command} [-h]")
+
+
+def test_a_command_named_first_builds_its_own_parser_alone(tmp_path):
+    alpha, beta = tmp_path / "alpha.json", tmp_path / "beta.json"
+    alpha.write_text(json.dumps({**CHARACTER, "empty": "0"}))
+    beta.write_text(json.dumps(CHARACTER))
+    script = f"""
+import argparse, contextlib, io
+progs = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    progs.append(self.prog)
+argparse.ArgumentParser.__init__ = counted
+from lbseries.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    assert run(["substitute", "--alpha", {str(alpha)!r}, "--beta", {str(beta)!r}]) == 0
+print(progs)
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lbseries.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['lbseries', 'lbseries substitute']\n"
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lbseries.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lbseries", "parse", "[[] []]"],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[[][]]\n", "")

@@ -25,6 +25,7 @@ from lbseries import (
     parse_tree,
     symmetry_factor,
 )
+from lbseries import trees
 from lbseries.trees import LEAF
 
 
@@ -46,12 +47,61 @@ def test_parse_planar_distinct():
 
 @pytest.mark.parametrize(
     "text,pos",
-    [("[[]", 3), ("[]]", 2), ("[a]", 1), ("hello", 0)],
+    [("[[]", 3), ("[]]", 2), ("[a]", 1), ("hello", 0), ("[] x", 3), ("[[] []] [x]", 9), ("[]\t]", 3)],
 )
-def test_parse_errors_carry_position(text, pos):
+def test_parse_errors_carry_position(monkeypatch, text, pos):
+    """The same error, also once the well-formed pieces are known trees."""
+    monkeypatch.setattr(trees, "_PARSED", {})
     with pytest.raises(ForestParseError) as err:
         parse_forest(text)
     assert err.value.position == pos
+    for piece in ("[]", "[[]]", "[[] []]", "[ ]", "a", "x", "]"):
+        try:
+            parse_forest(piece)
+        except ForestParseError:
+            pass
+    assert "[[]]" in trees._PARSED and "]" not in trees._PARSED
+    with pytest.raises(ForestParseError) as again:
+        parse_forest(text)
+    assert (again.value.position, str(again.value)) == (pos, str(err.value))
+
+
+def test_every_tree_the_parser_builds_is_known_by_its_own_text(monkeypatch):
+    monkeypatch.setattr(trees, "_PARSED", {})
+    for n in range(0, 7):
+        for forest in enumerate_ordered_forests(n):
+            assert parse_forest(forest.serialize()) is forest
+            # every tree of the forest, and below it, is now in the table
+            for tree in forest.trees:
+                assert trees._PARSED[tree.serialize()] is tree
+                assert all(trees._PARSED[c.serialize()] is c for c in tree.children)
+            # so this parse reads the table alone
+            assert parse_forest(forest.serialize()) is forest
+    keys = {id(key) for key in trees._PARSED}
+    assert keys == {id(tree.serialize()) for tree in trees._PARSED.values()}
+
+
+@pytest.mark.parametrize(
+    "text,serialized",
+    [
+        (" [[] []] ", "[[][]]"),
+        ("[]\t[[]]", "[] [[]]"),
+        ("\n[[]]\n[] ", "[[]] []"),
+        ("[ ]", "[]"),
+        ("[[]\x0b[]]", "[[][]]"),
+        ("[]\u2003[]", "[] []"),
+        ("  ", ""),
+        ("", ""),
+    ],
+)
+def test_whitespace_reads_as_the_character_parser_reads_it(monkeypatch, text, serialized):
+    monkeypatch.setattr(trees, "_PARSED", {})
+    by_characters = parse_forest(text)
+    assert by_characters.serialize() == serialized
+    for n in range(0, 5):
+        for forest in enumerate_ordered_forests(n):
+            parse_forest(forest.serialize())
+    assert parse_forest(text) is by_characters
 
 
 def test_parse_tree_rejects_forests():
