@@ -68,6 +68,14 @@ def _check_keys(data: dict, what: str, allowed: tuple, required: tuple = ()) -> 
             raise ValueError(f'{what} has no "{key}"')
 
 
+def truncation_order(order) -> int:
+    """``order`` if it is a non-negative ``int`` (a ``bool`` is not one);
+    a truncated character or series is refused any other."""
+    if type(order) is not int or order < 0:
+        raise ValueError(f"truncation order must be a non-negative integer, not {order!r}")
+    return order
+
+
 class LinComb:
     """A finite linear combination of basis elements with exact coefficients:
     an ``int`` stays an ``int`` and a Fraction or a ``"p/q"`` string is a
@@ -310,11 +318,7 @@ class CharacterMap:
     __slots__ = ("order", "empty_value", "values", "_logarithmic", "_contraction")
 
     def __init__(self, order: int, empty_value=0, values=None):
-        if type(order) is not int or order < 0:
-            raise ValueError(
-                f"truncation order must be a non-negative integer, not {order!r}"
-            )
-        self.order = order
+        self.order = truncation_order(order)
         self.empty_value = _as_fraction(empty_value)
         self.values = {}
         self._logarithmic = None
@@ -341,7 +345,10 @@ class CharacterMap:
 
     def truncated(self, order: int) -> "CharacterMap":
         """The character cut to truncation ``order``: its values on larger
-        forests are dropped."""
+        forests are dropped.  An order above the character's own is refused,
+        as the values there were never given."""
+        if truncation_order(order) > self.order:
+            raise ValueError(f"order {order} is above the character's order {self.order}")
         values = [(b, c) for b, c in self.values.items() if b.vertex_count <= order]
         return CharacterMap(order, self.empty_value, values)
 
@@ -413,18 +420,6 @@ def is_primitive_shuffle(x: LinComb, order: int) -> bool:
     return True
 
 
-def _shuffle_pairs(order: int):
-    """Each unordered pair of non-empty forests up to ``order`` in all, once:
-    shuffle commutes, and :func:`is_exponential` is symmetric in the pair."""
-    for total in range(2, order + 1):
-        for left_size in range(1, total // 2 + 1):
-            lefts = enumerate_ordered_forests(left_size)
-            rights = enumerate_ordered_forests(total - left_size)
-            for i, left in enumerate(lefts):
-                for right in rights[i:] if 2 * left_size == total else rights:
-                    yield left, right
-
-
 def is_logarithmic(alpha: CharacterMap) -> bool:
     """Zero on the empty forest and on every proper shuffle up to the order.
     The shuffle check runs once per character; its answer is cached."""
@@ -434,28 +429,43 @@ def is_logarithmic(alpha: CharacterMap) -> bool:
 
 
 def _vanishes_on_shuffles(alpha: CharacterMap) -> bool:
-    """Zero on the empty forest and on a basis of the proper shuffles up to
-    the order, in ``int``.
+    """Zero on the empty forest and on each product of Lyndon factors
+    (:func:`_lyndon_products`)."""
+    return alpha.empty_value == 0 and all(lhs == 0 for lhs, _ in _lyndon_products(alpha))
+
+
+def is_exponential(alpha: CharacterMap) -> bool:
+    """One on the empty forest and multiplicative on shuffles up to the
+    order: on each product of Lyndon factors, the first factor times the
+    product of the rest (:func:`_lyndon_products`)."""
+    return alpha.empty_value == 1 and all(lhs == rhs for lhs, rhs in _lyndon_products(alpha))
+
+
+def _lyndon_products(alpha: CharacterMap):
+    """``(E**2 * alpha(L1 sh P), E * alpha(L1) * E * alpha(P))`` in ``int``
+    for each forest up to the order whose Lyndon factorization
+    ``L1 ... Lk`` has ``k >= 2`` factors, where ``P = L2 sh ... sh Lk``
+    and ``E`` is alpha's scale (:func:`integer_values`).
 
     The shuffle algebra over Q is the polynomial algebra on Lyndon words
     (Radford; Reutenauer, *Free Lie Algebras*, 1993, ch. 6), here words of
     planar trees ordered by ``(vertex_count, serialize())``.  So the
-    products ``L1 sh ... sh Lk`` of the Lyndon factorizations
-    ``w = L1 ... Lk`` with ``k >= 2``, one per forest ``w``, span the
-    proper shuffles of each size: alpha is checked on those alone.  A
-    product is the first factor shuffled with the product of the rest,
-    kept below the top order; alpha is scaled once (:func:`integer_values`).
+    products ``L1 sh ... sh Lk``, one per forest, are a basis of each size,
+    those with ``k >= 2`` span the proper shuffles, and the shuffle of two
+    products is the product of all their factors.  Hence alpha vanishes
+    on the proper shuffles iff every first value is 0, and it is
+    multiplicative on shuffles iff every pair agrees.  A product is the first factor
+    shuffled with the product of the rest; its terms are kept below the
+    top order, and ``E * alpha`` on it in ``at``.
     """
-    if alpha.empty_value != 0:
-        return False
     order = alpha.order
     # each size's trees are listed by serialization
     trees = (t for n in range(1, order + 1) for t in enumerate_planar_trees(n))
     letter = {t: i for i, t in enumerate(trees)}
-    _, weight = integer_values(alpha, EMPTY_FOREST)
-    # every proper shuffle has two or more trees
-    value = {tuple(map(letter.get, f.trees)): c for f, c in weight.items() if len(f) > 1}
+    scale, weight = integer_values(alpha, EMPTY_FOREST)
+    value = {tuple(map(letter.get, f.trees)): c for f, c in weight.items()}
     products: dict = {}
+    at: dict = {}
     for size in range(2, order + 1):
         for forest in enumerate_ordered_forests(size):
             word = tuple(map(letter.get, forest.trees))
@@ -467,9 +477,9 @@ def _vanishes_on_shuffles(alpha: CharacterMap) -> bool:
             if size < order:
                 products[word] = _summed({}, terms)
                 terms = products[word].items()
-            if sum(c * value.get(w, 0) for w, c in terms):
-                return False
-    return True
+            at[word] = sum(c * value.get(w, 0) for w, c in terms)
+            # a Lyndon word is its own product
+            yield scale * at[word], value.get(head, 0) * at.get(rest, value.get(rest, 0))
 
 
 def _lyndon_prefix(word: tuple) -> int:
@@ -485,25 +495,15 @@ def _lyndon_prefix(word: tuple) -> int:
 def _shuffled_words(head: tuple, x: dict):
     """The terms ``(w, c)`` of ``head`` shuffled with the combination ``x``
     of words, one per interleaving: ``head``'s letters go to the positions
-    of each ``combinations`` pick, the other word's fill the rest."""
+    of each ``combinations`` pick, the other word's fill the rest.  The
+    picks come in lexicographic order, so for each word of ``x`` the
+    interleavings that take ``head``'s next letter first come first."""
     for b, c in x.items():
         for picks in combinations(range(len(head) + len(b)), len(head)):
             w = list(b)
             for p, a in zip(picks, head):
                 w.insert(p, a)
             yield tuple(w), c
-
-
-def is_exponential(alpha: CharacterMap) -> bool:
-    """One on the empty forest and multiplicative on shuffles up to the order."""
-    from .postlie import shuffle
-
-    if alpha.empty_value != 1:
-        return False
-    for left, right in _shuffle_pairs(alpha.order):
-        if alpha.on_comb(shuffle(left, right)) != alpha(left) * alpha(right):
-            return False
-    return True
 
 
 def integer_weights(values: dict) -> tuple[int, dict]:

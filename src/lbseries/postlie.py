@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .coeffalg import LinComb, bilinear, format_lincomb, leg_terms
+from .coeffalg import LinComb, _shuffled_words, bilinear, format_lincomb, leg_terms
 from .trees import EMPTY_FOREST, OrderedForest, PlanarTree, _grafted
 
 
@@ -72,22 +72,9 @@ def gl_product(f1: OrderedForest, f2: OrderedForest) -> LinComb:
 @lru_cache(maxsize=None)
 def shuffle(f1: OrderedForest, f2: OrderedForest) -> LinComb:
     """Sum of all interleavings of the two tree sequences (cached, so every
-    caller shares a pair's interleavings)."""
-    terms = [(w, 1) for w in _shuffle_words(f1.trees, f2.trees)]
-    return LinComb(terms)
-
-
-def _shuffle_words(a: tuple, b: tuple):
-    if not a:
-        yield OrderedForest(b)
-        return
-    if not b:
-        yield OrderedForest(a)
-        return
-    for rest in _shuffle_words(a[1:], b):
-        yield OrderedForest((a[0],) + rest.trees)
-    for rest in _shuffle_words(a, b[1:]):
-        yield OrderedForest((b[0],) + rest.trees)
+    caller shares a pair's interleavings), built by the interleaving routine
+    of the Lyndon-product check (``coeffalg._shuffled_words``)."""
+    return LinComb((OrderedForest(w), c) for w, c in _shuffled_words(f1.trees, {f2.trees: 1}))
 
 
 @lru_cache(maxsize=None)

@@ -13,6 +13,7 @@ from .coeffalg import (
     format_lincomb,
     integer_values,
     pair_legs,
+    truncation_order,
 )
 from .postlie import _cuts_below, _kept_cuts, b_minus, b_plus, concat, left_graft, shuffle
 from .subst import _alpha_contraction, _contracted, _require_logarithmic, star_w
@@ -25,7 +26,7 @@ class TruncatedSeries:
     __slots__ = ("order", "element")
 
     def __init__(self, order: int, element: LinComb):
-        self.order = int(order)
+        self.order = truncation_order(order)
         self.element = LinComb(
             (f, c) for f, c in element.items() if f.vertex_count <= order
         )

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 from lbseries import CharacterMap, LinComb
-from lbseries.coeffalg import _shuffle_pairs, convolve_through
+from lbseries.coeffalg import convolve_through
 from lbseries.postlie import LiePoly, bracket, delta_n, shuffle
 from lbseries.subst import delta_w
 from lbseries.trees import OrderedForest, enumerate_ordered_forests, enumerate_planar_trees
@@ -55,6 +55,18 @@ def eval_multiplicative(character: CharacterMap, factors) -> Fraction:
     return math.prod(map(character, factors), start=Fraction(1))
 
 
+def _shuffle_pairs(order: int):
+    """Each unordered pair of non-empty forests up to ``order`` in all, once:
+    shuffle commutes, and both pairwise oracles are symmetric in the pair."""
+    for total in range(2, order + 1):
+        for left_size in range(1, total // 2 + 1):
+            lefts = enumerate_ordered_forests(left_size)
+            rights = enumerate_ordered_forests(total - left_size)
+            for i, left in enumerate(lefts):
+                for right in rights[i:] if 2 * left_size == total else rights:
+                    yield left, right
+
+
 def vanishes_on_shuffle_pairs(alpha: CharacterMap) -> bool:
     """The pairwise oracle of ``is_logarithmic``: zero on the empty forest
     and on the shuffle of each unordered pair of non-empty forests up to the
@@ -63,6 +75,16 @@ def vanishes_on_shuffle_pairs(alpha: CharacterMap) -> bool:
         return False
     pairs = _shuffle_pairs(alpha.order)
     return all(alpha.on_comb(shuffle(left, right)) == 0 for left, right in pairs)
+
+
+def multiplicative_on_shuffle_pairs(alpha: CharacterMap) -> bool:
+    """The pairwise oracle of ``is_exponential``: one on the empty forest
+    and ``alpha(u sh v) == alpha(u) * alpha(v)`` for each unordered pair of
+    non-empty forests up to the order."""
+    if alpha.empty_value != 1:
+        return False
+    pairs = _shuffle_pairs(alpha.order)
+    return all(alpha.on_comb(shuffle(u, v)) == alpha(u) * alpha(v) for u, v in pairs)
 
 
 def compose_through_delta_n(beta: CharacterMap, alpha: CharacterMap) -> CharacterMap:

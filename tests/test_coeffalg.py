@@ -22,7 +22,11 @@ from lbseries import (
     tensor,
 )
 from lbseries.coeffalg import convolve_through, leg_terms
-from lbseries.laws import random_logarithmic_character, random_tree_character
+from lbseries.laws import (
+    random_exponential_character,
+    random_logarithmic_character,
+    random_tree_character,
+)
 from lbseries.postlie import bracket, concat, delta_n, gl_product, LiePoly, shuffle
 from lbseries.prelie import convolve
 from lbseries.seriesmorph import compose_lb
@@ -40,6 +44,7 @@ from characters import (
     compose_through_delta_n,
     eval_multiplicative,
     lie_character,
+    multiplicative_on_shuffle_pairs,
     star_w_through_delta_w,
     vanishes_on_shuffle_pairs,
 )
@@ -157,19 +162,33 @@ def test_a_change_on_one_forest_is_seen_by_the_shuffle_checks():
 
 def test_the_lyndon_check_rejects_what_the_pairwise_check_rejects():
     """A logarithmic character changed on one forest at a time, up to order
-    6: ``is_logarithmic``, which checks the products of Lyndon factors, and
-    the pairwise oracle reject the same characters."""
-    for alpha in (
+    6, and an exponential one, orders 2 to 5, the empty forest included:
+    ``is_logarithmic`` and ``is_exponential``, which check the products of
+    Lyndon factors, and their pairwise oracles reject the same characters,
+    and some changed characters keep the property."""
+    logarithmic = (
         lie_character(6, random.Random(18)),
         random_logarithmic_character(5, random.Random(19)),
-    ):
-        assert is_logarithmic(alpha) and vanishes_on_shuffle_pairs(alpha)
+    )
+    exponential = tuple(
+        random_exponential_character(order, random.Random(f"exp-{order}-{seed}"))
+        for order in range(2, 6)
+        for seed in range(2)
+    )
+    cases = [(alpha, is_logarithmic, vanishes_on_shuffle_pairs) for alpha in logarithmic]
+    cases += [(alpha, is_exponential, multiplicative_on_shuffle_pairs) for alpha in exponential]
+    for alpha, check, oracle in cases:
+        assert check(alpha) and oracle(alpha)
+        answers = set()
         for n in range(alpha.order + 1):
             for f in enumerate_ordered_forests(n):
                 values = dict(alpha.values)
                 values[f] = alpha(f) + 1
                 changed = CharacterMap(alpha.order, alpha.empty_value, values)
-                assert is_logarithmic(changed) == vanishes_on_shuffle_pairs(changed), f
+                answer = check(changed)
+                assert answer == oracle(changed), f
+                answers.add(answer)
+        assert answers == {True, False}
 
 
 def _kernel(rows: list, columns: tuple) -> list[dict]:
@@ -262,6 +281,14 @@ def test_character_calls_and_truncation():
     assert CharacterMap(0, 5, [(pf(""), 7)])(pf("")) == 7
     with pytest.raises(ValueError):
         CharacterMap(-1, 1)
+    # a cut drops the larger forests; a raise would claim values never given
+    alpha = CharacterMap(2, 1, [(pf("[]"), 2), (pf("[[]]"), 3)])
+    assert alpha.truncated(2) == alpha
+    assert alpha.truncated(1) == CharacterMap(1, 1, [(pf("[]"), 2)])
+    with pytest.raises(ValueError, match="order 5 is above the character's order 2"):
+        alpha.truncated(5)
+    with pytest.raises(ValueError, match="truncation order must be a non-negative integer"):
+        alpha.truncated(1.5)
 
 
 def test_character_json_round_trip(tmp_path):

@@ -174,6 +174,33 @@ def test_shuffle_worked_example():
     assert shuffle(f1, f2) == expected
 
 
+def _shuffle_words(a: tuple, b: tuple):
+    """The interleavings of two tree sequences, recursively: those that
+    start with ``a``'s first tree, then those that start with ``b``'s."""
+    if not a:
+        yield OrderedForest(b)
+        return
+    if not b:
+        yield OrderedForest(a)
+        return
+    for rest in _shuffle_words(a[1:], b):
+        yield OrderedForest((a[0],) + rest.trees)
+    for rest in _shuffle_words(a, b[1:]):
+        yield OrderedForest((b[0],) + rest.trees)
+
+
+def test_shuffle_keeps_the_recursive_term_order():
+    """``shuffle`` lists its terms in the order of the recursive
+    interleavings, each counted where it first comes, on every pair up to
+    total order 6: ``LinComb`` keeps the first of two equal keys, and the
+    brackets ``rho_oracle`` prints depend on the order of summation."""
+    for f1, f2 in forest_pairs(enumerate_ordered_forests, 6):
+        counts: dict = {}
+        for w in _shuffle_words(f1.trees, f2.trees):
+            counts[w] = counts.get(w, 0) + 1
+        assert list(shuffle.__wrapped__(f1, f2).items()) == list(counts.items()), (f1, f2)
+
+
 def test_shuffle_unit():
     for n in range(0, 4):
         for forest in enumerate_ordered_forests(n):

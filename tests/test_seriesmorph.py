@@ -37,6 +37,18 @@ from digests import character_digest
 pf = parse_forest
 
 
+def test_a_truncation_order_is_a_non_negative_int():
+    """``TruncatedSeries`` refuses the orders ``CharacterMap`` refuses, with
+    its message: a float is not cut down, nor a string read, as an order."""
+    element = LinComb.of(EMPTY_FOREST)
+    makers = (lambda order: TruncatedSeries(order, element), CharacterMap)
+    for order in (2.9, 2.0, "3", True, -1, None):
+        for make in makers:
+            with pytest.raises(ValueError, match="truncation order must be a non-negative integer"):
+                make(order)
+    assert TruncatedSeries(0, element).order == 0
+
+
 def test_series_of_examples():
     delta_dot = CharacterMap(3, 0, [(pf("[]"), 1)])
     series = series_of(delta_dot)
