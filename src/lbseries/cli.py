@@ -57,6 +57,10 @@ def _emit(args, payload, text: str) -> None:
         print(text)
 
 
+def _emit_comb(args, comb: LinComb) -> None:
+    _emit(args, _comb_payload(comb), format_lincomb(comb))
+
+
 def _parse_bracket(text: str, labels):
     """Parse ``{x, y}`` bracket syntax over planar trees into a bracket/graft
     expression whose vertices take the next labels, left to right."""
@@ -135,38 +139,35 @@ def cmd_graft(args) -> int:
         f1 = parse_forest(args.left)
         f2 = parse_forest(args.right)
         result = left_graft(LinComb.of(f1), LinComb.of(f2))
-    _emit(args, _comb_payload(result), format_lincomb(result))
+    _emit_comb(args, result)
     return 0
 
 
+# --op -> the product of two ordered forests
+PRODUCTS = {
+    "concat": lambda f1, f2: LinComb.of(f1.concat(f2)),
+    "shuffle": shuffle,
+    "gl": gl_product,
+}
+
+# --op -> (the parser of its input, the coproduct)
+COPRODUCTS = {
+    "ck": (parse_nonplanar_forest, delta_ck),
+    "h": (parse_nonplanar_forest, delta_h),
+    "n": (parse_forest, delta_n),
+    "shuffle": (parse_forest, delta_shuffle),
+    "w": (parse_forest, delta_w),
+}
+
+
 def cmd_product(args) -> int:
-    f1 = parse_forest(args.left)
-    f2 = parse_forest(args.right)
-    if args.op == "concat":
-        result = LinComb.of(f1.concat(f2))
-    elif args.op == "shuffle":
-        result = shuffle(f1, f2)
-    elif args.op == "gl":
-        result = gl_product(f1, f2)
-    else:
-        raise CliError(f"unknown product {args.op!r}")
-    _emit(args, _comb_payload(result), format_lincomb(result))
+    _emit_comb(args, PRODUCTS[args.op](parse_forest(args.left), parse_forest(args.right)))
     return 0
 
 
 def cmd_coproduct(args) -> int:
-    if args.op in ("ck", "h"):
-        forest = parse_nonplanar_forest(args.input)
-        result = delta_ck(forest) if args.op == "ck" else delta_h(forest)
-    elif args.op == "n":
-        result = delta_n(parse_forest(args.input))
-    elif args.op == "shuffle":
-        result = delta_shuffle(parse_forest(args.input))
-    elif args.op == "w":
-        result = delta_w(parse_forest(args.input))
-    else:
-        raise CliError(f"unknown coproduct {args.op!r}")
-    _emit(args, _comb_payload(result), format_lincomb(result))
+    parse, coproduct = COPRODUCTS[args.op]
+    _emit_comb(args, coproduct(parse(args.input)))
     return 0
 
 
@@ -176,17 +177,11 @@ def cmd_operad(args) -> int:
     if args.mode == "prelie":
         base = canonicalize(parse_tree(args.base))
         trees = [canonicalize(parse_tree(c)) for c in inputs]
-        result = compose_prelie_operad(trees, base, assignment)
-        _emit(args, _comb_payload(result), format_lincomb(result))
+        _emit_comb(args, compose_prelie_operad(trees, base, assignment))
     else:
         expr = _parse_bracket(args.base, itertools.count())
         polys = [_lie_poly(c) for c in inputs]
-        result = compose_postlie_operad(polys, expr, assignment)
-        _emit(
-            args,
-            _comb_payload(result.expansion),
-            format_lincomb(result.expansion),
-        )
+        _emit_comb(args, compose_postlie_operad(polys, expr, assignment).expansion)
     return 0
 
 
@@ -309,13 +304,13 @@ def _graft_args(p):
 
 
 def _product_args(p):
-    p.add_argument("--op", choices=("concat", "shuffle", "gl"), required=True)
+    p.add_argument("--op", choices=PRODUCTS, required=True)
     p.add_argument("left")
     p.add_argument("right")
 
 
 def _coproduct_args(p):
-    p.add_argument("--op", choices=("ck", "h", "n", "shuffle", "w"), required=True)
+    p.add_argument("--op", choices=COPRODUCTS, required=True)
     p.add_argument("input")
 
 

@@ -21,6 +21,11 @@ forests, rest) pair that a block of a top-order forest leaves, and weighs
 it by the block's part.  ``delta_w`` and ``rho_oracle`` pass a
 universal leg, whose summed values are the words, over one memo each for
 the process; they serve ``coproduct --op w``, the laws and the tests.
+
+``admissible_partitions`` reads the same cache: it lays each block on the
+vertices of one ``_ForestIndex`` of the forest, the numbering that the
+expressions (``forest_expr``) read too, and partitions what the block
+leaves in turn.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from fractions import Fraction
 from typing import Sequence
 
@@ -103,50 +108,35 @@ def expr_labels(expr) -> list[int]:
     return expr_labels(expr.left) + expr_labels(expr.right)
 
 
-def tree_expr(tree: PlanarTree, labels: Sequence[int] | None = None):
-    """Decompose a planar tree into grafting of its root forest onto its root.
-
-    Vertex labels follow preorder (root first, children in stored order);
-    custom labels may be supplied in that same order.  The root forest
-    lists the children planar left to right, which is reversed stored order.
-    """
-    if labels is None:
-        labels = range(tree.vertex_count)
-    labels = list(labels)
-    if len(labels) != tree.vertex_count:
-        raise ValueError("label count must match the vertex count")
-    counter = itertools.count()
-
-    def build(node: PlanarTree):
-        my = labels[next(counter)]
-        children = [build(c) for c in node.children][::-1]
-        expr = Leaf(my)
-        if children:
-            forest = children[0]
-            for extra in children[1:]:
-                forest = Concat(forest, extra)
-            expr = Graft(forest, expr)
-        return expr
-
-    return build(tree)
-
-
 def forest_expr(forest: OrderedForest, labels: Sequence[int] | None = None):
-    """Concatenation of per-tree expressions, preorder labels across the forest."""
+    """Concatenation of per-tree expressions, each tree the grafting of its
+    root forest onto its root.
+
+    Vertex labels follow the preorder of ``_ForestIndex`` (tree by tree, root
+    first, children in stored order); custom labels may be supplied in that
+    same order, one per vertex.  A root forest lists the children planar
+    left to right, which is reversed stored order.
+    """
     if forest.is_empty:
         raise ValueError("the empty forest has no expression")
-    if labels is None:
-        labels = range(forest.vertex_count)
-    labels = list(labels)
-    exprs = []
-    offset = 0
-    for t in forest.trees:
-        exprs.append(tree_expr(t, labels[offset : offset + t.vertex_count]))
-        offset += t.vertex_count
-    out = exprs[0]
-    for e in exprs[1:]:
-        out = Concat(out, e)
-    return out
+    index = _ForestIndex(forest.trees)
+    labels = list(range(index.n) if labels is None else labels)
+    if len(labels) != index.n:
+        raise ValueError("label count must match the vertex count")
+
+    def build(v: int):
+        expr = Leaf(labels[v])
+        if index.children[v]:
+            expr = Graft(reduce(Concat, map(build, reversed(index.children[v]))), expr)
+        return expr
+
+    return reduce(Concat, map(build, index.roots))
+
+
+def tree_expr(tree: PlanarTree, labels: Sequence[int] | None = None):
+    """The one-tree case of :func:`forest_expr`: the grafting of the tree's
+    root forest onto its root."""
+    return forest_expr(OrderedForest((tree,)), labels)
 
 
 def _expr_env(
@@ -238,45 +228,6 @@ def _tree_blocks(tree: PlanarTree) -> tuple:
     return tuple(blocks)
 
 
-def _run_blocks(trees: Sequence[PlanarTree]):
-    """The blocks whose roots are a run of sibling trees from the first:
-    for each run ``trees[:end]`` in turn, its blocks as (part trees in
-    stored order, hanging) pairs, each tree rooting a block of its own
-    (``_tree_blocks``).  This and ``_tree_blocks`` are the one statement of
-    the block rule; partitions and coactions read it."""
-    taken = [((), ())]
-    for tree in trees:
-        taken = [(ps + (p,), hs + h) for ps, hs in taken for p, h in _tree_blocks(tree)]
-        yield taken
-
-
-def _blocks_at(index: _ForestIndex, siblings: list[int], v: int):
-    """The kept blocks opened at ``v``, as (vertex bitmask, (block, part,
-    roots, part vertices)): the roots are a run of ``siblings`` starting at
-    ``v`` (``_run_blocks``).  Stored order is planar for top-level roots,
-    reversed for the children of a vertex."""
-
-    def members(u: int, tree: PlanarTree) -> list[int]:
-        # a block vertex takes the first of its stored children, as many as
-        # its part tree has
-        out = [u]
-        for c, sub in zip(index.children[u], tree.children):
-            out += members(c, sub)
-        return out
-
-    run = siblings[index.position[v] :]
-    planar = index.parent[v] is None
-    for end, combos in enumerate(_run_blocks([index.subtree[r] for r in run]), 1):
-        roots = run[:end] if planar else run[:end][::-1]
-        for trees, _ in combos:
-            trees = trees if planar else trees[::-1]
-            part = OrderedForest(trees)
-            if not _vanishing_part(part):
-                visited = tuple(u for r, t in zip(roots, trees) for u in members(r, t))
-                mask = sum(1 << u for u in visited)
-                yield mask, (frozenset(visited), part, tuple(roots), visited)
-
-
 def _in_order_bracketings(trees: tuple[PlanarTree, ...]) -> list[LiePoly]:
     """All binary bracketings of the trees in their given order."""
     leaves = [LiePoly.from_tree(t) for t in trees]
@@ -309,53 +260,72 @@ def _vanishing_part(part: OrderedForest) -> bool:
 def admissible_partitions(forest: OrderedForest) -> list[AdmissiblePartition]:
     """Vertex partitions whose parts can be grafted back into a smaller forest.
 
-    Blocks are built in preorder: the first unassigned vertex opens a block
-    whose roots are a run of adjacent siblings starting there (top-level
-    roots, or children of one vertex) and which takes a prefix of each
-    member's stored child list, so internal edges sit planar-right of
-    grafted-in material.  Every block so built meets these rules, and each
-    partition is built once.  Blocks whose part has two or more trees, all
-    equal, are left out: no in-order Lie bracketing of such a part is
-    nonzero, and keeping them breaks coassociativity of the coaction.
-    Nothing is cached here; the coaction does not list partitions, it
-    walks only the blocks at a forest's first vertex (``_skeleton``).
+    The block that holds a forest's first vertex is one of its kept blocks
+    (``_skeleton``): its roots are a run of the forest's first trees, and
+    each of its vertices takes a prefix of its stored children, so internal
+    edges sit planar-right of grafted-in material.  Each block is laid on
+    the host vertices of one ``_ForestIndex`` from its roots, and the
+    forests it leaves (the children its vertices do not take, planar left
+    to right, and the trees past its roots) are partitioned in turn, so
+    each partition is built once.  Blocks whose part has two or more trees,
+    all equal, are left out: no in-order Lie bracketing of such a part is
+    nonzero, and keeping them breaks coassociativity of the coaction.  The
+    coaction does not list partitions; it reads ``_skeleton`` alone.
     """
     index = _ForestIndex(forest.trees)
-    # each kept block, with its part, once per host: listed at its first vertex
-    blocks_at = [
-        list(_blocks_at(index, index.roots if p is None else index.children[p], v))
-        for v, p in enumerate(index.parent)
-    ]
-    full = (1 << index.n) - 1
     out = []
 
-    def rec(assigned: int, picked: tuple) -> None:
-        if assigned == full:
+    def lay(u: int, vertex: PlanarTree, visited: list, hanging: list) -> None:
+        # a block vertex takes the first of its stored children, as many as
+        # its part vertex has; the rest hang below it, planar left to right
+        visited.append(u)
+        kids = index.children[u]
+        if len(vertex.children) < len(kids):
+            hanging.append(tuple(kids[len(vertex.children) :][::-1]))
+        for c, sub in zip(kids, vertex.children):
+            lay(c, sub, visited, hanging)
+
+    def rec(pending: tuple, picked: tuple) -> None:
+        # pending: the host forests still to partition, each as its roots
+        # planar left to right
+        if not pending:
             columns = tuple(zip(*picked)) or ((),) * 4
             out.append(AdmissiblePartition(*columns))
             return
-        v = (~assigned & (assigned + 1)).bit_length() - 1
-        for mask, entry in blocks_at[v]:
-            rec(assigned | mask, picked + (entry,))
+        roots, pending = pending[0], pending[1:]
+        runs = _skeleton(OrderedForest(index.subtree[r] for r in roots))
+        for end, (_, blocks) in enumerate(runs, 1):
+            rest = (roots[end:],) if end < len(roots) else ()
+            for part, _ in blocks:
+                visited, hanging = [], []
+                for r, tree in zip(roots, part.trees):
+                    lay(r, tree, visited, hanging)
+                entry = (frozenset(visited), part, roots[:end], tuple(visited))
+                rec((*hanging, *rest, *pending), picked + (entry,))
 
-    rec(0, ())
+    rec((tuple(index.roots),) if index.roots else (), ())
     return out
 
 
 @lru_cache(maxsize=None)
 def _skeleton(forest: OrderedForest) -> tuple:
-    """The kept blocks at a non-empty forest's first vertex
-    (``_run_blocks``), as (rest, blocks) pairs with blocks (part, hanging).
+    """The kept blocks at a non-empty forest's first vertex, as (rest,
+    blocks) pairs with blocks (part, hanging); with ``_tree_blocks`` the one
+    statement of the block rule, which partitions and coactions read.
 
-    Every other block lies in one of the smaller forests the block leaves:
-    ``hanging`` lists the children its vertices do not take, one forest per
-    vertex, and ``rest`` holds the top-level trees past the block's roots
-    (one per run of roots, so the blocks are grouped by it).  The skeleton
-    does not depend on coefficients, so every use of ``_contracted`` reads
-    this one cache.
+    The roots of such a block are a run of the forest's first trees, each
+    rooting a block of its own (``_tree_blocks``); the part lists them in
+    forest order.  Every other block lies in one of the smaller forests the
+    block leaves: ``hanging`` lists the children its vertices do not take,
+    one forest per vertex, and ``rest`` holds the top-level trees past the
+    block's roots (one per run of roots, so the blocks are grouped by it).
+    The skeleton does not depend on coefficients, so every use of
+    ``_contracted`` reads this one cache.
     """
     runs = []
-    for end, taken in enumerate(_run_blocks(forest.trees), 1):
+    taken = [((), ())]
+    for end, tree in enumerate(forest.trees, 1):
+        taken = [(ps + (p,), hs + h) for ps, hs in taken for p, h in _tree_blocks(tree)]
         parts = ((OrderedForest(ps), hs) for ps, hs in taken)
         blocks = tuple((part, hs) for part, hs in parts if not _vanishing_part(part))
         runs.append((OrderedForest(forest.trees[end:]), blocks))

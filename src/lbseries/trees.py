@@ -264,12 +264,6 @@ class _ForestIndex:
 
         self.roots = [walk(t, None) for t in trees]
         self.n = len(self.parent)
-        # position of a vertex within its parent's stored child list,
-        # or within the forest's top-level list for roots
-        self.position: list[int] = [0] * self.n
-        for sibs in self.children + [self.roots]:
-            for i, c in enumerate(sibs):
-                self.position[c] = i
 
     def parent_map(self, offset: int = 0) -> dict[int, int | None]:
         """Vertex id to parent id (``None`` at roots), all ids shifted by ``offset``."""

@@ -20,6 +20,16 @@ from lbseries.subst import AdmissiblePartition, _nonzero_bracketings
 from lbseries.trees import EMPTY_FOREST, OrderedForest, PlanarTree, _ForestIndex
 
 
+class _Index(_ForestIndex):
+    """The package's vertex numbering with each vertex's position in its
+    parent's stored child list, or in the forest's top-level list for a
+    root."""
+
+    def __init__(self, trees):
+        super().__init__(trees)
+        self.position = {c: i for sibs in self.children + [self.roots] for i, c in enumerate(sibs)}
+
+
 def set_partitions(items: list[int]):
     """Canonical-order set partitions (first item opens the first block)."""
     if not items:
@@ -69,7 +79,7 @@ def part_forest(index: _ForestIndex, block: frozenset[int]):
 def oracle_partitions(forest: OrderedForest) -> list[AdmissiblePartition]:
     """Admissible partitions by filtering all set partitions; a multi-tree
     part is kept iff some in-order Lie bracketing of its trees is nonzero."""
-    index = _ForestIndex(forest.trees)
+    index = _Index(forest.trees)
     out = []
     for raw in set_partitions(list(range(index.n))):
         blocks = tuple(frozenset(b) for b in raw)
@@ -122,7 +132,7 @@ def oracle_contract(forest: OrderedForest, partition: AdmissiblePartition) -> Li
     """Collapse each part to a vertex, one term per planar embedding: child
     parts at one vertex keep their planar order, child parts at different
     vertices of a part take every interleaving."""
-    index = _ForestIndex(forest.trees)
+    index = _Index(forest.trees)
     block_of: dict[int, int] = {}
     for bi, block in enumerate(partition.blocks):
         for v in block:

@@ -91,6 +91,23 @@ def test_symbolic_substitution_display():
         assert lhs == rhs
 
 
+def test_expressions_number_vertices_through_the_forest_index():
+    """``forest_expr`` labels vertices tree by tree in preorder, children in
+    stored order, and lists a root forest planar left to right (reversed
+    stored order); ``tree_expr`` is its one-tree case.  A label list of
+    another length is refused."""
+    assert forest_expr(pf("[[][[]]] []")) == Concat(
+        Graft(Concat(Graft(Leaf(3), Leaf(2)), Leaf(1)), Leaf(0)), Leaf(4)
+    )
+    assert forest_expr(pf("[] [[]]"), [7, 8, 9]) == Concat(Leaf(7), Graft(Leaf(9), Leaf(8)))
+    assert tree_expr(parse_tree("[[]]"), [5, 6]) == Graft(Leaf(6), Leaf(5))
+    for labels in ([0, 1, 2], [0]):
+        with pytest.raises(ValueError, match="label count"):
+            forest_expr(pf("[] []"), labels)
+    with pytest.raises(ValueError, match="label count"):
+        tree_expr(parse_tree("[[]]"), [0, 1, 2])
+
+
 def test_operad_identities():
     base = Bracket(Leaf(0), Graft(Leaf(1), Leaf(2)))
     dots = [lp("[]")] * 3
@@ -178,13 +195,16 @@ def _described(partitions):
 
 def test_admissible_partitions_match_the_set_partition_oracle():
     """The constructive generator gives exactly the partitions that
-    filtering all set partitions gives, each once, with the same parts."""
-    for n in range(0, 7):
-        for forest in enumerate_ordered_forests(n):
-            got = admissible_partitions(forest)
-            described = _described(got)
-            assert len(described) == len(got)
-            assert described == _described(oracle_partitions(forest))
+    filtering all set partitions gives, each once, with the same parts: on
+    every forest up to order 6 and on a seeded sample of orders 7 and 8."""
+    forests = [forest for n in range(0, 7) for forest in enumerate_ordered_forests(n)]
+    for n, count in ((7, 20), (8, 10)):
+        forests += random.Random(f"partitions:{n}").sample(enumerate_ordered_forests(n), count)
+    for forest in forests:
+        got = admissible_partitions(forest)
+        described = _described(got)
+        assert len(described) == len(got)
+        assert described == _described(oracle_partitions(forest))
 
 
 def test_delta_w_matches_the_set_partition_oracle():
