@@ -629,9 +629,17 @@ def law_grading(order: int, guard: int | None, seed: int) -> str | None:
             if left_degree + quotient.vertex_count != forest.vertex_count:
                 return f"{forest.serialize()} -> {word.serialize()}"
     # nested-partition closure: refining a partition by admissible partitions
-    # of its parts stays admissible
+    # of its parts stays admissible; each forest's partitions are built once
+    partitions_of: dict = {}
+
+    def admissible(forest: OrderedForest) -> list:
+        partitions = partitions_of.get(forest)
+        if partitions is None:
+            partitions = partitions_of[forest] = admissible_partitions(forest)
+        return partitions
+
     for forest in _up_to(enumerate_ordered_forests, order, 1):
-        partitions = admissible_partitions(forest)
+        partitions = admissible(forest)
         signatures = {
             tuple(sorted(tuple(sorted(b)) for b in p.blocks)) for p in partitions
         }
@@ -639,7 +647,7 @@ def law_grading(order: int, guard: int | None, seed: int) -> str | None:
             refinements = [
                 [
                     [frozenset(host_ids[i] for i in sub_block) for sub_block in sp.blocks]
-                    for sp in admissible_partitions(part)
+                    for sp in admissible(part)
                 ]
                 for part, host_ids in zip(p.parts, p.part_vertices)
             ]
@@ -724,8 +732,8 @@ REGISTRY: dict[str, tuple[Callable, int]] = {
     "prelie-identity": (law_prelie_identity, 4),
     "postlie-jacobi": (law_postlie_jacobi, 4),
     "dalgebra-axioms": (law_dalgebra_axioms, 3),
-    "ck-coassoc": (law_ck_coassoc, 7),
-    "h-coassoc": (law_h_coassoc, 6),
+    "ck-coassoc": (law_ck_coassoc, 8),
+    "h-coassoc": (law_h_coassoc, 7),
     "n-coassoc": (law_n_coassoc, 7),
     "w-coassoc": (law_w_coassoc, 4),
     "shuffle-bialgebra": (law_shuffle_bialgebra, 4),
@@ -734,7 +742,7 @@ REGISTRY: dict[str, tuple[Callable, int]] = {
     "operad-assoc": (law_operad_assoc, 6),
     "cointeraction": (law_cointeraction, 7),
     "pi-morphism": (law_pi_morphism, 4),
-    "grading": (law_grading, 6),
+    "grading": (law_grading, 7),
     "adjoint": (law_adjoint, 5),
     "substitution-theorem": (law_substitution_theorem, 5),
     "bseries-substitution": (law_bseries_substitution, 6),

@@ -14,6 +14,7 @@ left legs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -115,23 +116,17 @@ def delta_h(forest: Forest) -> LinComb:
 
 
 def _forest_legs(forest: Forest, tree_legs, one) -> dict:
-    """The product, from ``one``, of the maps ``tree_legs(rep)`` of a
-    forest's trees: the tree coproducts are multiplicative."""
-    out = {EMPTY_NP_FOREST: one}
-    for tree in forest.trees:
-        out = _multiplied(out, tree_legs(tree.rep))
-    return out
+    """The product of the maps ``tree_legs(rep)`` of a forest's trees, from
+    the first (the tree coproducts are multiplicative); the empty forest's
+    map is ``{EMPTY_NP_FOREST: one}``."""
+    if forest.is_empty:
+        return {EMPTY_NP_FOREST: one}
+    return functools.reduce(_multiplied, (tree_legs(t.rep) for t in forest.trees))
 
 
 def _pair_mul(x: tuple, y: tuple) -> tuple:
     """Pairs of forests multiply leg by leg."""
     return x[0].mul(y[0]), x[1].mul(y[1])
-
-
-def _b_plus(forest: Forest) -> NonPlanarTree:
-    """The tree whose root carries the forest's trees.  A ``Forest`` keeps
-    its trees in canonical child order, so no sort is needed."""
-    return NonPlanarTree(PlanarTree(tuple(t.rep for t in forest.trees)))
 
 
 # ---------------------------------------------------------------------------
@@ -296,42 +291,49 @@ def _multiplied(x: dict, y: dict, mul=Forest.mul) -> dict:
     return out
 
 
+_LEAF_TERMS = {(EMPTY_NP_FOREST, EMPTY_NP_FOREST): 1}
+
+
 def _h_terms(rep: PlanarTree, value, memo: dict) -> tuple[dict, dict]:
     """The left character ``value`` contracted into ``delta_h`` of a
-    canonical tree rep, as ``(blocks, legs)``.  ``legs`` maps each right leg
-    (the quotient, as a one-tree forest) to the sum, over the spanning
+    canonical tree rep, as ``(options, legs)``.  ``legs`` maps each right
+    leg (the quotient, as a one-tree forest) to the sum, over the spanning
     subforests with that quotient, of ``value``'s product over their parts:
     an ``int`` for ``convolve``, the parts themselves for ``delta_h``.
 
-    Every edge to a child is kept or cut.  ``blocks`` is keyed by (the
-    root's part, the quotients hanging below it), the values of the other
-    parts multiplied into the coefficient.  A kept edge joins the child's
-    root part to the root's; a cut one hangs the child's quotient below the
-    root's part, its part's value coming in from the child's legs.  Both
-    read the child's own pair, so each subtree is computed once; equal keys
-    and equal quotients sum.  With ``convolve``'s weights every part weighs
-    ``a(part) * D ** |part|`` (``integer_weights``) and the parts cover the
-    tree, so each term of a tree ``t`` carries ``D ** |t|``.  ``memo``
-    holds each planar subtree's pair for one call.
+    Every edge to a child is kept or cut.  The root's terms are keyed by
+    (the forest its part carries below the root, the quotients hanging
+    below that part), the values of the other parts multiplied into the
+    coefficient.  A kept edge joins the child's root part to the root's; a
+    cut one hangs the child's quotient below the root's part, its part's
+    value coming in from the child's legs.  ``options`` holds both kinds,
+    as the pairs of forests a tree brings to its parent's terms, so each
+    subtree's are built once and the children's multiply from the first;
+    equal keys and equal quotients sum.  With ``convolve``'s weights every
+    part weighs ``a(part) * D ** |part|`` (``integer_weights``) and the
+    parts cover the tree, so each term of a tree ``t`` carries ``D ** |t|``.
+    ``memo`` holds each planar subtree's pair for one call.
     """
     out = memo.get(rep)
     if out is None:
-        terms = {(EMPTY_NP_FOREST, EMPTY_NP_FOREST): 1}
-        for child in rep.children:
-            blocks, legs = _h_terms(child, value, memo)
-            # a kept edge joins the child's root part to the root's; a cut
-            # one hangs the child's quotient below the root's part
-            options = {(Forest((part,)), below): c for (part, below), c in blocks.items()}
-            options.update(((EMPTY_NP_FOREST, leg), c) for leg, c in legs.items())
-            terms = _multiplied(terms, options, _pair_mul)
-        blocks = {(_b_plus(kids), below): c for (kids, below), c in terms.items()}
-        legs = {}
-        for (part, below), c in blocks.items():
+        terms = _LEAF_TERMS
+        if rep.children:
+            terms = functools.reduce(
+                functools.partial(_multiplied, mul=_pair_mul),
+                (_h_terms(child, value, memo)[0] for child in rep.children),
+            )
+        options, legs = {}, {}
+        for (kids, below), c in terms.items():
+            part = kids.planted()
+            # kept: the part grows up through the parent's edge
+            options[Forest((part,)), below] = c
             w = value(part)
             if w:
-                leg = Forest((_b_plus(below),))
+                leg = Forest((below.planted(),))
                 legs[leg] = legs.get(leg, 0) + c * w
-        out = memo[rep] = blocks, legs
+        # cut: the quotient hangs below the parent's part
+        options.update(((EMPTY_NP_FOREST, leg), c) for leg, c in legs.items())
+        out = memo[rep] = options, legs
     return out
 
 
@@ -355,7 +357,7 @@ def _ck_legs(rep: PlanarTree, scale, value, memo: dict) -> dict:
         kids = {EMPTY_NP_FOREST: scale}
         for child in rep.children:
             kids = _multiplied(kids, _ck_legs(child, scale, value, memo))
-        out = {Forest((_b_plus(f),)): c for f, c in kids.items()}
+        out = {Forest((f.planted(),)): c for f, c in kids.items()}
         w = value(NonPlanarTree(rep))
         if w:
             out[EMPTY_NP_FOREST] = w

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from operator import attrgetter
 from typing import Sequence
 
 
@@ -320,30 +321,39 @@ class NonPlanarTree:
         return self.rep.serialize()
 
 
+# ``NonPlanarTree.sort_key`` read at C level, for sorting
+_sort_key = attrgetter("_key")
+
+
 def canonicalize(t: PlanarTree) -> NonPlanarTree:
     """Forget the planar embedding of a single tree.  The answer is kept on
     the planar tree (and on its canonical rep), so each is sorted once."""
     tree = t._canonical
     if tree is None:
-        children = sorted(map(canonicalize, t.children), key=NonPlanarTree.sort_key)
+        children = sorted(map(canonicalize, t.children), key=_sort_key)
         tree = NonPlanarTree(PlanarTree(tuple(c.rep for c in children)))
         t._canonical = tree.rep._canonical = tree
     return tree
 
 
 class Forest:
-    """A multiset of non-planar trees, stored sorted; product is commutative."""
+    """A multiset of non-planar trees, stored sorted; product is commutative.
+    The tree whose root carries the forest (:meth:`planted`) is kept on it,
+    once built."""
 
-    __slots__ = ("trees", "vertex_count")
+    __slots__ = ("trees", "vertex_count", "_planted")
     _table: dict = {}
 
     def __new__(cls, trees: Sequence[NonPlanarTree] = ()):
-        trees = tuple(sorted(trees, key=NonPlanarTree.sort_key))
+        trees = tuple(trees)
+        if len(trees) > 1:
+            trees = tuple(sorted(trees, key=_sort_key))
         self = cls._table.get(trees)
         if self is None:
             self = object.__new__(cls)
             self.trees = trees
             self.vertex_count = sum(t.vertex_count for t in trees)
+            self._planted = None
             self = cls._table.setdefault(trees, self)
         return self
 
@@ -364,9 +374,21 @@ class Forest:
         return " ".join(t.serialize() for t in self.trees)
 
     def mul(self, other: "Forest") -> "Forest":
+        if not other.trees:
+            return self
+        if not self.trees:
+            return other
         return Forest(self.trees + other.trees)
 
     __mul__ = mul
+
+    def planted(self) -> NonPlanarTree:
+        """B+: the tree whose root carries the forest's trees.  They are
+        stored in canonical child order, so no sort is needed."""
+        tree = self._planted
+        if tree is None:
+            tree = self._planted = NonPlanarTree(PlanarTree(tuple(t.rep for t in self.trees)))
+        return tree
 
 
 EMPTY_NP_FOREST = Forest()
@@ -420,13 +442,30 @@ def enumerate_ordered_forests(n: int) -> tuple[OrderedForest, ...]:
 
 @lru_cache(maxsize=None)
 def enumerate_nonplanar_trees(n: int) -> tuple[NonPlanarTree, ...]:
-    """All non-planar trees with ``n`` vertices, sorted by canonical key."""
-    trees = dict.fromkeys(map(canonicalize, enumerate_planar_trees(n)))
-    return tuple(sorted(trees, key=NonPlanarTree.sort_key))
+    """All non-planar trees with ``n`` vertices, sorted by canonical key:
+    B+ of the forests with ``n - 1`` vertices, whose order it keeps."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return tuple(map(Forest.planted, enumerate_forests(n - 1)))
 
 
 @lru_cache(maxsize=None)
 def enumerate_forests(n: int) -> tuple[Forest, ...]:
-    """All non-planar forests with ``n`` total vertices."""
-    forests = dict.fromkeys(map(forget_planarity, enumerate_ordered_forests(n)))
-    return tuple(sorted(forests, key=lambda f: tuple(t.sort_key() for t in f.trees)))
+    """All non-planar forests with ``n`` total vertices, lexicographic on
+    their trees' sort keys.  Each sorted multiset of trees is built once:
+    its smallest tree, then a forest of the other vertices whose trees are
+    no smaller."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        return (EMPTY_NP_FOREST,)
+    out = []
+    for size in range(1, n + 1):
+        rests = enumerate_forests(n - size)
+        for tree in enumerate_nonplanar_trees(size):
+            out.extend(
+                Forest((tree,) + rest.trees)
+                for rest in rests
+                if not rest.trees or rest.trees[0]._key >= tree._key
+            )
+    return tuple(out)

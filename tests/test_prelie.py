@@ -304,6 +304,22 @@ def test_convolve_is_pinned_at_order_7(op):
     assert character_digest(convolve(a, b, op)) == CONVOLVE_DIGEST_7[op]
 
 
+# the same construction at order 8, computed by the convolution whose
+# coproduct recursions multiplied from the unit
+CONVOLVE_DIGEST_8 = {
+    "h": "34b85851d1b706c40f68a673e75ba695789e6b18dd83d462083d80c63f6b5cdd",
+    "ck": "06148ce119b8c09da435c73709f41120c1defd7dd9bb076c50e90e11946adc6d",
+}
+
+
+@pytest.mark.parametrize("op", ["h", "ck"])
+def test_convolve_is_pinned_at_order_8(op):
+    rng = random.Random(7)
+    a = _random_forest_character(8, rng, Fraction(rng.randint(-2, 2)))
+    b = _random_forest_character(8, rng, Fraction(rng.randint(-2, 2), 3))
+    assert character_digest(convolve(a, b, op)) == CONVOLVE_DIGEST_8[op]
+
+
 @pytest.mark.parametrize("op,delta", ORACLES)
 def test_convolve_does_not_build_the_tree_coproducts(op, delta, monkeypatch):
     """``convolve`` builds no coproduct term: neither the tree coproducts

@@ -226,10 +226,15 @@ def test_planar_counts_match_catalan():
 
 
 def test_nonplanar_counts_match_recurrence():
-    counts = _rooted_tree_counts(7)
-    for n in range(1, 7):
+    counts = _rooted_tree_counts(10)
+    for n in range(1, 11):
         assert len(enumerate_nonplanar_trees(n)) == counts[n]
-    assert [len(enumerate_nonplanar_trees(n)) for n in range(1, 7)] == [1, 1, 2, 4, 9, 20]
+        # a forest of n - 1 vertices is what B+ makes a tree of n from
+        assert len(enumerate_forests(n - 1)) == counts[n]
+    # A000081
+    assert [len(enumerate_nonplanar_trees(n)) for n in range(1, 11)] == [
+        1, 1, 2, 4, 9, 20, 48, 115, 286, 719
+    ]
 
 
 def _embeddings(t: PlanarTree) -> set:
@@ -262,6 +267,53 @@ def test_canonicalize_gives_one_object_per_abstract_tree_up_to_eight_vertices():
             assert canonicalize(tree.rep) is tree and NonPlanarTree(tree.rep) is tree
             seen.add(tree)
         assert len(seen) == counts[n]
+
+
+def _planar_route_trees(n):
+    """The non-planar trees of order ``n`` by canonicalizing every planar tree."""
+    trees = dict.fromkeys(map(canonicalize, enumerate_planar_trees(n)))
+    return tuple(sorted(trees, key=NonPlanarTree.sort_key))
+
+
+def _planar_route_forests(n):
+    """The non-planar forests of order ``n`` by forgetting the planarity of
+    every ordered forest."""
+    forests = dict.fromkeys(map(forget_planarity, enumerate_ordered_forests(n)))
+    return tuple(sorted(forests, key=lambda f: tuple(t.sort_key() for t in f.trees)))
+
+
+def test_nonplanar_enumeration_matches_the_planar_route_up_to_order_nine():
+    for n in range(1, 10):
+        assert enumerate_nonplanar_trees(n) == _planar_route_trees(n)
+    for n in range(0, 10):
+        assert enumerate_forests(n) == _planar_route_forests(n)
+
+
+def test_nonplanar_enumeration_does_not_take_the_planar_route(monkeypatch):
+    expected = [(enumerate_forests(n), enumerate_nonplanar_trees(n)) for n in range(1, 8)]
+
+    def refuse(n):
+        raise AssertionError("the non-planar enumeration read a planar one")
+
+    for name in ("enumerate_ordered_forests", "enumerate_planar_trees"):
+        monkeypatch.setattr(trees, name, refuse)
+    trees.enumerate_forests.cache_clear()
+    trees.enumerate_nonplanar_trees.cache_clear()
+    assert enumerate_forests(7) == expected[-1][0]
+    assert enumerate_nonplanar_trees(7) == expected[-1][1]
+    assert [(enumerate_forests(n), enumerate_nonplanar_trees(n)) for n in range(1, 8)] == expected
+
+
+def test_forest_products_with_the_unit_and_the_planted_tree():
+    empty = trees.EMPTY_NP_FOREST
+    assert empty.mul(empty) is empty and empty.planted() is canonicalize(LEAF)
+    for n in range(1, 6):
+        for f in enumerate_forests(n):
+            assert f.mul(empty) is f and empty.mul(f) is f
+            assert Forest(tuple(reversed(f.trees))) is f
+            planted = f.planted()
+            assert planted is f.planted() is canonicalize(PlanarTree([t.rep for t in f.trees]))
+            assert planted.vertex_count == n + 1
 
 
 def test_enumerations_have_no_duplicates():
