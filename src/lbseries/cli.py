@@ -211,10 +211,7 @@ def cmd_series_product(args) -> int:
 
 def _character_text(char: CharacterMap) -> str:
     lines = [f"order {char.order}", f"1 -> {char.empty_value}"]
-    for basis, c in sorted(
-        char.values.items(), key=lambda kv: (kv[0].vertex_count, kv[0].serialize())
-    ):
-        lines.append(f"{basis.serialize()} -> {c}")
+    lines.extend(f"{basis.serialize()} -> {c}" for basis, c in char.sorted_items())
     return "\n".join(lines)
 
 

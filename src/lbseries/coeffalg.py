@@ -168,8 +168,10 @@ class LinComb:
         return hash(frozenset(self._terms.items()))
 
     def map_basis(self, f: Callable) -> "LinComb":
-        """Push forward along ``f``; colliding images accumulate."""
-        return LinComb((f(b), c) for b, c in self._terms.items())
+        """Linear extension of a map on basis elements; colliding images
+        accumulate.  ``f`` may return a basis element or a
+        :class:`LinComb`, as in :func:`bilinear`."""
+        return LinComb._over(_summed({}, _images(self._terms.items(), f)))
 
     def sorted_items(self):
         return sorted(self._terms.items(), key=lambda bc: _default_term_key(bc[0]))
@@ -195,6 +197,17 @@ def _summed(data: dict, terms) -> dict:
         elif acc is not None:
             del data[b]
     return data
+
+
+def _images(terms, f: Callable):
+    """The terms of the linear extension of ``f`` over ``terms``."""
+    for b, c in terms:
+        val = f(b)
+        if isinstance(val, LinComb):
+            for k, v in val._terms.items():
+                yield k, c * v
+        else:
+            yield val, c
 
 
 def _default_term_key(basis):
@@ -229,6 +242,12 @@ def bilinear(x: LinComb, y: LinComb, f: Callable) -> LinComb:
 def tensor(x: LinComb, y: LinComb) -> LinComb:
     """Rank-two tensor of two linear combinations, keyed by (left, right)."""
     return bilinear(x, y, lambda a, b: (a, b))
+
+
+def pair_mul(x: tuple, y: tuple) -> tuple:
+    """Pairs of commuting monomials (``Forest``, ``SymWord``, ``SymLieWord``)
+    multiply leg by leg."""
+    return x[0] * y[0], x[1] * y[1]
 
 
 def pairing(x: LinComb, basis) -> Fraction:
@@ -360,14 +379,18 @@ class CharacterMap:
             and self.values == other.values
         )
 
-    def to_json(self) -> dict:
-        items = sorted(
+    def sorted_items(self) -> list:
+        """The values by vertex count, then by serialized forest: the order of
+        ``to_json`` and of the CLI's text."""
+        return sorted(
             self.values.items(), key=lambda kv: (kv[0].vertex_count, kv[0].serialize())
         )
+
+    def to_json(self) -> dict:
         return {
             "order": self.order,
             "empty": str(self.empty_value),
-            "values": {b.serialize(): str(c) for b, c in items},
+            "values": {b.serialize(): str(c) for b, c in self.sorted_items()},
         }
 
     @staticmethod
@@ -409,9 +432,7 @@ def is_primitive_shuffle(x: LinComb, order: int) -> bool:
             by_degree.setdefault(forest.vertex_count, []).append((forest, c))
     for terms in by_degree.values():
         comp = LinComb(terms)
-        lhs = LinComb(
-            (pair, c * cp) for forest, c in terms for pair, cp in delta_shuffle(forest).items()
-        )
+        lhs = comp.map_basis(delta_shuffle)
         rhs = tensor(LinComb.of(EMPTY_FOREST), comp) + tensor(
             comp, LinComb.of(EMPTY_FOREST)
         )

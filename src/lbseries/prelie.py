@@ -20,7 +20,15 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .coeffalg import CharacterMap, LinComb, bilinear, integer_weights, leg_terms, pair_legs
+from .coeffalg import (
+    CharacterMap,
+    LinComb,
+    bilinear,
+    integer_weights,
+    leg_terms,
+    pair_legs,
+    pair_mul,
+)
 from .trees import (
     EMPTY_NP_FOREST,
     Forest,
@@ -122,11 +130,6 @@ def _forest_legs(forest: Forest, tree_legs, one) -> dict:
     if forest.is_empty:
         return {EMPTY_NP_FOREST: one}
     return functools.reduce(_multiplied, (tree_legs(t.rep) for t in forest.trees))
-
-
-def _pair_mul(x: tuple, y: tuple) -> tuple:
-    """Pairs of forests multiply leg by leg."""
-    return x[0].mul(y[0]), x[1].mul(y[1])
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +322,7 @@ def _h_terms(rep: PlanarTree, value, memo: dict) -> tuple[dict, dict]:
         terms = _LEAF_TERMS
         if rep.children:
             terms = functools.reduce(
-                functools.partial(_multiplied, mul=_pair_mul),
+                functools.partial(_multiplied, mul=pair_mul),
                 (_h_terms(child, value, memo)[0] for child in rep.children),
             )
         options, legs = {}, {}

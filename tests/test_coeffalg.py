@@ -330,6 +330,25 @@ def test_bilinear_with_comb_values():
     assert concat(x, y) == LinComb.of(pf("[] []"), 6)
 
 
+def test_map_basis_is_the_linear_extension():
+    """``f`` may return a basis element or a combination, the zero one
+    included; colliding images accumulate and may cancel; and the result is
+    ``bilinear`` against a one-term right factor."""
+    x = LinComb([(pf("[]"), 2), (pf("[[]]"), 3), (pf("[] []"), Fraction(1, 2))])
+    to_comb = {
+        pf("[]"): LinComb.of(pf("[[]]"), 3),
+        pf("[[]]"): LinComb([(pf("[[]]"), -2), (pf("[]"), 1)]),
+        pf("[] []"): LinComb(),
+    }
+    assert x.map_basis(to_comb.get) == LinComb.of(pf("[]"), 3)
+    assert x.map_basis(lambda w: w.concat(w)) == LinComb(
+        [(pf("[] []"), 2), (pf("[[]] [[]]"), 3), (pf("[] [] [] []"), Fraction(1, 2))]
+    )
+    assert LinComb([(pf("[]"), 1), (pf("[[]]"), -1)]).map_basis(lambda w: "one") == LinComb()
+    for f in (to_comb.get, lambda w: w.concat(w)):
+        assert x.map_basis(f) == bilinear(x, LinComb.of("k"), lambda b, _: f(b))
+
+
 # the truncation orders of the two arguments: the top order is then the
 # empty forest or the single vertex, or one argument is far below the other
 EDGE_ORDERS = [(0, 0), (1, 1), (0, 3), (3, 0), (1, 3), (3, 1)]

@@ -39,6 +39,69 @@ def test_run_law_reports_a_wrong_product(monkeypatch):
     assert parse_forest(result.counterexample).serialize() == "[[][]]"
 
 
+def test_operad_assoc_sees_inputs_out_of_place(monkeypatch):
+    """A production composition that takes its inputs in reverse order
+    disagrees with the labeled composition on the two-vertex base."""
+    right = laws.compose_prelie_operad
+    monkeypatch.setattr(
+        laws, "compose_prelie_operad", lambda inputs, base: right(inputs[::-1], base)
+    )
+    result = run_law("operad-assoc")
+    assert not result.passed
+    assert result.counterexample == "labeled vs production at base [[]]"
+
+
+def test_operad_assoc_draws_nothing_at_random(monkeypatch):
+    """It enumerates its cases, so it runs with no random generator; at
+    order 8 it checks every one of them."""
+    monkeypatch.setattr(laws.random, "Random", None)
+    assert run_law("operad-assoc", 8).passed
+
+
+def _drop_first_term(delta, keep):
+    """``delta`` with its first sorted term dropped where ``keep`` is false."""
+
+    def wrong(forest):
+        terms = delta(forest)
+        if keep(forest):
+            return terms
+        pair, c = terms.sorted_items()[0]
+        return terms - LinComb.of(pair, c)
+
+    return wrong
+
+
+def test_h_coassoc_sees_a_wrong_coproduct_of_two_trees(monkeypatch):
+    wrong = _drop_first_term(laws.delta_h, lambda f: len(f.trees) != 2)
+    monkeypatch.setattr(laws, "delta_h", wrong)
+    assert run_law("h-coassoc", 3).counterexample == "counit at [] []"
+
+
+def test_h_coassoc_multiplicativity_sees_a_wrong_coproduct(monkeypatch):
+    """With the coassociativity and counit checks passed over, the
+    multiplicativity loop finds the same fault in the product of two
+    vertices."""
+    wrong = _drop_first_term(laws.delta_h, lambda f: len(f.trees) != 2)
+    monkeypatch.setattr(laws, "delta_h", wrong)
+    monkeypatch.setattr(laws, "_coassoc_check", lambda *args: None)
+    assert run_law("h-coassoc", 3).counterexample == "multiplicativity at [] | []"
+
+
+def test_shuffle_bialgebra_sees_a_non_multiplicative_shuffle(monkeypatch):
+    """Doubling every shuffle breaks the left-cut morphism already at the
+    empty forests: the left side doubles, the right side quadruples."""
+    right = laws.shuffle
+    monkeypatch.setattr(laws, "shuffle", lambda a, b: right(a, b).scale(2))
+    result = run_law("shuffle-bialgebra", 3)
+    assert result.counterexample == "left-cut morphism at  | "
+
+
+def test_cointeraction_sees_a_wrong_left_cut_coproduct(monkeypatch):
+    wrong = _drop_first_term(laws.delta_n, lambda f: f.vertex_count < 2)
+    monkeypatch.setattr(laws, "delta_n", wrong)
+    assert run_law("cointeraction", 3).counterexample == "coaction-compat"
+
+
 def test_cointeraction_law_passes_its_guard_and_names_failing_checks(monkeypatch):
     calls = []
 
