@@ -571,15 +571,23 @@ def pair_legs(
     (:func:`integer_weights`), one scale for a character read on whole left
     legs (:func:`integer_values`).  Each caller states its own rule for the
     top order, whose forests no later forest reads.  ``forests(0)`` lists
-    the empty forest, where ``right`` reads its empty value.
+    the empty forest, where ``right`` reads its empty value.  The values
+    go straight into the result, a zero pairing left out, as
+    ``CharacterMap`` would leave it: every forest here is within ``order``
+    and every value a ``Fraction``, so none needs its checks.
     """
-    right_scale, weight = integer_values(right, forests(0)[0])
+    (empty,) = forests(0)
+    right_scale, weight = integer_values(right, empty)
     read = weight.get
-    out = []
-    for size in range(order + 1):
+    out = CharacterMap(order, Fraction(paired(empty, read), left_scale(0) * right_scale))
+    values = out.values
+    for size in range(1, order + 1):
         denominator = left_scale(size) * right_scale
-        out.extend((w, Fraction(paired(w, read), denominator)) for w in forests(size))
-    return CharacterMap(order, 0, out)
+        for w in forests(size):
+            c = paired(w, read)
+            if c:
+                values[w] = Fraction(c, denominator)
+    return out
 
 
 def convolve_through(

@@ -318,9 +318,18 @@ def _coassociator(delta: Callable) -> tuple[Callable, Callable]:
 
 
 def _coassoc_check(delta: Callable, basis_iter, counit: Callable):
-    """Generic coassociativity + counit check; returns a counterexample or None."""
+    """Generic coassociativity + counit check; returns a counterexample or None.
+
+    Every pair of ``delta(x)`` determines ``x``'s vertex count (the legs
+    split its vertices, or the left leg covers them), so no pair recurs
+    across sizes: the coassociator's caches are cleared when it changes."""
     left, right = _coassociator(delta)
+    size = None
     for x in basis_iter:
+        if x.vertex_count != size:
+            size = x.vertex_count
+            left.cache_clear()
+            right.cache_clear()
         dx = delta(x)
         if dx.map_basis(left) != dx.map_basis(right):
             return f"coassociativity at {x.serialize()}"

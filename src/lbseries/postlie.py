@@ -107,8 +107,10 @@ _CUTS: dict = {}
 
 def _cuts_below(tree: PlanarTree) -> dict:
     """The planar left cuts of the forest below ``tree``'s root, as
-    ``{right leg: {left leg: n}}`` with ``int`` multiplicities ``n``, kept
-    in ``_CUTS[tree]``.
+    ``{b_plus(right leg): {left leg: n}}`` with ``int`` multiplicities
+    ``n``, kept in ``_CUTS[tree]``: each right leg is keyed closed under
+    ``tree``'s root, the one form that :func:`_kept_cuts` and
+    ``compose_lb`` read.
 
     For that forest ``trees``, the cut at the root takes a planar-left run
     ``trees[:j]`` whole as a left leg, shuffled with the left legs of a kept
@@ -124,7 +126,7 @@ def _cuts_below(tree: PlanarTree) -> dict:
         for j in range(len(trees) + 1):
             run = {OrderedForest(trees[:j]): 1}
             for right, lefts in _kept_cuts(OrderedForest(trees[j:])).items():
-                out[right] = _shuffled(run, lefts) if j else lefts
+                out[b_plus(right)] = _shuffled(run, lefts) if j else lefts
         _CUTS[tree] = out
     return out
 
@@ -135,10 +137,10 @@ def _kept_cuts(forest: OrderedForest) -> dict:
     are those of its suffixes.
 
     Each tree is cut through the forest below its root
-    (:func:`_cuts_below`), ``b_plus`` closing its right leg: right legs
-    concatenate and left legs shuffle, so a right leg holds as many trees as
-    ``forest``.  The suffixes are met from the shortest, in a loop, so only
-    the depth of the trees nests calls.
+    (:func:`_cuts_below`, whose right legs are closed under the root):
+    right legs concatenate and left legs shuffle, so a right leg holds as
+    many trees as ``forest``.  The suffixes are met from the shortest, in a
+    loop, so only the depth of the trees nests calls.
     """
     out = _CUTS.get(forest)
     if out is None:
@@ -150,7 +152,7 @@ def _kept_cuts(forest: OrderedForest) -> dict:
             if kept is None:
                 # the unit left leg of the empty rest shuffles to lb itself
                 kept = _CUTS[suffix] = {
-                    OrderedForest((b_plus(rb),) + rk.trees): _shuffled(lb, lk) if rk.trees else lb
+                    OrderedForest((rb,) + rk.trees): _shuffled(lb, lk) if rk.trees else lb
                     for rb, lb in _cuts_below(trees[j]).items()
                     for rk, lk in out.items()
                 }
@@ -161,11 +163,13 @@ def _kept_cuts(forest: OrderedForest) -> dict:
 @lru_cache(maxsize=None)
 def delta_n(forest: OrderedForest) -> LinComb:
     """Planar left-cut coproduct, dual to the Grossman-Larson product: the
-    cuts below the root of ``b_plus(forest)`` (``_cuts_below``), read with
-    the universal character, which sends each left leg to itself.
-    ``seriesmorph.compose_lb`` reads the same recursion, and the same memo
-    of cut tables (``_CUTS``), with beta."""
-    return leg_terms(_cuts_below(b_plus(forest)))
+    cuts below the root of ``b_plus(forest)`` (``_cuts_below``, each right
+    leg opened again by ``b_minus``), read with the universal character,
+    which sends each left leg to itself.  ``seriesmorph.compose_lb`` reads
+    the same recursion, and the same memo of cut tables (``_CUTS``), with
+    beta."""
+    cuts = _cuts_below(b_plus(forest))
+    return leg_terms({b_minus(right): lefts for right, lefts in cuts.items()})
 
 
 class LiePoly:

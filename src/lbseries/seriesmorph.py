@@ -15,9 +15,9 @@ from .coeffalg import (
     pair_legs,
     truncation_order,
 )
-from .postlie import _cuts_below, _kept_cuts, b_minus, b_plus, concat, left_graft, shuffle
+from .postlie import _cuts_below, _kept_cuts, b_minus, concat, left_graft, shuffle
 from .subst import _alpha_contraction, _contracted, _require_logarithmic, star_w
-from .trees import EMPTY_FOREST, OrderedForest, enumerate_ordered_forests
+from .trees import EMPTY_FOREST, OrderedForest, built_forest, enumerate_ordered_forests
 
 
 class TruncatedSeries:
@@ -159,8 +159,9 @@ def compose_lb(beta: CharacterMap, alpha: CharacterMap) -> CharacterMap:
     - the empty right leg, with ``E * beta(F)``;
     - for ``1 <= j < k``, each kept cut ``(R, lefts)`` of the suffix
       ``F[j:]`` (``postlie._kept_cuts``), with ``sum n * shuffled(F[:j], l)``;
-    - each cut ``(rb, lb)`` below ``t1``'s root and kept cut ``(R, lk)`` of
-      ``F[1:]``, the right leg ``b_plus(rb) R`` with
+    - each cut ``(rb, lb)`` below ``t1``'s root, ``rb`` its right leg
+      closed under that root (``postlie._cuts_below``), and kept cut
+      ``(R, lk)`` of ``F[1:]``, the right leg ``rb R`` with
       ``sum a * b * shuffled(l, m)``.
 
     ``shuffled(u, v)`` is ``E * beta(u sh v)``, read once per pair and call;
@@ -168,7 +169,9 @@ def compose_lb(beta: CharacterMap, alpha: CharacterMap) -> CharacterMap:
     strictly smaller forests enter the cut recursion.  Its tables carry no
     character, so they stay in the one memo that ``delta_n`` reads too
     (``postlie._CUTS``) and later calls read them again.  Each right leg's
-    total is paired with alpha through ``pair_legs``.  Equal to
+    total is paired with alpha through ``pair_legs``; a leg ``rb R`` is
+    looked up as a tuple of trees (``trees.built_forest``), not built, and
+    one never built has no alpha value.  Equal to
     ``convolve_through(delta_n, ...)`` (tested up to order 7).
     """
     scale, weight = integer_values(beta, EMPTY_FOREST)
@@ -187,12 +190,12 @@ def compose_lb(beta: CharacterMap, alpha: CharacterMap) -> CharacterMap:
         if trees:
             rest = _kept_cuts(OrderedForest(trees[1:]))
             for rb, lb in _cuts_below(trees[0]).items():
-                head = (b_plus(rb),)
+                head = (rb,)
                 for rk, lk in rest.items():
                     total = sum(
                         a * b * shuffled(l, m) for l, a in lb.items() for m, b in lk.items()
                     )
-                    out += read(OrderedForest(head + rk.trees), 0) * total
+                    out += read(built_forest(head + rk.trees), 0) * total
         return out
 
     order = min(beta.order, alpha.order)

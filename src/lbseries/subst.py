@@ -55,6 +55,7 @@ from .trees import (
     OrderedForest,
     PlanarTree,
     _ForestIndex,
+    built_forest,
     enumerate_ordered_forests,
     forget_planarity,
 )
@@ -397,7 +398,9 @@ def _paired_top(forest: OrderedForest, read, value, memo: dict, pairings: dict) 
     (``_skeleton``) adds ``value(part) * S(hanging, rest)``.  ``S`` sums
     ``cb * T(fb, rest)`` over the hanging forests' shuffle ``{fb: cb}``
     (``_hung``), and ``T`` pairs ``read`` with every ``b_plus(fb) fr``,
-    ``fr`` over the map of ``rest``.  Neither depends on the part, so
+    ``fr`` over the map of ``rest``, each looked up as a tuple of trees
+    (``trees.built_forest``) rather than built: a forest never built has
+    no value to read.  Neither depends on the part, so
     ``pairings[rest]`` keeps both, ``S`` under the tuple ``hanging`` and
     ``T`` under the forest ``fb``, for every block and every forest that
     meets them while the caller keeps ``pairings``.
@@ -421,7 +424,7 @@ def _paired_top(forest: OrderedForest, read, value, memo: dict, pairings: dict) 
                     if t is None:
                         head = (b_plus(fb),)
                         t = known[fb] = sum(
-                            cr * read(OrderedForest(head + fr.trees), 0)
+                            cr * read(built_forest(head + fr.trees), 0)
                             for fr, cr in _contracted(rest, value, memo).items()
                         )
                     s += cb * t

@@ -175,6 +175,14 @@ class OrderedForest:
 EMPTY_FOREST = OrderedForest()
 
 
+def built_forest(trees: tuple) -> OrderedForest | None:
+    """The ordered forest of the tuple ``trees`` if one was ever built, else
+    ``None``; nothing is built or interned.  A character has values only on
+    forests that exist, so a product reading one on a right leg it has as a
+    tuple of trees looks the leg up here instead of building it."""
+    return OrderedForest._table.get(trees)
+
+
 # bracket text -> the tree it names, for every tree the parser has built.
 # Each key is the tree's own ``_text``, and the intern table keeps every
 # tree, so an entry lives as long as its tree.

@@ -1,10 +1,13 @@
 """Seeded characters for substitution tests: logarithmic ones with values on
 trees of every size and on multi-tree forests, and arbitrary ones, all with
-denominators other than one; and the term-by-term oracles that read them."""
+denominators other than one; a strategy of sparse characters, with values on
+a drawn few forests; and the term-by-term oracles that read them."""
 
 import math
 import random
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from lbseries import CharacterMap, LinComb
 from lbseries.coeffalg import convolve_through
@@ -47,6 +50,20 @@ def any_character(order: int, rng: random.Random) -> CharacterMap:
         (f, fraction(rng)) for size in range(order + 1) for f in enumerate_ordered_forests(size)
     ]
     return CharacterMap(order, 0, values)
+
+
+_SPARSE_FORESTS = [f for n in range(1, 7) for f in enumerate_ordered_forests(n)]
+_FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+
+
+@st.composite
+def sparse_characters(draw):
+    """A character of order 0..6 with values on a drawn few of its forests,
+    zero on the rest, and an empty value that is often not an integer."""
+    order = draw(st.integers(0, 6))
+    pool = [f for f in _SPARSE_FORESTS if f.vertex_count <= order]
+    values = draw(st.dictionaries(st.sampled_from(pool), _FRACTIONS, max_size=40)) if pool else {}
+    return CharacterMap(order, draw(_FRACTIONS), values)
 
 
 def eval_multiplicative(character: CharacterMap, factors) -> Fraction:

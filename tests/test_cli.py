@@ -9,7 +9,7 @@ import pytest
 
 import lbseries
 from lbseries import CharacterMap, parse_forest
-from lbseries.cli import COMMANDS, build_parser, run
+from lbseries.cli import COMMANDS, MAX_ORDER, build_parser, run
 from lbseries.laws import law_names
 
 pf = parse_forest
@@ -275,6 +275,54 @@ def test_series_product_order_above_the_characters_is_an_input_error(tmp_path, c
     assert captured.err == "error: order 3 is above the characters' orders 2 and 3\n"
     assert run(argv[:-1] + ["2"]) == 0
     assert capsys.readouterr().out.startswith("order 2\n")
+
+
+def _order_40_files(tmp_path):
+    """An alpha and a beta file of order 40 with values on small forests
+    only, cheap to read but not to multiply at their order."""
+    alpha, beta = tmp_path / "alpha.json", tmp_path / "beta.json"
+    alpha.write_text(json.dumps(CharacterMap(40, 0, [(pf("[]"), 1), (pf("[[]]"), 2)]).to_json()))
+    beta.write_text(json.dumps(CharacterMap(40, 1, [(pf("[]"), 3), (pf("[] []"), 4)]).to_json()))
+    return str(alpha), str(beta)
+
+
+@pytest.mark.parametrize("command", ["substitute", "compose"])
+def test_series_product_above_the_largest_order_is_refused(tmp_path, capsys, command):
+    """A product at an order past ``MAX_ORDER`` would run until killed; it
+    is refused before anything is built, whether the order comes from the
+    files alone or from an ``--order`` within them."""
+    alpha, beta = _order_40_files(tmp_path)
+    for extra in ([], ["--order", "13"]):
+        assert run([command, "--alpha", alpha, "--beta", beta, *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        order = extra[-1] if extra else "40"
+        assert captured.err == f"error: order {order} is above the largest order {MAX_ORDER}\n"
+
+
+@pytest.mark.parametrize("command", ["substitute", "compose"])
+def test_series_product_of_high_order_files_at_a_lowered_order(tmp_path, capsys, command):
+    """``--order`` at or below ``MAX_ORDER`` lowers the order-40 files to a
+    product that is computed, the same as with the files truncated."""
+    alpha, beta = _order_40_files(tmp_path)
+    assert run([command, "--alpha", alpha, "--beta", beta, "--order", "3", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    alpha, beta = (CharacterMap.load(path).truncated(3) for path in (alpha, beta))
+    if command == "substitute":
+        expected = lbseries.substitute_lb(alpha, beta)
+    else:
+        expected = lbseries.compose_lb(beta, alpha)
+    assert json.loads(captured.out) == expected.to_json()
+
+
+def test_enumerate_above_the_largest_order_is_refused(capsys):
+    assert run(["enumerate", "--order", "40"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: order 40 is above the largest order {MAX_ORDER}\n"
+    assert run(["enumerate", "--order", str(MAX_ORDER), "--mode", "nonplanar", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 4766
 
 
 def test_bseries_eval_and_verify(tmp_path, capsys):

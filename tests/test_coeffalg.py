@@ -407,3 +407,21 @@ def test_no_floating_point_in_the_package():
     for path in sorted(Path(lbseries.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), None)
     assert found <= _FRACTION_DIVISIONS, found - _FRACTION_DIVISIONS
+
+
+def test_only_trees_reads_the_tree_intern_tables():
+    """Outside ``trees`` no module reads an intern ``_table`` but its own
+    class's, as ``cls._table`` in the constructor (``SymWord``): a forest
+    is looked up through ``trees.built_forest``, so the tables stay a
+    detail of ``trees``."""
+    found = []
+    for path in sorted(Path(lbseries.__file__).parent.glob("*.py")):
+        if path.name == "trees.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "_table":
+                if getattr(node.value, "id", None) != "cls":
+                    found.append((path.name, node.lineno))
+            elif isinstance(node, ast.Constant) and node.value == "_table":  # getattr(x, "_table")
+                found.append((path.name, node.lineno))
+    assert not found, found

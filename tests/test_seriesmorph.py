@@ -31,7 +31,13 @@ from lbseries.laws import (
 from lbseries.postlie import concat, left_graft
 from lbseries.trees import EMPTY_FOREST, enumerate_ordered_forests
 
-from characters import any_character, compose_through_delta_n, dagger_through_delta_w, lie_character
+from characters import (
+    any_character,
+    compose_through_delta_n,
+    dagger_through_delta_w,
+    lie_character,
+    sparse_characters,
+)
 from digests import character_digest
 
 pf = parse_forest
@@ -273,22 +279,8 @@ def test_compose_lb_matches_the_convolution_through_delta_n():
         assert compose_lb(beta, alpha) == compose_through_delta_n(beta, alpha)
 
 
-_SPARSE_FORESTS = [f for n in range(1, 7) for f in enumerate_ordered_forests(n)]
-_FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
-
-
-@st.composite
-def _sparse_characters(draw):
-    """A character of order 0..6 with values on a drawn few of its forests,
-    zero on the rest, and an empty value that is often not an integer."""
-    order = draw(st.integers(0, 6))
-    pool = [f for f in _SPARSE_FORESTS if f.vertex_count <= order]
-    values = draw(st.dictionaries(st.sampled_from(pool), _FRACTIONS, max_size=40)) if pool else {}
-    return CharacterMap(order, draw(_FRACTIONS), values)
-
-
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(_sparse_characters(), _sparse_characters())
+@given(sparse_characters(), sparse_characters())
 def test_compose_lb_is_the_convolution_through_delta_n_on_sparse_characters(beta, alpha):
     """Beta vanishes on most shuffled words, so many pairs of legs read
     nothing; their sums must still match the ``delta_n`` terms."""

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lbseries import (
     CharacterMap,
@@ -49,6 +51,7 @@ from characters import (
     dagger_through_delta_w,
     eval_multiplicative,
     lie_character,
+    sparse_characters,
     star_w_through_delta_w,
 )
 from digests import character_digest, coproduct_digest
@@ -434,6 +437,16 @@ def test_star_w_matches_the_convolution_through_delta_w(seed, alpha_order, beta_
     alpha = lie_character(alpha_order, rng)
     beta = any_character(beta_order, rng)
     assert any(len(f.trees) > 1 for f in alpha.values) or alpha_order < 2
+    assert star_w(alpha, beta) == star_w_through_delta_w(alpha, beta)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 6), st.integers(0, 2**32), sparse_characters())
+def test_star_w_is_the_convolution_through_delta_w_on_sparse_beta(alpha_order, seed, beta):
+    """Beta has values on a drawn few forests, so most right legs that
+    ``_paired_top`` reads have none; its sums must still match the
+    ``delta_w`` terms."""
+    alpha = lie_character(alpha_order, random.Random(seed))
     assert star_w(alpha, beta) == star_w_through_delta_w(alpha, beta)
 
 

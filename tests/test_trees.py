@@ -104,6 +104,17 @@ def test_whitespace_reads_as_the_character_parser_reads_it(monkeypatch, text, se
     assert parse_forest(text) is by_characters
 
 
+def test_built_forest_finds_only_forests_that_were_built():
+    """``built_forest`` returns the one forest of a tuple of trees without
+    building one: a tuple never built gives ``None`` and stays unbuilt."""
+    never = (LEAF,) * 40
+    assert trees.built_forest(never) is None
+    assert trees.built_forest(never) is None
+    for n in range(7):
+        for forest in enumerate_ordered_forests(n):
+            assert trees.built_forest(forest.trees) is forest
+
+
 def test_parse_tree_rejects_forests():
     with pytest.raises(ForestParseError):
         parse_tree("[] []")
