@@ -258,11 +258,14 @@ def _post_lie_bracket(a: LiePoly, b: LiePoly) -> LiePoly:
 
 def law_postlie_jacobi(order: int, guard: int | None, seed: int) -> str | None:
     gens = [LiePoly.from_tree(t) for t in _up_to(enumerate_planar_trees, order, 1)]
-    for a, b, c in itertools.product(gens, repeat=3):
+    # the inner bracket of each ordered pair, computed once per call
+    inner = [[_post_lie_bracket(b, c) for c in gens] for b in gens]
+    for i, j, k in itertools.product(range(len(gens)), repeat=3):
+        a, b, c = gens[i], gens[j], gens[k]
         total = (
-            _post_lie_bracket(a, _post_lie_bracket(b, c))
-            + _post_lie_bracket(b, _post_lie_bracket(c, a))
-            + _post_lie_bracket(c, _post_lie_bracket(a, b))
+            _post_lie_bracket(a, inner[j][k])
+            + _post_lie_bracket(b, inner[k][i])
+            + _post_lie_bracket(c, inner[i][j])
         )
         if not total.is_zero():
             return f"{a.serialize()}, {b.serialize()}, {c.serialize()}"
@@ -712,33 +715,46 @@ def law_automorphism(order: int, guard: int | None, seed: int) -> str | None:
     return None
 
 
-REGISTRY: dict[str, tuple[Callable, int]] = {
-    "prelie-identity": (law_prelie_identity, 4),
-    "postlie-jacobi": (law_postlie_jacobi, 4),
-    "dalgebra-axioms": (law_dalgebra_axioms, 3),
-    "ck-coassoc": (law_ck_coassoc, 8),
-    "h-coassoc": (law_h_coassoc, 7),
-    "n-coassoc": (law_n_coassoc, 8),
-    "w-coassoc": (law_w_coassoc, 4),
-    "shuffle-bialgebra": (law_shuffle_bialgebra, 4),
-    "gl-duality": (law_gl_duality, 8),
-    "h-operad-duality": (law_h_operad_duality, 4),
-    "operad-assoc": (law_operad_assoc, 6),
-    "cointeraction": (law_cointeraction, 8),
-    "pi-morphism": (law_pi_morphism, 4),
-    "grading": (law_grading, 7),
-    "adjoint": (law_adjoint, 6),
-    "substitution-theorem": (law_substitution_theorem, 5),
-    "bseries-substitution": (law_bseries_substitution, 7),
-    "automorphism": (law_automorphism, 7),
+# name -> (law, default order, largest order).  The largest order is one
+# above the default, where each law alone passed in a fresh process within
+# 76 s on a 2-vCPU machine; ``operad-assoc`` checks every case at 8, and the
+# two documented-false laws keep their default.  A higher order is refused
+# rather than run until it is killed.
+REGISTRY: dict[str, tuple[Callable, int, int]] = {
+    "prelie-identity": (law_prelie_identity, 4, 5),
+    "postlie-jacobi": (law_postlie_jacobi, 4, 5),
+    "dalgebra-axioms": (law_dalgebra_axioms, 3, 4),
+    "ck-coassoc": (law_ck_coassoc, 8, 9),
+    "h-coassoc": (law_h_coassoc, 7, 8),
+    "n-coassoc": (law_n_coassoc, 8, 9),
+    "w-coassoc": (law_w_coassoc, 4, 4),
+    "shuffle-bialgebra": (law_shuffle_bialgebra, 4, 5),
+    "gl-duality": (law_gl_duality, 8, 9),
+    "h-operad-duality": (law_h_operad_duality, 4, 5),
+    "operad-assoc": (law_operad_assoc, 6, 8),
+    "cointeraction": (law_cointeraction, 8, 9),
+    "pi-morphism": (law_pi_morphism, 4, 4),
+    "grading": (law_grading, 7, 8),
+    "adjoint": (law_adjoint, 6, 7),
+    "substitution-theorem": (law_substitution_theorem, 5, 6),
+    "bseries-substitution": (law_bseries_substitution, 7, 8),
+    "automorphism": (law_automorphism, 7, 8),
 }
+
+
+def check_law_order(name: str, order: int) -> None:
+    """Refuse an order above the law's largest order in :data:`REGISTRY`."""
+    largest = REGISTRY[name][2]
+    if order > largest:
+        raise ValueError(f"order {order} is above the largest order {largest} of {name}")
 
 
 def run_law(name: str, order: int | None = None, guard: int | None = None, seed: int = 0) -> LawResult:
     if name not in REGISTRY:
         raise KeyError(f"unknown law: {name}")
-    func, default_order = REGISTRY[name]
+    func, default_order, _ = REGISTRY[name]
     order = default_order if order is None else order
+    check_law_order(name, order)
     counterexample = func(order, guard, seed)
     return LawResult(name, counterexample is None, order, counterexample)
 

@@ -9,6 +9,7 @@ A polynomial is a :class:`LinComb` keyed by monomials ``(hpow, ypows)``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -146,28 +147,26 @@ def _differentials(field: PolyVectorField, cap: int | None):
     every factor and after every product leaves the kept ones exact.  A
     subtree keeps more powers than its parent needs, and is capped again
     where it is used."""
-    memo: dict = {}
+    return functools.partial(_differential, field=field, cap=cap, memo={})
 
-    def differential(rep) -> PolyVectorField:
-        out = memo.get(rep)
-        if out is None:
-            bound = None if cap is None else cap - rep.vertex_count
-            components = [_capped(p, bound) for p in field.components]
-            if rep.children:
-                children = [
-                    [_capped(q, bound) for q in differential(c).components] for c in rep.children
-                ]
-                slots = list(itertools.product(range(field.dim), repeat=len(children)))
-                components = [
-                    LinComb(
-                        term for js in slots for term in _applied(p, js, children, bound).items()
-                    )
-                    for p in components
-                ]
-            out = memo[rep] = PolyVectorField(components)
-        return out
 
-    return differential
+def _differential(rep, field: PolyVectorField, cap: int | None, memo: dict) -> PolyVectorField:
+    out = memo.get(rep)
+    if out is None:
+        bound = None if cap is None else cap - rep.vertex_count
+        components = [_capped(p, bound) for p in field.components]
+        if rep.children:
+            children = [
+                [_capped(q, bound) for q in _differential(c, field, cap, memo).components]
+                for c in rep.children
+            ]
+            slots = list(itertools.product(range(field.dim), repeat=len(children)))
+            components = [
+                LinComb(term for js in slots for term in _applied(p, js, children, bound).items())
+                for p in components
+            ]
+        out = memo[rep] = PolyVectorField(components)
+    return out
 
 
 def elementary_differential(field: PolyVectorField, tree: NonPlanarTree) -> PolyVectorField:

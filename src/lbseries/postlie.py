@@ -117,7 +117,9 @@ def _cuts_below(tree: PlanarTree) -> dict:
     cut of the suffix ``trees[j:]`` (:func:`_kept_cuts`).  A right leg holds
     one tree per kept root, so each is met once and only left legs sum.
     The cuts carry no character, so ``_CUTS`` is one memo for the process:
-    ``delta_n`` and every ``compose_lb`` call read the same tables.
+    ``delta_n`` and every ``compose_lb`` call read the same tables, except
+    for a tree of the top order, whose cuts ``compose_lb`` sums without a
+    table.
     """
     out = _CUTS.get(tree)
     if out is None:

@@ -171,10 +171,12 @@ def _parent_map_shape(pmap: dict) -> NonPlanarTree:
         else:
             children[p].append(v)
 
-    def build(v) -> PlanarTree:
-        return PlanarTree(tuple(build(c) for c in children[v]))
+    return canonicalize(_tree_below(root, children))
 
-    return canonicalize(build(root))
+
+def _tree_below(v, children: dict) -> PlanarTree:
+    """The planar tree rooted at ``v`` of the map ``children``."""
+    return PlanarTree(tuple(_tree_below(c, children) for c in children[v]))
 
 
 def _ordered_set_partitions(items: tuple):

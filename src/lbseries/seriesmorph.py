@@ -15,7 +15,7 @@ from .coeffalg import (
     pair_legs,
     truncation_order,
 )
-from .postlie import _cuts_below, _kept_cuts, b_minus, concat, left_graft, shuffle
+from .postlie import _cuts_below, _kept_cuts, b_minus, b_plus, concat, left_graft, shuffle
 from .subst import _alpha_contraction, _contracted, _require_logarithmic, star_w
 from .trees import EMPTY_FOREST, OrderedForest, built_forest, enumerate_ordered_forests
 
@@ -100,23 +100,23 @@ def a_alpha(alpha: CharacterMap, forest: OrderedForest) -> TruncatedSeries:
     and the map sends Lie polynomials to Lie polynomials.
     """
     _require_logarithmic(alpha)
-    order = alpha.order
-    seed = series_of(alpha)
-    cache: dict[OrderedForest, TruncatedSeries] = {}
+    return _a_alpha_image(forest, series_of(alpha), {})
 
-    def rec(w: OrderedForest) -> TruncatedSeries:
-        if w in cache:
-            return cache[w]
+
+def _a_alpha_image(w: OrderedForest, seed: TruncatedSeries, cache: dict) -> TruncatedSeries:
+    """The image of ``w`` under the substitution endomorphism that sends the
+    single vertex to ``seed``, with the images met kept in ``cache``."""
+    out = cache.get(w)
+    if out is None:
         if w.is_empty:
-            out = TruncatedSeries(order, LinComb.of(EMPTY_FOREST))
+            out = TruncatedSeries(seed.order, LinComb.of(EMPTY_FOREST))
         elif len(w.trees) == 1:
-            out = rec(b_minus(w.trees[0])).graft(seed)
+            out = _a_alpha_image(b_minus(w.trees[0]), seed, cache).graft(seed)
         else:
-            out = rec(OrderedForest(w.trees[:1])).mul(rec(OrderedForest(w.trees[1:])))
+            first = _a_alpha_image(OrderedForest(w.trees[:1]), seed, cache)
+            out = first.mul(_a_alpha_image(OrderedForest(w.trees[1:]), seed, cache))
         cache[w] = out
-        return out
-
-    return rec(forest)
+    return out
 
 
 def a_alpha_dagger(alpha: CharacterMap, forest: OrderedForest) -> LinComb:
@@ -168,37 +168,58 @@ def compose_lb(beta: CharacterMap, alpha: CharacterMap) -> CharacterMap:
     so no left leg of ``F`` is expanded into shuffled words, and only
     strictly smaller forests enter the cut recursion.  Its tables carry no
     character, so they stay in the one memo that ``delta_n`` reads too
-    (``postlie._CUTS``) and later calls read them again.  Each right leg's
+    (``postlie._CUTS``) and later calls read them again.  A tree of the top
+    order gets no table, as no other forest reads it: its cuts, each run
+    ``r`` of the forest below its root with a kept cut ``(R, lefts)`` of
+    what follows the run, are summed straight into its pairing, the right
+    leg ``b_plus(R)`` with ``sum n * shuffled(r, l)``.  Each right leg's
     total is paired with alpha through ``pair_legs``; a leg ``rb R`` is
     looked up as a tuple of trees (``trees.built_forest``), not built, and
     one never built has no alpha value.  Equal to
     ``convolve_through(delta_n, ...)`` (tested up to order 7).
     """
     scale, weight = integer_values(beta, EMPTY_FOREST)
+    order = min(beta.order, alpha.order)
 
     @cache
     def shuffled(u: OrderedForest, v: OrderedForest) -> int:
         return sum(m * weight.get(w, 0) for w, m in shuffle(u, v).items())
 
+    def run_totals(trees: tuple, ends: range):
+        """``(R, sum n * shuffled(trees[:j], l))`` for each ``j`` in
+        ``ends`` and each kept cut ``(R, lefts)`` of ``trees[j:]``."""
+        for j in ends:
+            run = OrderedForest(trees[:j])
+            for right, lefts in _kept_cuts(OrderedForest(trees[j:])).items():
+                total = 0
+                for l, n in lefts.items():
+                    total += n * shuffled(run, l)
+                yield right, total
+
     def paired(forest: OrderedForest, read) -> int:
         trees = forest.trees
         out = read(EMPTY_FOREST, 0) * weight.get(forest, 0)
-        for j in range(1, len(trees)):
-            run = OrderedForest(trees[:j])
-            for right, lefts in _kept_cuts(OrderedForest(trees[j:])).items():
-                out += read(right, 0) * sum(n * shuffled(run, l) for l, n in lefts.items())
+        if len(trees) == 1 and forest.vertex_count == order:
+            # a top-order tree: no other forest reads its cuts, so they are
+            # summed here and kept in no table
+            below = b_minus(trees[0]).trees
+            for right, total in run_totals(below, range(len(below) + 1)):
+                out += read(built_forest((b_plus(right),)), 0) * total
+            return out
+        for right, total in run_totals(trees, range(1, len(trees))):
+            out += read(right, 0) * total
         if trees:
             rest = _kept_cuts(OrderedForest(trees[1:]))
             for rb, lb in _cuts_below(trees[0]).items():
                 head = (rb,)
                 for rk, lk in rest.items():
-                    total = sum(
-                        a * b * shuffled(l, m) for l, a in lb.items() for m, b in lk.items()
-                    )
+                    total = 0
+                    for l, a in lb.items():
+                        for m, b in lk.items():
+                            total += a * b * shuffled(l, m)
                     out += read(built_forest(head + rk.trees), 0) * total
         return out
 
-    order = min(beta.order, alpha.order)
     return pair_legs(paired, lambda size: scale, alpha, enumerate_ordered_forests, order)
 
 

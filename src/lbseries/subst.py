@@ -10,9 +10,12 @@ coproduct.
 Both coactions and substitution are one recursion on the block of a
 forest's first vertex (``_contracted``), which reads the blocks there, with
 the forests each leaves, from one coefficient-free cache per forest
-(``_skeleton``).  It carries a left character, multiplicative over the
-parts.  Substitution (``star_w``, and ``a_alpha_dagger`` in
-:mod:`lbseries.seriesmorph`) passes the logarithmic character's values as
+(``_skeleton``); the blocks of a run of first trees are built once, from
+the run's prefix, and shared by every forest that starts with that run
+(``_run_blocks``).  It carries a left character, multiplicative over the
+parts, and skips a part on which it has no value: a logarithmic character
+and the universal legs have none on a part ``t t ... t``.  Substitution
+(``star_w``, and ``a_alpha_dagger`` in :mod:`lbseries.seriesmorph`) passes the logarithmic character's values as
 integers and builds no word of parts, over one memo kept on the character
 (``_alpha_contraction``); ``coeffalg.pair_legs`` pairs the result with the
 right character.  At the top order ``star_w`` builds no forest's map
@@ -22,10 +25,10 @@ it by the block's part.  ``delta_w`` and ``rho_oracle`` pass a
 universal leg, whose summed values are the words, over one memo each for
 the process; they serve ``coproduct --op w``, the laws and the tests.
 
-``admissible_partitions`` reads the same cache: it lays each block on the
-vertices of one ``_ForestIndex`` of the forest, the numbering that the
-expressions (``forest_expr``) read too, and partitions what the block
-leaves in turn.
+``admissible_partitions`` reads the same cache: it lays each block whose
+part is not ``t t ... t`` on the vertices of one ``_ForestIndex`` of the
+forest, the numbering that the expressions (``forest_expr``) read too,
+and partitions what the block leaves in turn.
 """
 
 from __future__ import annotations
@@ -231,19 +234,14 @@ def _tree_blocks(tree: PlanarTree) -> tuple:
 
 def _in_order_bracketings(trees: tuple[PlanarTree, ...]) -> list[LiePoly]:
     """All binary bracketings of the trees in their given order."""
-    leaves = [LiePoly.from_tree(t) for t in trees]
-
-    def rec(lo: int, hi: int) -> list[LiePoly]:
-        if hi - lo == 1:
-            return [leaves[lo]]
-        out = []
-        for mid in range(lo + 1, hi):
-            for left in rec(lo, mid):
-                for right in rec(mid, hi):
-                    out.append(bracket(left, right))
-        return out
-
-    return rec(0, len(leaves))
+    if len(trees) == 1:
+        return [LiePoly.from_tree(trees[0])]
+    return [
+        bracket(left, right)
+        for mid in range(1, len(trees))
+        for left in _in_order_bracketings(trees[:mid])
+        for right in _in_order_bracketings(trees[mid:])
+    ]
 
 
 def _nonzero_bracketings(part: OrderedForest) -> list[LiePoly]:
@@ -261,7 +259,7 @@ def _vanishing_part(part: OrderedForest) -> bool:
 def admissible_partitions(forest: OrderedForest) -> list[AdmissiblePartition]:
     """Vertex partitions whose parts can be grafted back into a smaller forest.
 
-    The block that holds a forest's first vertex is one of its kept blocks
+    The block that holds a forest's first vertex is one of its blocks
     (``_skeleton``): its roots are a run of the forest's first trees, and
     each of its vertices takes a prefix of its stored children, so internal
     edges sit planar-right of grafted-in material.  Each block is laid on
@@ -274,63 +272,87 @@ def admissible_partitions(forest: OrderedForest) -> list[AdmissiblePartition]:
     coaction does not list partitions; it reads ``_skeleton`` alone.
     """
     index = _ForestIndex(forest.trees)
-    out = []
-
-    def lay(u: int, vertex: PlanarTree, visited: list, hanging: list) -> None:
-        # a block vertex takes the first of its stored children, as many as
-        # its part vertex has; the rest hang below it, planar left to right
-        visited.append(u)
-        kids = index.children[u]
-        if len(vertex.children) < len(kids):
-            hanging.append(tuple(kids[len(vertex.children) :][::-1]))
-        for c, sub in zip(kids, vertex.children):
-            lay(c, sub, visited, hanging)
-
-    def rec(pending: tuple, picked: tuple) -> None:
-        # pending: the host forests still to partition, each as its roots
-        # planar left to right
-        if not pending:
-            columns = tuple(zip(*picked)) or ((),) * 4
-            out.append(AdmissiblePartition(*columns))
-            return
-        roots, pending = pending[0], pending[1:]
-        runs = _skeleton(OrderedForest(index.subtree[r] for r in roots))
-        for end, (_, blocks) in enumerate(runs, 1):
-            rest = (roots[end:],) if end < len(roots) else ()
-            for part, _ in blocks:
-                visited, hanging = [], []
-                for r, tree in zip(roots, part.trees):
-                    lay(r, tree, visited, hanging)
-                entry = (frozenset(visited), part, roots[:end], tuple(visited))
-                rec((*hanging, *rest, *pending), picked + (entry,))
-
-    rec((tuple(index.roots),) if index.roots else (), ())
+    out: list[AdmissiblePartition] = []
+    _partitions(index, (tuple(index.roots),) if index.roots else (), (), out)
     return out
+
+
+def _partitions(index: _ForestIndex, pending: tuple, picked: tuple, out: list) -> None:
+    """Append to ``out`` every partition that extends the blocks ``picked``
+    over the host forests ``pending``, each as its roots planar left to
+    right (``admissible_partitions``)."""
+    if not pending:
+        columns = tuple(zip(*picked)) or ((),) * 4
+        out.append(AdmissiblePartition(*columns))
+        return
+    roots, pending = pending[0], pending[1:]
+    runs = _skeleton(OrderedForest(index.subtree[r] for r in roots))
+    for end, (_, blocks) in enumerate(runs, 1):
+        rest = (roots[end:],) if end < len(roots) else ()
+        for part, _ in blocks:
+            if _vanishing_part(part):
+                continue
+            visited, hanging = [], []
+            for r, tree in zip(roots, part.trees):
+                _lay(index, r, tree, visited, hanging)
+            entry = (frozenset(visited), part, roots[:end], tuple(visited))
+            _partitions(index, (*hanging, *rest, *pending), picked + (entry,), out)
+
+
+def _lay(index: _ForestIndex, u: int, vertex: PlanarTree, visited: list, hanging: list) -> None:
+    """Lay the block vertex ``vertex`` on the host vertex ``u``: it takes
+    the first of its stored children, as many as ``vertex`` has, and the
+    rest hang below it, planar left to right."""
+    visited.append(u)
+    kids = index.children[u]
+    if len(vertex.children) < len(kids):
+        hanging.append(tuple(kids[len(vertex.children) :][::-1]))
+    for c, sub in zip(kids, vertex.children):
+        _lay(index, c, sub, visited, hanging)
+
+
+@lru_cache(maxsize=None)
+def _run_blocks(run: OrderedForest) -> tuple:
+    """The blocks whose roots are the roots of the trees of ``run``, each
+    tree rooting a block of its own (``_tree_blocks``), as (part, hanging)
+    with the part listing them in forest order; with ``_tree_blocks`` the
+    one statement of the block rule, which partitions and coactions read.
+
+    They are the blocks of ``run`` without its last tree, each extended by
+    every block of that tree, so a run is built from its prefix and every
+    forest that starts with ``run`` reads this one tuple.  Parts with two or
+    more trees, all equal (``_vanishing_part``), are kept: a longer run
+    extends them, and the readers skip them (``admissible_partitions``, the
+    universal legs) or find no value there (a logarithmic alpha).
+    """
+    if run.is_empty:
+        return ((EMPTY_FOREST, ()),)
+    last = _tree_blocks(run.trees[-1])
+    return tuple(
+        (OrderedForest(part.trees + (p,)), hanging + h)
+        for part, hanging in _run_blocks(OrderedForest(run.trees[:-1]))
+        for p, h in last
+    )
 
 
 @lru_cache(maxsize=None)
 def _skeleton(forest: OrderedForest) -> tuple:
-    """The kept blocks at a non-empty forest's first vertex, as (rest,
-    blocks) pairs with blocks (part, hanging); with ``_tree_blocks`` the one
-    statement of the block rule, which partitions and coactions read.
+    """The blocks at a non-empty forest's first vertex, as (rest, blocks)
+    pairs, one per run of the forest's first trees: ``blocks`` are that
+    run's (``_run_blocks``, the one tuple every forest with that run reads)
+    and ``rest`` holds the top-level trees past it.
 
-    The roots of such a block are a run of the forest's first trees, each
-    rooting a block of its own (``_tree_blocks``); the part lists them in
-    forest order.  Every other block lies in one of the smaller forests the
-    block leaves: ``hanging`` lists the children its vertices do not take,
-    one forest per vertex, and ``rest`` holds the top-level trees past the
-    block's roots (one per run of roots, so the blocks are grouped by it).
-    The skeleton does not depend on coefficients, so every use of
-    ``_contracted`` reads this one cache.
+    Every other block lies in one of the smaller forests a block leaves:
+    ``hanging`` lists the children its vertices do not take, one forest per
+    vertex, and ``rest`` the trees past its roots.  The skeleton does not
+    depend on coefficients, so every use of ``_contracted`` reads this one
+    cache.
     """
-    runs = []
-    taken = [((), ())]
-    for end, tree in enumerate(forest.trees, 1):
-        taken = [(ps + (p,), hs + h) for ps, hs in taken for p, h in _tree_blocks(tree)]
-        parts = ((OrderedForest(ps), hs) for ps, hs in taken)
-        blocks = tuple((part, hs) for part, hs in parts if not _vanishing_part(part))
-        runs.append((OrderedForest(forest.trees[end:]), blocks))
-    return tuple(runs)
+    trees = forest.trees
+    return tuple(
+        (OrderedForest(trees[end:]), _run_blocks(OrderedForest(trees[:end])))
+        for end in range(1, len(trees) + 1)
+    )
 
 
 def _contracted(forest: OrderedForest, value, memo: dict) -> dict:
@@ -394,8 +416,8 @@ def _paired_top(forest: OrderedForest, read, value, memo: dict, pairings: dict) 
     reader ``read``, for a forest whose map no other forest reads: the map
     is not built.
 
-    Each kept block ``(part, hanging)`` of a run with rest ``rest``
-    (``_skeleton``) adds ``value(part) * S(hanging, rest)``.  ``S`` sums
+    Each block ``(part, hanging)`` of a run with rest ``rest``
+    (``_skeleton``) with a value adds ``value(part) * S(hanging, rest)``.  ``S`` sums
     ``cb * T(fb, rest)`` over the hanging forests' shuffle ``{fb: cb}``
     (``_hung``), and ``T`` pairs ``read`` with every ``b_plus(fb) fr``,
     ``fr`` over the map of ``rest``, each looked up as a tuple of trees
@@ -436,8 +458,11 @@ def _paired_top(forest: OrderedForest, read, value, memo: dict, pairings: dict) 
 _WORD_MEMO: dict = {}
 
 
-def _word_leg(part: OrderedForest) -> LinComb:
-    """The universal leg of ``delta_w``: a part is its own one-part word."""
+def _word_leg(part: OrderedForest) -> LinComb | None:
+    """The universal leg of ``delta_w``: a part is its own one-part word,
+    and a part ``t t ... t`` (``_vanishing_part``) has none."""
+    if _vanishing_part(part):
+        return None
     return LinComb.of(SymWord.of(part))
 
 
@@ -512,9 +537,12 @@ def rho_oracle(forest: OrderedForest, max_size_guard: int = 4) -> LinComb:
 _RHO_MEMO: dict = {}
 
 
-def _bracket_leg(part: OrderedForest) -> LinComb:
+def _bracket_leg(part: OrderedForest) -> LinComb | None:
     """The universal leg of :func:`rho_oracle`: the signed sum of a part's
-    sign-normalized nonzero in-order bracketings, one left factor each."""
+    sign-normalized nonzero in-order bracketings, one left factor each; a
+    part ``t t ... t`` (``_vanishing_part``) has none."""
+    if _vanishing_part(part):
+        return None
     signed = (lp.sign_normalized() for lp in _nonzero_bracketings(part))
     return LinComb((SymLieWord((canonical,)), sign) for sign, canonical in signed)
 

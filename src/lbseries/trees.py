@@ -203,37 +203,40 @@ def parse_forest(text: str) -> OrderedForest:
     trees = [_PARSED.get(word) for word in text.split()]
     if None not in trees:
         return OrderedForest(trees)
-    pos = 0
-    n = len(text)
-
-    def parse_tree() -> PlanarTree:
-        nonlocal pos
-        if pos >= n or text[pos] != "[":
-            raise ForestParseError("expected '['", pos)
-        pos += 1
-        children = []
-        while pos < n and text[pos] != "]":
-            if text[pos].isspace():
-                pos += 1
-                continue
-            children.append(parse_tree())
-        if pos >= n:
-            raise ForestParseError("unbalanced brackets: missing ']'", pos)
-        pos += 1
-        tree = PlanarTree(children)
-        _PARSED[tree._text] = tree
-        return tree
-
     trees = []
-    while pos < n:
+    pos = 0
+    while pos < len(text):
         ch = text[pos]
         if ch.isspace():
             pos += 1
         elif ch == "[":
-            trees.append(parse_tree())
+            tree, pos = _read_tree(text, pos)
+            trees.append(tree)
         else:
             raise ForestParseError(f"unexpected character {ch!r}", pos)
     return OrderedForest(trees)
+
+
+def _read_tree(text: str, pos: int) -> tuple[PlanarTree, int]:
+    """The tree whose ``[`` is at ``text[pos]``, and the position past its
+    ``]``.  A module-level recursion, so a parse leaves no reference cycle
+    (a nested function that calls itself holds itself through its cell)."""
+    n = len(text)
+    pos += 1
+    children = []
+    while pos < n and text[pos] != "]":
+        if text[pos].isspace():
+            pos += 1
+        elif text[pos] == "[":
+            child, pos = _read_tree(text, pos)
+            children.append(child)
+        else:
+            raise ForestParseError("expected '['", pos)
+    if pos >= n:
+        raise ForestParseError("unbalanced brackets: missing ']'", pos)
+    tree = PlanarTree(children)
+    _PARSED[tree._text] = tree
+    return tree, pos + 1
 
 
 def parse_tree(text: str) -> PlanarTree:
@@ -259,20 +262,19 @@ class _ForestIndex:
         self.parent: list[int | None] = []
         self.children: list[list[int]] = []
         self.subtree: list[PlanarTree] = []
-
-        def walk(node: PlanarTree, parent: int | None) -> int:
-            my = len(self.parent)
-            self.parent.append(parent)
-            self.children.append([])
-            self.subtree.append(node)
-            if parent is not None:
-                self.children[parent].append(my)
-            for c in node.children:
-                walk(c, my)
-            return my
-
-        self.roots = [walk(t, None) for t in trees]
+        self.roots = [self._walk(t, None) for t in trees]
         self.n = len(self.parent)
+
+    def _walk(self, node: PlanarTree, parent: int | None) -> int:
+        my = len(self.parent)
+        self.parent.append(parent)
+        self.children.append([])
+        self.subtree.append(node)
+        if parent is not None:
+            self.children[parent].append(my)
+        for c in node.children:
+            self._walk(c, my)
+        return my
 
     def parent_map(self, offset: int = 0) -> dict[int, int | None]:
         """Vertex id to parent id (``None`` at roots), all ids shifted by ``offset``."""

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -9,8 +10,9 @@ import pytest
 
 import lbseries
 from lbseries import CharacterMap, parse_forest
-from lbseries.cli import COMMANDS, MAX_ORDER, build_parser, run
-from lbseries.laws import law_names
+from lbseries import cli
+from lbseries.cli import BSERIES_MAX_ORDER, COMMANDS, MAX_ORDER, build_parser, run
+from lbseries.laws import REGISTRY, check_law_order, law_names
 
 pf = parse_forest
 
@@ -323,6 +325,76 @@ def test_enumerate_above_the_largest_order_is_refused(capsys):
     assert captured.err == f"error: order 40 is above the largest order {MAX_ORDER}\n"
     assert run(["enumerate", "--order", str(MAX_ORDER), "--mode", "nonplanar", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 4766
+
+
+def test_bseries_eval_above_its_largest_order_is_refused(tmp_path, golden_files, capsys):
+    """An order-40 character with two values would enumerate every tree up
+    to 40 vertices; it is refused before anything is built, unless
+    ``--order`` lowers it."""
+    path = tmp_path / "alpha40.json"
+    path.write_text(json.dumps({"order": 40, "empty": "1", "values": {"[]": "1", "[[]]": "2"}}))
+    argv = ["bseries", "eval", "--field", golden_files["field"], "--alpha", str(path)]
+    argv += ["--y0", "1,-2", "--step", "1/10"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: order 40 is above the largest order {BSERIES_MAX_ORDER}\n"
+    assert run(argv + ["--order", "3"]) == 0
+    assert capsys.readouterr().out == "881/1000, -8701/4500\n"
+
+
+def test_verify_above_a_laws_largest_order_is_refused(capsys):
+    """A law past its largest order would run until killed; it is refused
+    before any law runs, also within ``--all``."""
+    assert run(["verify", "n-coassoc", "--order", "40"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: order 40 is above the largest order 9 of n-coassoc\n"
+    assert run(["verify", "--all", "--order", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: order 5 is above the largest order 4 of dalgebra-axioms\n"
+
+
+def test_every_law_runs_up_to_its_largest_order():
+    for name, (_, default, largest) in REGISTRY.items():
+        assert default <= largest
+        check_law_order(name, largest)
+        with pytest.raises(ValueError, match=f"largest order {largest} of {name}"):
+            check_law_order(name, largest + 1)
+
+
+def test_run_restores_the_collectors_state(tmp_path, monkeypatch, capsys):
+    """A command runs with the cyclic collector paused and leaves it as it
+    found it: on after a product or an ``error:`` exit when it was on, and
+    still off when it was off."""
+    seen = []
+    parse = cli.parse_forest
+
+    def spy(text):
+        seen.append(gc.isenabled())
+        return parse(text)
+
+    monkeypatch.setattr(cli, "parse_forest", spy)
+    alpha, beta = _order_40_files(tmp_path)
+    product = ["substitute", "--alpha", alpha, "--beta", beta]
+    assert gc.isenabled()
+    assert run(["parse", "[] [[]]"]) == 0
+    assert seen == [False]
+    assert gc.isenabled()
+    assert run(product + ["--order", "3"]) == 0
+    assert gc.isenabled()
+    assert run(product) == 1
+    assert gc.isenabled()
+    assert capsys.readouterr().err == f"error: order 40 is above the largest order {MAX_ORDER}\n"
+    gc.disable()
+    try:
+        assert run(product + ["--order", "3"]) == 0
+        assert not gc.isenabled()
+        assert run(["parse", "]"]) == 1
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_bseries_eval_and_verify(tmp_path, capsys):

@@ -21,7 +21,7 @@ from lbseries.postlie import LiePoly, bracket, concat, lie_graft
 from lbseries.coeffalg import is_primitive_shuffle, tensor
 from lbseries.laws import run_law
 from lbseries.seriesmorph import compose_lb
-from lbseries.trees import EMPTY_FOREST, enumerate_ordered_forests, enumerate_planar_trees
+from lbseries.trees import EMPTY_FOREST, PlanarTree, enumerate_ordered_forests, enumerate_planar_trees
 
 from characters import any_character, compose_through_delta_n
 from digests import coproduct_digest, forest_pairs, product_digest
@@ -247,6 +247,20 @@ DELTA_N_DIGEST_7 = "d68eb8bbf697398a30652d466827c4d6ac4650ddf11071bd1396374e1b75
 
 def test_delta_n_is_pinned_to_order_7():
     assert coproduct_digest(delta_n, enumerate_ordered_forests, 7) == DELTA_N_DIGEST_7
+
+
+def test_composition_keeps_no_cut_table_for_a_top_order_tree(monkeypatch):
+    """No forest reads the cuts of a tree of the top order, so
+    ``compose_lb`` sums them into its pairing and ``_CUTS`` gets no table
+    for such a tree; the trees one vertex smaller keep theirs."""
+    rng = random.Random(76)
+    beta = any_character(7, rng)
+    alpha = any_character(7, rng)
+    expected = compose_through_delta_n(beta, alpha)
+    monkeypatch.setattr(postlie, "_CUTS", {})
+    assert compose_lb(beta, alpha) == expected
+    sizes = {key.vertex_count for key in postlie._CUTS if isinstance(key, PlanarTree)}
+    assert max(sizes) == 6
 
 
 def test_the_cuts_memo_carries_no_character(monkeypatch):

@@ -37,14 +37,18 @@ from lbseries.subst import (
     Graft,
     Leaf,
     OracleGuardError,
+    _bracket_leg,
     _nonzero_bracketings,
+    _run_blocks,
+    _skeleton,
     _vanishing_part,
+    _word_leg,
     eval_expr,
 )
 from lbseries import seriesmorph, subst
 from lbseries.coeffalg import convolve_through
 from lbseries.seriesmorph import a_alpha, a_alpha_dagger, substitute_lb
-from lbseries.trees import enumerate_ordered_forests, enumerate_planar_trees
+from lbseries.trees import OrderedForest, enumerate_ordered_forests, enumerate_planar_trees
 
 from characters import (
     any_character,
@@ -214,6 +218,54 @@ def test_delta_w_matches_the_set_partition_oracle():
     for n in range(0, 7):
         for forest in enumerate_ordered_forests(n):
             assert delta_w(forest) == oracle_delta_w(forest)
+
+
+def test_forests_with_one_start_read_one_run():
+    """The blocks of a run of first trees are built once: two forests that
+    start with the same trees read the identical tuple for each such run,
+    and a run is its prefix's blocks, each extended by a block of its last
+    tree."""
+    first = _skeleton(pf("[[]] [] [[][]]"))
+    second = _skeleton(pf("[[]] [] [[[]]] []"))
+    for j in (0, 1):
+        assert first[j][1] is second[j][1]
+    assert first[2][1] is not second[2][1]
+    assert first[2][1] is _run_blocks(pf("[[]] [] [[][]]"))
+    extended = [
+        (OrderedForest(part.trees + (p,)), hanging + h)
+        for part, hanging in _run_blocks(pf("[[]] []"))
+        for p, h in subst._tree_blocks(parse_tree("[[][]]"))
+    ]
+    assert list(first[2][1]) == extended
+
+
+def test_universal_legs_have_no_value_on_vanishing_parts():
+    for text in ("[] []", "[[]] [[]] [[]]"):
+        assert _word_leg(pf(text)) is None
+        assert _bracket_leg(pf(text)) is None
+    assert _word_leg(pf("[] [[]]")) == LinComb.of(SymWord.of(pf("[] [[]]")))
+    assert _bracket_leg(pf("[] [[]]"))
+
+
+def test_substitution_never_asks_for_vanishing_parts(monkeypatch):
+    """alpha's route skips a part ``t t ... t`` by alpha's own zero there,
+    so ``star_w`` never calls ``_vanishing_part``; a universal leg does."""
+    rng = random.Random(18)
+    alpha = lie_character(6, rng)
+    beta = any_character(6, rng)
+    expected = star_w_through_delta_w(alpha, beta)
+    calls = []
+    vanishing = subst._vanishing_part
+
+    def spy(part):
+        calls.append(part)
+        return vanishing(part)
+
+    monkeypatch.setattr(subst, "_vanishing_part", spy)
+    assert star_w(alpha, beta) == expected
+    assert calls == []
+    subst._contracted(pf("[] [] [[]]"), subst._word_leg, {})
+    assert pf("[] []") in calls
 
 
 def test_vanishing_parts_are_the_all_equal_forests():

@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import pickle
 
@@ -64,6 +65,21 @@ def test_parse_errors_carry_position(monkeypatch, text, pos):
     with pytest.raises(ForestParseError) as again:
         parse_forest(text)
     assert (again.value.position, str(again.value)) == (pos, str(err.value))
+
+
+def test_a_parse_leaves_no_reference_cycle(monkeypatch):
+    """A parse read one character at a time leaves nothing to the cyclic
+    garbage collector, so a command run with the collector paused keeps
+    no dead parser objects."""
+    monkeypatch.setattr(trees, "_PARSED", {})
+    gc.collect()
+    gc.disable()
+    try:
+        forest = parse_forest("[[] [[]]] [] [[[ ]] []]")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert forest.serialize() == "[[][[]]] [] [[[]][]]"
 
 
 def test_every_tree_the_parser_builds_is_known_by_its_own_text(monkeypatch):
