@@ -328,9 +328,10 @@ class CharacterMap:
     (:class:`OrderedForest`) or non-planar (:class:`Forest`) bases.  A
     character is not changed after construction, so what depends on it
     alone is kept on it: :func:`is_logarithmic` caches its answer, and
-    substitution (``subst.star_w``, ``seriesmorph.a_alpha_dagger``) keeps
-    a logarithmic character's contraction, ``(scale, weights, memo)``: its
-    :func:`integer_weights` and the memo of its contracted forest maps,
+    substitution (``subst.star_w``, ``seriesmorph.a_alpha_dagger``,
+    ``seriesmorph.a_alpha``) keeps a logarithmic character's contraction,
+    ``(scale, weights, memo, images)``: its :func:`integer_weights`, the
+    memo of its contracted forest maps and that of its grafted images,
     built on first use and freed with the character.
     """
 

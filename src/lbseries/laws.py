@@ -735,8 +735,8 @@ REGISTRY: dict[str, tuple[Callable, int, int]] = {
     "cointeraction": (law_cointeraction, 8, 9),
     "pi-morphism": (law_pi_morphism, 4, 4),
     "grading": (law_grading, 7, 8),
-    "adjoint": (law_adjoint, 6, 7),
-    "substitution-theorem": (law_substitution_theorem, 5, 6),
+    "adjoint": (law_adjoint, 7, 8),
+    "substitution-theorem": (law_substitution_theorem, 6, 7),
     "bseries-substitution": (law_bseries_substitution, 7, 8),
     "automorphism": (law_automorphism, 7, 8),
 }

@@ -64,7 +64,10 @@ def gl_product(f1: OrderedForest, f2: OrderedForest) -> LinComb:
     """Grossman-Larson product of ordered forests, ``b_minus(f1 > b_plus(f2))``:
     the trees of ``f1`` also graft at the new root, where they become trees
     of the product's forest, left of ``f2``'s.  The ``LinComb`` is built once,
-    from the integer counts."""
+    from the integer counts.  The empty forest is the unit: with an empty
+    factor the product is the other one."""
+    if f1.is_empty or f2.is_empty:
+        return LinComb.of(f1.concat(f2))
     grafted = _grafted(f1.trees, b_plus(f2), {})
     return LinComb((b_minus(t), n) for t, n in grafted.items())
 

@@ -84,20 +84,24 @@ def compose_prelie_operad(
     if sorted(assignment) != list(range(n)):
         raise ValueError("assignment must be a bijection onto the inputs")
 
-    slots = iter(assignment)  # read in preorder, as ``build`` meets the vertices
-    memo: dict = {}
+    # the slots are read in preorder, as ``_replaced`` meets the vertices
+    terms = _replaced(base.rep, inputs, iter(assignment), {})
+    return LinComb((canonicalize(t), c) for t, c in terms.items())
 
-    def build(vertex: PlanarTree) -> dict:
-        slot = inputs[next(slots)].rep
-        child_terms = [build(c) for c in vertex.children]
-        out: dict = {}
-        for picks in itertools.product(*(c.items() for c in child_terms)):
-            coeff = math.prod(c for _, c in picks)
-            for tree, m in _grafted(tuple(t for t, _ in picks), slot, memo).items():
-                out[tree] = out.get(tree, 0) + coeff * m
-        return out
 
-    return LinComb((canonicalize(t), c) for t, c in build(base.rep).items())
+def _replaced(vertex: PlanarTree, inputs: Sequence[NonPlanarTree], slots, memo: dict) -> dict:
+    """The planar trees, with counts, of ``vertex`` and what hangs below it
+    with each vertex replaced by its input (the next of ``slots``): the
+    terms built below its children graft onto its input.  A module-level
+    recursion, so no call leaves a reference cycle."""
+    slot = inputs[next(slots)].rep
+    child_terms = [_replaced(c, inputs, slots, memo) for c in vertex.children]
+    out: dict = {}
+    for picks in itertools.product(*(c.items() for c in child_terms)):
+        coeff = math.prod(c for _, c in picks)
+        for tree, m in _grafted(tuple(t for t, _ in picks), slot, memo).items():
+            out[tree] = out.get(tree, 0) + coeff * m
+    return out
 
 
 def _universal_leg(tree: NonPlanarTree) -> LinComb:

@@ -16,8 +16,8 @@ from .coeffalg import (
     truncation_order,
 )
 from .postlie import _cuts_below, _kept_cuts, b_minus, b_plus, concat, left_graft, shuffle
-from .subst import _alpha_contraction, _contracted, _require_logarithmic, star_w
-from .trees import EMPTY_FOREST, OrderedForest, built_forest, enumerate_ordered_forests
+from .subst import _alpha_contraction, _contracted, star_w
+from .trees import EMPTY_FOREST, LEAF, OrderedForest, built_forest, enumerate_ordered_forests
 
 
 class TruncatedSeries:
@@ -92,15 +92,24 @@ def series_of(alpha: CharacterMap) -> TruncatedSeries:
     return TruncatedSeries(alpha.order, LinComb(terms))
 
 
+_VERTEX = OrderedForest((LEAF,))
+
+
 def a_alpha(alpha: CharacterMap, forest: OrderedForest) -> TruncatedSeries:
     """The substitution endomorphism: the unique map fixing concatenation and
     grafting that sends the single vertex to the series of ``alpha``.
 
     ``alpha`` must be logarithmic, so the single-vertex image is primitive
-    and the map sends Lie polynomials to Lie polynomials.
+    and the map sends Lie polynomials to Lie polynomials.  The images are
+    grafted from that seed and kept on alpha, in its contraction
+    (``subst._alpha_contraction``), so the calls of a loop over forests
+    graft each subforest's image once.
     """
-    _require_logarithmic(alpha)
-    return _a_alpha_image(forest, series_of(alpha), {})
+    images = _alpha_contraction(alpha)[3]
+    seed = images.get(_VERTEX)
+    if seed is None:
+        seed = images[_VERTEX] = series_of(alpha)
+    return _a_alpha_image(forest, seed, images)
 
 
 def _a_alpha_image(w: OrderedForest, seed: TruncatedSeries, cache: dict) -> TruncatedSeries:
@@ -127,24 +136,35 @@ def a_alpha_dagger(alpha: CharacterMap, forest: OrderedForest) -> LinComb:
     built; one division undoes alpha's scaling.  The recursion's memo is
     kept on alpha (``subst._alpha_contraction``), so the calls of a loop
     over forests, and ``star_w`` with alpha, share it."""
-    scale, weight, memo = _alpha_contraction(alpha)
+    scale, weight, memo, _ = _alpha_contraction(alpha)
     denominator = scale**forest.vertex_count
     contracted = _contracted(forest, weight.get, memo)
     return LinComb((q, Fraction(c, denominator)) for q, c in contracted.items())
 
 
 def check_adjoint(alpha: CharacterMap, order: int) -> bool:
-    """Pairing of the substitution endomorphism against its adjoint."""
+    """Pairing of the substitution endomorphism against its adjoint: the
+    coefficient of ``w2`` in the grafted image of ``w1`` equals that of
+    ``w1`` in the adjoint of ``w2``, for all forests up to ``order``.  Both
+    sides are compared as maps of their nonzero coefficients, so no pair
+    that is zero on both sides is read."""
     forests = [EMPTY_FOREST]
     for size in range(1, order + 1):
         forests.extend(enumerate_ordered_forests(size))
-    images = {w: a_alpha(alpha, w) for w in forests}
-    daggers = {w: a_alpha_dagger(alpha, w) for w in forests}
-    for w1 in forests:
-        for w2 in forests:
-            if images[w1].coeff(w2) != daggers[w2].coeff(w1):
-                return False
-    return True
+    index = set(forests)
+    grafted = {
+        (w1, w2): c
+        for w1 in forests
+        for w2, c in a_alpha(alpha, w1).element.items()
+        if w2 in index
+    }
+    paired = {
+        (w1, w2): c
+        for w2 in forests
+        for w1, c in a_alpha_dagger(alpha, w2).items()
+        if w1 in index
+    }
+    return grafted == paired
 
 
 def compose_lb(beta: CharacterMap, alpha: CharacterMap) -> CharacterMap:

@@ -127,14 +127,19 @@ def forest_expr(forest: OrderedForest, labels: Sequence[int] | None = None):
     labels = list(range(index.n) if labels is None else labels)
     if len(labels) != index.n:
         raise ValueError("label count must match the vertex count")
+    return reduce(Concat, (_vertex_expr(index.children, labels, v) for v in index.roots))
 
-    def build(v: int):
-        expr = Leaf(labels[v])
-        if index.children[v]:
-            expr = Graft(reduce(Concat, map(build, reversed(index.children[v]))), expr)
-        return expr
 
-    return reduce(Concat, map(build, index.roots))
+def _vertex_expr(children: list, labels: list, v: int):
+    """The expression of vertex ``v``: its leaf, grafted onto by the
+    concatenation of its children's expressions (planar left to right, so
+    reversed stored order).  A module-level recursion, so no call leaves a
+    reference cycle."""
+    expr = Leaf(labels[v])
+    if children[v]:
+        below = (_vertex_expr(children, labels, c) for c in reversed(children[v]))
+        expr = Graft(reduce(Concat, below), expr)
+    return expr
 
 
 def tree_expr(tree: PlanarTree, labels: Sequence[int] | None = None):
@@ -556,15 +561,18 @@ def _require_logarithmic(alpha: CharacterMap) -> None:
         raise ValueError("character is not logarithmic")
 
 
-def _alpha_contraction(alpha: CharacterMap) -> tuple[int, dict, dict]:
-    """A logarithmic character's contraction ``(D, weights, memo)``: its
-    ``integer_weights`` and the memo of its ``_contracted`` forest maps.
-    None of it depends on what alpha is substituted into, so it is built on
-    first use and kept on alpha (``CharacterMap._contraction``): every
-    ``star_w`` and ``a_alpha_dagger`` with alpha reads and fills one memo."""
+def _alpha_contraction(alpha: CharacterMap) -> tuple[int, dict, dict, dict]:
+    """A logarithmic character's contraction ``(D, weights, memo, images)``:
+    its ``integer_weights``, the memo of its ``_contracted`` forest maps and
+    the memo of its grafted images (``seriesmorph.a_alpha``, which puts the
+    seed series at the single vertex).  None of it depends on what alpha is
+    substituted into, so it is built on first use and kept on alpha
+    (``CharacterMap._contraction``): every ``star_w`` and
+    ``a_alpha_dagger`` with alpha reads and fills one memo, and every
+    ``a_alpha`` with alpha the other."""
     _require_logarithmic(alpha)
     if alpha._contraction is None:
-        alpha._contraction = (*integer_weights(alpha.values), {})
+        alpha._contraction = (*integer_weights(alpha.values), {}, {})
     return alpha._contraction
 
 
@@ -585,7 +593,7 @@ def star_w(alpha: CharacterMap, beta: CharacterMap) -> CharacterMap:
     ``convolve_through(delta_w, ...)`` (tested up to order 7, and on a
     sample of order-8 forests).
     """
-    scale, weight, memo = _alpha_contraction(alpha)
+    scale, weight, memo, _ = _alpha_contraction(alpha)
     pairings: dict = {}
     order = min(alpha.order, beta.order)
 

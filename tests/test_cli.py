@@ -11,7 +11,7 @@ import pytest
 import lbseries
 from lbseries import CharacterMap, parse_forest
 from lbseries import cli
-from lbseries.cli import BSERIES_MAX_ORDER, COMMANDS, MAX_ORDER, build_parser, run
+from lbseries.cli import BSERIES_MAX_ORDER, BSERIES_VERIFY_MAX_ORDER, COMMANDS, MAX_ORDER, build_parser, run
 from lbseries.laws import REGISTRY, check_law_order, law_names
 
 pf = parse_forest
@@ -341,6 +341,30 @@ def test_bseries_eval_above_its_largest_order_is_refused(tmp_path, golden_files,
     assert captured.err == f"error: order 40 is above the largest order {BSERIES_MAX_ORDER}\n"
     assert run(argv + ["--order", "3"]) == 0
     assert capsys.readouterr().out == "881/1000, -8701/4500\n"
+
+
+def test_bseries_verify_above_its_largest_order_is_refused(tmp_path, golden_files, capsys):
+    """Order-40 characters would be checked on every tree up to 40
+    vertices; they are refused before anything is built, as is an
+    ``--order`` above the largest one, unless ``--order`` lowers it."""
+    paths = []
+    for name in ("alpha", "beta"):
+        path = tmp_path / f"{name}40.json"
+        empty = "0" if name == "alpha" else "1"
+        path.write_text(json.dumps({"order": 40, "empty": empty, "values": {"[]": "1", "[[]]": "2"}}))
+        paths.append(str(path))
+    argv = ["bseries", "verify", "--field", golden_files["field"], "--alpha", paths[0]]
+    argv += ["--beta", paths[1], "--y0", "1,-2"]
+    too_high = BSERIES_VERIFY_MAX_ORDER + 1
+    for extra, order in (([], 40), (["--order", str(too_high)], too_high)):
+        assert run(argv + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: order {order} is above the largest order {BSERIES_VERIFY_MAX_ORDER}\n"
+        )
+    assert run(argv + ["--order", "3"]) == 0
+    assert capsys.readouterr().out == "PASS\n"
 
 
 def test_verify_above_a_laws_largest_order_is_refused(capsys):

@@ -147,6 +147,23 @@ def _gl_comb(x: LinComb, y: LinComb) -> LinComb:
     return out
 
 
+def test_gl_product_with_an_empty_factor_is_the_other_factor(monkeypatch):
+    """The empty forest is the unit of the Grossman-Larson product: with an
+    empty factor the product equals the associator oracle on every forest
+    up to order 5, and no graft is counted."""
+    forests = [f for n in range(6) for f in enumerate_ordered_forests(n)]
+    expected = {f: oracle_gl_product(f, EMPTY_FOREST) for f in forests}
+    assert expected == {f: oracle_gl_product(EMPTY_FOREST, f) for f in forests}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an empty factor was grafted")
+
+    monkeypatch.setattr(postlie, "_grafted", refuse)
+    for f in forests:
+        assert gl_product(f, EMPTY_FOREST) == expected[f] == LinComb.of(f)
+        assert gl_product(EMPTY_FOREST, f) == expected[f]
+
+
 def test_gl_associativity_exhaustive_small():
     small = [f for n in range(0, 3) for f in enumerate_ordered_forests(n)]
     for a in small:

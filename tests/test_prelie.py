@@ -96,6 +96,22 @@ def test_operad_identities():
     assert compose_prelie_operad([tau], cn("[]")) == LinComb.of(tau)
 
 
+def test_operad_composition_leaves_no_reference_cycle():
+    """Composing in the pre-Lie operad leaves nothing to the cyclic garbage
+    collector, so ``verify`` run with the collector paused keeps no dead
+    recursion frames."""
+    base = cn("[[][[]]]")
+    inputs = [cn("[[]]"), cn("[]"), cn("[[][]]"), cn("[]")]
+    compose_prelie_operad(inputs, base)  # interns what the call meets
+    gc.collect()
+    gc.disable()
+    try:
+        compose_prelie_operad(inputs, base, assignment=[3, 1, 0, 2])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_operad_arity_errors():
     with pytest.raises(ValueError):
         compose_prelie_operad([cn("[]")], cn("[[][]]"))

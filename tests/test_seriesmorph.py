@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -95,6 +96,55 @@ def test_a_alpha_chain_expansion():
         ]
     )
     assert result == TruncatedSeries(3, expected)
+
+
+def test_a_alpha_is_the_same_in_any_call_order():
+    """The images kept on alpha give every forest up to order 5 the same
+    image whether the forests are met from the smallest or from the
+    largest, and the same as a fresh alpha, which grafts from nothing."""
+    alpha = lie_character(5, random.Random(23))
+    forests = [f for n in range(6) for f in enumerate_ordered_forests(n)]
+    fresh = {
+        w: a_alpha(CharacterMap(alpha.order, alpha.empty_value, alpha.values), w)
+        for w in forests
+    }
+    ascending = {w: a_alpha(alpha, w) for w in forests}
+    twin = CharacterMap(alpha.order, alpha.empty_value, alpha.values)
+    descending = {w: a_alpha(twin, w) for w in reversed(forests)}
+    assert ascending == fresh == descending
+    assert a_alpha(alpha, pf("[]")) == series_of(alpha)
+
+
+def test_a_alpha_grafts_without_the_contracted_route(monkeypatch):
+    """The images are grafted, never read from the alpha-contracted
+    recursion that ``a_alpha_dagger`` runs, so ``check_adjoint`` compares
+    two routes."""
+    alpha = lie_character(4, random.Random(29))
+
+    def refuse(*args):
+        raise AssertionError("a_alpha read the contracted route")
+
+    monkeypatch.setattr(seriesmorph, "_contracted", refuse)
+    for n in range(5):
+        for w in enumerate_ordered_forests(n):
+            a_alpha(alpha, w)
+    assert alpha._contraction[3] and not alpha._contraction[2]
+
+
+def test_alpha_frees_its_images_with_it():
+    """The grafted images kept on alpha die with alpha: no reference cycle
+    leaves them to the cyclic garbage collector."""
+    alpha = lie_character(5, random.Random(31))
+    for w in (pf("[[]] [] [[[]]]"), pf("[[][]] []")):
+        a_alpha(alpha, w)
+    assert alpha._contraction[3]
+    gc.collect()
+    gc.disable()
+    try:
+        del alpha
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_a_alpha_requires_logarithmic():

@@ -115,6 +115,21 @@ def test_expressions_number_vertices_through_the_forest_index():
         tree_expr(parse_tree("[[]]"), [0, 1, 2])
 
 
+def test_an_expression_leaves_no_reference_cycle():
+    """Building a forest's expression leaves nothing to the cyclic garbage
+    collector, so ``verify`` run with the collector paused keeps no dead
+    recursion frames."""
+    forest = pf("[[][[]]] [] [[[]]]")
+    forest_expr(forest)  # interns what the call meets
+    gc.collect()
+    gc.disable()
+    try:
+        forest_expr(forest, list(range(10, 10 + forest.vertex_count)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_operad_identities():
     base = Bracket(Leaf(0), Graft(Leaf(1), Leaf(2)))
     dots = [lp("[]")] * 3
